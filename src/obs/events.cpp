@@ -12,7 +12,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::VarianceFlag: return "variance_flag";
     case EventKind::StandardUpdate: return "standard_update";
     case EventKind::StaleRank: return "stale_rank";
-    case EventKind::RingOverflow: return "ring_overflow";
     case EventKind::JournalSalvage: return "journal_salvage";
     case EventKind::Crash: return "crash";
     case EventKind::Recovery: return "recovery";

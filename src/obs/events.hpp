@@ -1,8 +1,8 @@
 // Structured event log + crash flight recorder for the live health plane.
 //
 // Every operationally interesting transition in the pipeline — a variance
-// flag, a standards-exchange update, a stale-rank sweep, a ring overflow, a
-// journal salvage, a crash/recovery — becomes one schema'd event carrying
+// flag, a standards-exchange update, a stale-rank sweep, a journal
+// salvage, a crash/recovery — becomes one schema'd event carrying
 // its causal context (virtual time, rank, sensor, shard, score vs.
 // standard). The log is the machine-readable twin of the human report:
 // `vsensor-events/1` JSONL, bounded, with dropped-event accounting so
@@ -35,7 +35,6 @@ enum class EventKind : uint8_t {
   VarianceFlag,     ///< detector scored a record below threshold
   StandardUpdate,   ///< sharded tier broadcast a lowered standard
   StaleRank,        ///< sweep declared a rank stale
-  RingOverflow,     ///< SPSC ring refused a batch (producer side)
   JournalSalvage,   ///< journal load discarded a torn tail
   Crash,            ///< injected/real server crash fired
   Recovery,         ///< server finished checkpoint restore + replay

@@ -128,76 +128,6 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
   if (sink_ != nullptr) sink_->on_batch(batch);
 }
 
-void Collector::ingest(const RecordBatch& batch) {
-  const size_t n = batch.size();
-  if (n == 0) return;
-  VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = CollectorInstruments::get();
-    inst.batches.add();
-    inst.records.add(n);
-  })
-  bytes_.fetch_add(n * kRecordWireBytes, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  ingested_.fetch_add(n, std::memory_order_relaxed);
-
-  const size_t n_shards = shards_.size();
-  // The uniform-batch test is a scan over the contiguous sensor-id column
-  // — one cache line covers 16 records instead of one region per record.
-  const int32_t* ids = batch.sensor_id.data();
-  const size_t first = shard_of(ids[0]);
-  bool uniform = true;
-  if (n_shards > 1) {
-    for (size_t i = 1; i < n; ++i) {
-      if (shard_of(ids[i]) != first) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-  auto store_run = [&](size_t shard_idx, auto&& next_index, size_t count) {
-    Shard& shard = *shards_[shard_idx];
-    uint64_t dropped = 0;
-    [[maybe_unused]] size_t occupancy = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (size_t k = 0; k < count; ++k) {
-        if (shard.store.full()) ++dropped;
-        shard.store.push(batch.get(next_index(k)));
-      }
-      occupancy = shard.store.size();
-    }
-    if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
-    VS_OBS_ONLY(if (obs::enabled()) {
-      auto& inst = CollectorInstruments::get();
-      if (dropped > 0) inst.dropped.add(dropped);
-      inst.shard_occupancy.set_max(static_cast<double>(occupancy));
-    })
-  };
-  if (uniform) {
-    store_run(first, [](size_t k) { return k; }, n);
-  } else {
-    // Counting-sort the record indices by shard over the contiguous id
-    // column, then take each shard's mutex once for its run.
-    std::vector<uint32_t> offset(n_shards + 1, 0);
-    for (size_t i = 0; i < n; ++i) ++offset[shard_of(ids[i]) + 1];
-    std::partial_sum(offset.begin(), offset.end(), offset.begin());
-    std::vector<uint32_t> order(n);
-    std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (uint32_t i = 0; i < n; ++i) {
-      order[cursor[shard_of(ids[i])]++] = i;
-    }
-    for (size_t s = 0; s < n_shards; ++s) {
-      if (offset[s] == offset[s + 1]) continue;
-      store_run(
-          s, [&](size_t k) { return order[offset[s] + k]; },
-          offset[s + 1] - offset[s]);
-    }
-  }
-
-  if (sink_ != nullptr) sink_->on_batch(batch);
-}
-
 void Collector::visit_records(
     const std::function<void(std::span<const SliceRecord>)>& fn) const {
   for (const auto& shard : shards_) {

@@ -36,9 +36,9 @@ class BatchSink {
  public:
   virtual ~BatchSink() = default;
   virtual void on_batch(std::span<const SliceRecord> batch) = 0;
-  /// Struct-of-arrays delivery (the staging hot path). The default bridges
-  /// to the AoS entry so existing sinks keep working; SoA-native sinks
-  /// (the streaming detector) override to skip the gather.
+  /// Struct-of-arrays bridge for callers that hold columns: gathers to AoS
+  /// and folds through the span entry, so every sink has one fold path.
+  /// Virtual only so wrapping sinks can interpose on it.
   virtual void on_batch(const RecordBatch& batch) {
     const auto aos = batch.to_aos();
     on_batch(std::span<const SliceRecord>(aos));
@@ -75,12 +75,6 @@ class Collector : public obs::HealthSource {
   /// Receive one batch from a rank. Thread-safe: records scatter to their
   /// sensor's shard, and each shard mutex is taken at most once per batch.
   void ingest(std::span<const SliceRecord> batch);
-
-  /// Struct-of-arrays ingest (what BatchStage ships): the shard scatter
-  /// scans the contiguous sensor-id column instead of striding through
-  /// 56-byte records, and the batch reaches an SoA-native sink without an
-  /// intermediate gather. Accounting identical to the AoS overload.
-  void ingest(const RecordBatch& batch);
 
   /// Attach a streaming sink; every subsequent batch is forwarded to it
   /// after being stored. Pass nullptr to detach. Not thread-safe against

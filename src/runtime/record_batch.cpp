@@ -1,8 +1,5 @@
 #include "runtime/record_batch.hpp"
 
-#include "runtime/detector.hpp"
-#include "support/simd.hpp"
-
 namespace vsensor::rt {
 
 void RecordBatch::reserve(size_t n) {
@@ -74,15 +71,6 @@ RecordBatch RecordBatch::from_aos(std::span<const SliceRecord> records) {
   RecordBatch batch;
   batch.append(records);
   return batch;
-}
-
-double RecordBatch::min_standard() const {
-  return simd::min_above(avg_duration.data(), avg_duration.size(),
-                         kMinStandardTime);
-}
-
-double RecordBatch::max_t_end() const {
-  return simd::max_value(t_end.data(), t_end.size());
 }
 
 }  // namespace vsensor::rt

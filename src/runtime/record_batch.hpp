@@ -1,18 +1,19 @@
-// Struct-of-arrays record batches — the hot-path layout of the collection
-// pipeline.
+// Struct-of-arrays record batches — the column layout of the offline
+// scoring core.
 //
-// A SliceRecord is 56 bytes, but every scoring/normalization kernel touches
-// one or two fields per record: the min-standard scan reads avg_duration,
-// normalization reads avg_duration and metric, the collector scatter reads
-// sensor_id. In array-of-structs form each of those scans strides 56 bytes
-// per touched double and wastes 6/7 of every cache line; in
-// struct-of-arrays form the same scan streams contiguous memory and
-// vectorizes (support/simd.hpp). The staging buffer (BatchStage), the
-// collector ingest scatter, and both detectors' scoring paths therefore
-// operate on RecordBatch; the AoS SliceRecord remains the wire/storage unit
-// (journal frames, session files, ring stores), with loss-free conversion
-// in both directions. Conversion round-trips are bit-identical — pinned by
-// tests/test_record_batch.cpp across all eight mini-apps.
+// Records travel as plain SliceRecords from the rank's staging buffer
+// through the transport, collector, journal and session files to the
+// streaming fold. Columns pay off only in batch analysis, whose kernels
+// touch one or two fields per record across the whole run: the
+// min-standard scan reads avg_duration, normalization reads avg_duration
+// and metric. In array-of-structs form each such scan strides 56 bytes per
+// touched double; in struct-of-arrays form it streams contiguous memory
+// and vectorizes (support/simd.hpp). So Detector::analyze_records converts
+// into a RecordBatch once and scores it with analyze_batch.
+// BatchTransport::ship and BatchSink::on_batch keep RecordBatch overloads
+// that gather back to AoS for callers holding columns. Conversion round
+// trips are bit-identical — pinned by tests/test_record_batch.cpp across
+// all eight mini-apps.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +47,6 @@ class RecordBatch {
   std::vector<SliceRecord> to_aos() const;
 
   static RecordBatch from_aos(std::span<const SliceRecord> records);
-
-  /// Fastest non-degenerate avg_duration in the batch (+inf when none):
-  /// the min-standard scan, vectorized over the contiguous column.
-  double min_standard() const;
-
-  /// Latest slice end in the batch (ship-time scan), -inf when empty.
-  double max_t_end() const;
 
   // Column arrays, index-aligned: element i of every column is record i.
   std::vector<int32_t> sensor_id;

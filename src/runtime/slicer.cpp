@@ -126,7 +126,7 @@ void BatchStage::push(const SliceRecord& rec) {
   if (buf_.size() >= capacity_) flush();
 }
 
-void BatchStage::ship(const RecordBatch& batch) {
+void BatchStage::ship(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Staging);
   VS_OBS_ONLY(if (obs::enabled()) {
     auto& inst = StageInstruments::get();
@@ -134,10 +134,10 @@ void BatchStage::ship(const RecordBatch& batch) {
     inst.batch_records.record(static_cast<double>(batch.size()));
   })
   if (transport_ != nullptr) {
-    // The batch ships when its newest record completes; records accumulate
-    // in time order per rank, but scan the contiguous t_end column for the
-    // max to stay robust to ties (clamped at 0 as before SoA staging).
-    const double now = std::max(0.0, batch.max_t_end());
+    // The batch ships when its newest record completes (clamped at 0);
+    // slices of different sensors need not complete in staging order.
+    double now = 0.0;
+    for (const auto& rec : batch) now = std::max(now, rec.t_end);
     if (!transport_->ship(rank_, batch, now)) lost_records_ += batch.size();
     ++shipped_batches_;
   } else if (collector_ != nullptr) {
@@ -151,7 +151,7 @@ void BatchStage::flush() {
   // Detach the staged records before shipping: if ship() throws mid-way,
   // a second flush() (or the destructor's) must not ship them again —
   // flushing is idempotent per record, never at-least-once.
-  RecordBatch batch;
+  std::vector<SliceRecord> batch;
   std::swap(batch, buf_);
   buf_.reserve(std::min<size_t>(capacity_, reserve_));
   ship(batch);

@@ -46,10 +46,10 @@ class BatchTransport;
 /// Per-rank staging buffer: completed slices batch locally and ship to the
 /// collector only when `capacity` records accumulated, so the rank takes a
 /// shard lock once per batch instead of once per record (§5.4). Records
-/// stage in struct-of-arrays form (RecordBatch): the collector ingests the
-/// columns directly and the scoring kernels downstream iterate contiguous
-/// arrays. One per rank thread; not thread-safe — cross-thread contention
-/// exists only inside the collector's shards.
+/// stage as plain SliceRecords and ship as one contiguous span — the form
+/// the transport, collector and streaming fold all take. One per rank
+/// thread; not thread-safe — cross-thread contention exists only inside
+/// the collector's shards.
 class BatchStage {
  public:
   /// `collector` may be null (records are then staged and discarded on
@@ -92,14 +92,14 @@ class BatchStage {
   static uint64_t unflushed_records();
 
  private:
-  void ship(const RecordBatch& batch);
+  void ship(std::span<const SliceRecord> batch);
 
   Collector* collector_;
   BatchTransport* transport_ = nullptr;
   int rank_ = -1;
   size_t capacity_;
   size_t reserve_;
-  RecordBatch buf_;  ///< SoA staging columns
+  std::vector<SliceRecord> buf_;
   uint64_t shipped_batches_ = 0;
   uint64_t lost_records_ = 0;
 };

@@ -168,122 +168,6 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
   }
 }
 
-void StreamingDetector::on_batch(const RecordBatch& batch) {
-  const size_t n = batch.size();
-  if (n == 0) return;
-  VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = StreamingInstruments::get();
-    inst.batches.add();
-    inst.records.add(n);
-  })
-  std::lock_guard<std::mutex> lock(mu_);
-  const int32_t* ids = batch.sensor_id.data();
-  const int32_t* rk = batch.rank.data();
-  const float* metric = batch.metric.data();
-  const double* avg = batch.avg_duration.data();
-  const double* t_begin = batch.t_begin.data();
-  const double* t_end = batch.t_end.data();
-  const uint32_t* count = batch.count.data();
-  const bool grouped = cfg_.metric_bucket_width > 0.0;
-  const bool any_stale = !stale_.empty();
-
-  // Map-iterator cache: a staged batch is one rank's slices of few
-  // sensors, so consecutive records almost always share their standard
-  // and rank-standard keys. std::map inserts never invalidate iterators,
-  // so a cached iterator stays good until the key changes.
-  auto std_it = standard_.end();
-  auto rank_it = rank_standard_.end();
-  int cached_sensor = -1, cached_group = 0, cached_rank = 0;
-  bool have_std = false, have_rank = false;
-
-  for (size_t i = 0; i < n; ++i) {
-    const int sensor_id = ids[i];
-    VS_CHECK_MSG(sensor_id >= 0 &&
-                     static_cast<size_t>(sensor_id) < sensors_.size(),
-                 "record references unknown sensor");
-    observed_ += 1;
-    const int rank = rk[i];
-    if (any_stale && stale_.count(rank) != 0) {
-      ++stale_records_;
-      continue;
-    }
-    const double a = avg[i];
-    // Degeneracy rule of the AoS path, on the contiguous column.
-    if (!(a >= kMinStandardTime)) {
-      ++degenerate_records_;
-      continue;
-    }
-    const int g = grouped ? group_of(metric[i]) : 0;
-    sensor_records_[static_cast<size_t>(sensor_id)] += 1;
-
-    if (!have_std || sensor_id != cached_sensor || g != cached_group) {
-      auto [it, inserted] = standard_.try_emplace({sensor_id, g}, a);
-      std_it = it;
-      bool std_lowered = inserted;
-      if (!inserted && a < std_it->second) {
-        std_it->second = a;
-        std_lowered = true;
-      }
-      if (publish_standards_ && std_lowered) lowered_.insert({sensor_id, g});
-      cached_sensor = sensor_id;
-      cached_group = g;
-      have_std = true;
-      have_rank = false;
-    } else if (a < std_it->second) {
-      std_it->second = a;
-      if (publish_standards_) lowered_.insert({cached_sensor, cached_group});
-    }
-    if (!have_rank || rank != cached_rank) {
-      auto [it, inserted] =
-          rank_standard_.try_emplace({sensor_id, g, rank}, a);
-      rank_it = it;
-      if (!inserted) rank_it->second = std::min(rank_it->second, a);
-      cached_rank = rank;
-      have_rank = true;
-    } else {
-      rank_it->second = std::min(rank_it->second, a);
-    }
-
-    const double inter_norm = std_it->second / a;
-    const double intra_norm = rank_it->second / a;
-    if (inter_norm < cfg_.variance_threshold) {
-      ++inter_flags_;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().inter_flags.add();)
-      if (hooks_) {
-        emit_flag(hooks_, t_end[i], rank, sensor_id, g, inter_norm,
-                  std_it->second, "inter");
-      }
-    }
-    if (intra_norm < cfg_.variance_threshold) {
-      ++intra_flags_;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
-      if (hooks_) {
-        emit_flag(hooks_, t_end[i], rank, sensor_id, g, intra_norm,
-                  rank_it->second, "intra");
-      }
-    }
-
-    RunningStats& st = stats_[static_cast<size_t>(sensor_id)];
-    st.count += 1;
-    const double delta = inter_norm - st.mean;
-    st.mean += delta / static_cast<double>(st.count);
-    st.m2 += delta * (inter_norm - st.mean);
-
-    last_[{sensor_id, rank}] = LastSlice{t_end[i], a, inter_norm};
-
-    if (rank >= 0 && rank < ranks_) {
-      const double mid = 0.5 * (t_begin[i] + t_end[i]);
-      CellSums& cell = cells_[{sensor_id, g, rank, bucket_of(mid)}];
-      const auto weight = static_cast<double>(count[i]);
-      cell.weight_over_avg += weight / a;
-      cell.weight += weight;
-    }
-  }
-}
-
 void StreamingDetector::mark_stale(int rank, double now) {
   bool fresh = false;
   {

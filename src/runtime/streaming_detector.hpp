@@ -8,13 +8,15 @@
 //  * each rank's own fastest slice (intra-process comparison, Fig 13);
 //  * Welford mean/variance of normalized performance per sensor;
 //  * per-(rank, time-bucket) matrix contributions, stored in a
-//    standard-free form (sum of weight/duration) so the final matrices are
-//    *identical* to the batch Detector's even though the standard time is
-//    only fully known at the end — no history replay, ever.
+//    standard-free form (sum of weight/duration) so the final matrices
+//    fill the same cells as the batch Detector's even though the standard
+//    time is only fully known at the end — no history replay, ever.
 //
 // Intra-/inter-process variance flags are raised online against the
-// standards known at arrival time; the final matrices and variance events
-// from finalize() match Detector::analyze_records on the same records.
+// standards known at arrival time. finalize() gives the same matrix cells
+// and variance events as Detector::analyze_records on the same records,
+// with values within 1e-12: the two paths sum each cell in a different
+// order, so the last bits can differ.
 #pragma once
 
 #include <cstdint>
@@ -54,17 +56,10 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
                     int ranks, double run_time);
 
   /// Fold one batch into the running state. Thread-safe; O(batch) work.
+  /// Column batches reach this fold through the BatchSink bridge.
+  using BatchSink::on_batch;
   void on_batch(std::span<const SliceRecord> batch) override;
   void observe(std::span<const SliceRecord> batch) { on_batch(batch); }
-
-  /// Struct-of-arrays fold — what the collector forwards on the staging
-  /// hot path. Semantically identical to the AoS overload record for
-  /// record (same sequential arrival order, so the same running minima,
-  /// flags, and Welford state), but the scans run over contiguous columns
-  /// and the standard-time map lookups are cached across runs of records
-  /// sharing one (sensor, group, rank) — the common shape of a staged
-  /// batch, which holds one rank's slices.
-  void on_batch(const RecordBatch& batch) override;
 
   /// Welford running statistics over normalized performance, per sensor.
   /// Normalization uses the standard known when each record arrived.
@@ -144,9 +139,11 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// Slices below threshold against the cross-rank standard (§5.4).
   uint64_t inter_flags() const;
 
-  /// Final matrices and variance events, identical to
-  /// Detector::analyze_records over the same records (AnalysisResult::flagged
-  /// stays empty — the online flag counters replace the replayed list).
+  /// Final matrices and variance events. Against Detector::analyze_records
+  /// over the same records: the same matrix cells and events, with values
+  /// within 1e-12, since the two paths sum each cell in a different order
+  /// (AnalysisResult::flagged stays empty — the online flag counters
+  /// replace the replayed list).
   AnalysisResult finalize() const;
 
   const DetectorConfig& config() const { return cfg_; }

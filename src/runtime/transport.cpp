@@ -65,30 +65,14 @@ BatchTransport::BatchTransport(Collector* collector, int ranks,
   VS_CHECK_MSG(cfg_.retry_backoff >= 0.0, "retry backoff must be non-negative");
   VS_CHECK_MSG(cfg_.stale_after > 0.0, "stale threshold must be positive");
   channels_.resize(static_cast<size_t>(ranks));
-  if (cfg_.channel_ring_capacity > 0) {
-    rings_.reserve(static_cast<size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      rings_.push_back(std::make_unique<RingChannel>(cfg_.channel_ring_capacity));
-    }
-  }
 }
 
 BatchTransport::BatchTransport(DeliverySink* sink, int ranks,
                                TransportConfig cfg,
                                const TransportFaultModel* faults)
-    : collector_(nullptr), sink_(sink), cfg_(cfg), faults_(faults) {
+    : BatchTransport(static_cast<Collector*>(nullptr), ranks, cfg, faults) {
   VS_CHECK_MSG(sink != nullptr, "transport needs a delivery sink");
-  VS_CHECK_MSG(ranks > 0, "transport needs at least one rank channel");
-  VS_CHECK_MSG(cfg_.max_attempts > 0, "need at least one delivery attempt");
-  VS_CHECK_MSG(cfg_.retry_backoff >= 0.0, "retry backoff must be non-negative");
-  VS_CHECK_MSG(cfg_.stale_after > 0.0, "stale threshold must be positive");
-  channels_.resize(static_cast<size_t>(ranks));
-  if (cfg_.channel_ring_capacity > 0) {
-    rings_.reserve(static_cast<size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      rings_.push_back(std::make_unique<RingChannel>(cfg_.channel_ring_capacity));
-    }
-  }
+  sink_ = sink;
 }
 
 BatchTransport::~BatchTransport() { drain(); }
@@ -146,75 +130,6 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
   VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < channels_.size(),
                "ship from unknown rank");
   if (batch.empty()) return true;
-  if (!rings_.empty()) {
-    return ship_enqueue(rank, {batch.begin(), batch.end()}, now);
-  }
-  return ship_sync(rank, batch, now);
-}
-
-bool BatchTransport::ship(int rank, const RecordBatch& batch, double now) {
-  VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < channels_.size(),
-               "ship from unknown rank");
-  if (batch.empty()) return true;
-  // One gather from the staged columns to the AoS wire form, at the
-  // transport boundary; the ring path adopts the vector without copying.
-  std::vector<SliceRecord> aos = batch.to_aos();
-  if (!rings_.empty()) return ship_enqueue(rank, std::move(aos), now);
-  return ship_sync(rank, aos, now);
-}
-
-bool BatchTransport::ship_enqueue(int rank, std::vector<SliceRecord>&& records,
-                                  double now) {
-  RingChannel& rc = *rings_[static_cast<size_t>(rank)];
-  const size_t n = records.size();
-  if (!rc.ring.try_push(PendingShip{now, std::move(records)})) {
-    // Backpressure: the consumer fell behind by a full ring. Refuse the
-    // batch and account it so enqueued == delivered + lost + ring-dropped
-    // stays an invariant the tests can assert.
-    rc.dropped_batches.fetch_add(1, std::memory_order_relaxed);
-    rc.dropped_records.fetch_add(n, std::memory_order_relaxed);
-    VS_OBS_ONLY(if (obs::enabled()) TransportInstruments::get().lost.add();)
-    if (hooks_) {
-      obs::Event ev;
-      ev.kind = obs::EventKind::RingOverflow;
-      ev.t = now;
-      ev.rank = rank;
-      ev.count = n;
-      hooks_.emit(std::move(ev));
-    }
-    return false;
-  }
-  // Producer-side high-water mark: how deep this ring has ever been.
-  const auto depth = static_cast<uint64_t>(rc.ring.size_approx());
-  uint64_t hw = rc.high_water.load(std::memory_order_relaxed);
-  while (hw < depth && !rc.high_water.compare_exchange_weak(
-                           hw, depth, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-size_t BatchTransport::pump() {
-  if (rings_.empty()) return 0;
-  // try_lock instead of lock: a pump racing another pump (or a drain) can
-  // return immediately — the in-flight consumer's pop loop keeps running
-  // until the rings it is on are empty, and end-of-run drains happen after
-  // producers quiesce, so nothing is left stranded.
-  std::unique_lock<std::mutex> lock(pump_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return 0;
-  size_t pumped = 0;
-  for (size_t r = 0; r < rings_.size(); ++r) {
-    RingChannel& rc = *rings_[r];
-    PendingShip p;
-    while (rc.ring.try_pop(p)) {
-      ship_sync(static_cast<int>(r), p.records, p.now);
-      ++pumped;
-    }
-  }
-  return pumped;
-}
-
-bool BatchTransport::ship_sync(int rank, std::span<const SliceRecord> batch,
-                               double now) {
   VS_OBS_SCOPED_STAGE(obs::Stage::TransportShip);
   VS_OBS_ONLY(obs::ScopedSpan vs_obs_span("ship", "transport", rank);
               if (obs::enabled()) {
@@ -284,11 +199,12 @@ bool BatchTransport::ship_sync(int rank, std::span<const SliceRecord> batch,
   return false;
 }
 
+bool BatchTransport::ship(int rank, const RecordBatch& batch, double now) {
+  const std::vector<SliceRecord> aos = batch.to_aos();
+  return ship(rank, aos, now);
+}
+
 void BatchTransport::drain() {
-  // Ring mode: everything the ranks enqueued must reach the delivery path
-  // before the delay queue is flushed, or an enqueued batch could outlive
-  // the drain inside its ring.
-  pump();
   // Re-entrancy / double-invocation guard: drain() is called explicitly at
   // end of run and again from the destructor, and a delivery sink could in
   // principle trigger a nested drain. Only one invocation at a time swaps
@@ -380,9 +296,6 @@ int BatchTransport::add_rank(double now) {
   Channel ch;
   ch.first_seen = now;
   channels_.push_back(std::move(ch));
-  if (cfg_.channel_ring_capacity > 0) {
-    rings_.push_back(std::make_unique<RingChannel>(cfg_.channel_ring_capacity));
-  }
   return static_cast<int>(channels_.size()) - 1;
 }
 
@@ -403,35 +316,18 @@ bool BatchTransport::rejoin_rank(int rank, double now) {
   return was_reported;
 }
 
-void BatchTransport::fold_ring_locked(size_t rank, RankChannelStats& s) const {
-  if (rings_.empty()) return;
-  const RingChannel& rc = *rings_[rank];
-  const uint64_t db = rc.dropped_batches.load(std::memory_order_relaxed);
-  const uint64_t dr = rc.dropped_records.load(std::memory_order_relaxed);
-  s.ring_dropped_batches = db;
-  s.ring_dropped_records = dr;
-  // A ring-refused batch was sent (the rank called ship) and lost (it
-  // never reached the server): sent == delivered + lost stays conserved.
-  s.batches_sent += db;
-  s.batches_lost += db;
-  s.records_lost += dr;
-}
-
 RankChannelStats BatchTransport::rank_stats(int rank) const {
   VS_CHECK_MSG(rank >= 0 && static_cast<size_t>(rank) < channels_.size(),
                "stats for unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
-  RankChannelStats s = channels_[static_cast<size_t>(rank)].stats;
-  fold_ring_locked(static_cast<size_t>(rank), s);
-  return s;
+  return channels_[static_cast<size_t>(rank)].stats;
 }
 
 RankChannelStats BatchTransport::totals() const {
   RankChannelStats sum;
   std::lock_guard<std::mutex> lock(mu_);
-  for (size_t r = 0; r < channels_.size(); ++r) {
-    RankChannelStats s = channels_[r].stats;
-    fold_ring_locked(r, s);
+  for (const Channel& ch : channels_) {
+    const RankChannelStats& s = ch.stats;
     sum.batches_sent += s.batches_sent;
     sum.batches_delivered += s.batches_delivered;
     sum.batches_lost += s.batches_lost;
@@ -444,8 +340,6 @@ RankChannelStats BatchTransport::totals() const {
     sum.backoff_seconds += s.backoff_seconds;
     sum.last_delivery_time = std::max(sum.last_delivery_time, s.last_delivery_time);
     sum.next_seq += s.next_seq;
-    sum.ring_dropped_batches += s.ring_dropped_batches;
-    sum.ring_dropped_records += s.ring_dropped_records;
   }
   return sum;
 }
@@ -505,23 +399,6 @@ void BatchTransport::sample_health(double now,
       }
     }
     delayed_depth = delayed_.size();
-    if (!rings_.empty()) {
-      uint64_t occ_sum = 0, occ_max = 0, hw_max = 0, rdrop_b = 0, rdrop_r = 0;
-      for (const auto& rcp : rings_) {
-        const auto occ = static_cast<uint64_t>(rcp->ring.size_approx());
-        occ_sum += occ;
-        occ_max = std::max(occ_max, occ);
-        hw_max = std::max(hw_max,
-                          rcp->high_water.load(std::memory_order_relaxed));
-        rdrop_b += rcp->dropped_batches.load(std::memory_order_relaxed);
-        rdrop_r += rcp->dropped_records.load(std::memory_order_relaxed);
-      }
-      rec.gauge("ring.occupancy", occ_sum);
-      rec.gauge("ring.occupancy_max", occ_max);
-      rec.gauge("ring.high_water", hw_max);
-      rec.gauge("ring.dropped_batches", rdrop_b);
-      rec.gauge("ring.dropped_records", rdrop_r);
-    }
   }
   rec.gauge("ranks", static_cast<uint64_t>(nranks));
   rec.gauge("batches_sent", sent);

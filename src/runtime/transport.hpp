@@ -26,18 +26,15 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <vector>
 
-#include "obs/events.hpp"
 #include "obs/health.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/record_batch.hpp"
 #include "runtime/types.hpp"
-#include "support/spsc_ring.hpp"
 
 namespace vsensor::rt {
 
@@ -123,19 +120,11 @@ struct TransportConfig {
   double retry_backoff = 1e-4;
   /// A rank with no delivery for this many virtual seconds is stale.
   double stale_after = 1.0;
-  /// Batches each rank channel can hold in its lock-free SPSC ring before
-  /// the producer sees backpressure (rounded up to a power of two).
-  /// 0 = synchronous shipping: ship() walks the retry loop inline, exactly
-  /// the pre-ring behavior. > 0 = ship() is a wait-free enqueue on the
-  /// rank's ring (the rank thread never takes the transport mutex); the
-  /// consumer side (pump()/drain()) stamps sequence numbers and delivers.
-  /// A full ring refuses the batch — counted per rank in
-  /// RankChannelStats::ring_dropped_* so drop accounting stays conserved:
-  /// after drain(), sent == delivered + lost + ring_dropped.
-  size_t channel_ring_capacity = 0;
 };
 
-/// Per-rank transport counters. All monotonically increasing.
+/// Per-rank transport counters. All monotonically increasing. After
+/// drain(), every shipped batch is accounted exactly once:
+/// batches_sent == batches_delivered + batches_lost.
 struct RankChannelStats {
   uint64_t batches_sent = 0;       ///< ship() calls for this rank
   uint64_t batches_delivered = 0;  ///< unique batches stored by the server
@@ -149,11 +138,6 @@ struct RankChannelStats {
   double backoff_seconds = 0.0;         ///< total virtual backoff spent
   double last_delivery_time = -1.0;     ///< virtual time of newest delivery
   uint64_t next_seq = 0;                ///< next sequence number to stamp
-  /// Ring mode only: batches/records refused at the SPSC enqueue edge
-  /// because the rank's ring was full (already included in batches_lost /
-  /// records_lost, broken out so the backpressure edge stays observable).
-  uint64_t ring_dropped_batches = 0;
-  uint64_t ring_dropped_records = 0;
 };
 
 class BatchTransport : public obs::HealthSource {
@@ -176,36 +160,27 @@ class BatchTransport : public obs::HealthSource {
   /// in-flight batches are never silently lost.
   ~BatchTransport();
 
-  /// Ship one batch from `rank` at virtual time `now`. Synchronous mode
-  /// (channel_ring_capacity == 0): stamps the next sequence number, walks
-  /// the retry loop inline, and returns true if the batch was delivered
-  /// (possibly deferred behind later deliveries when the fault model
-  /// delays it). Ring mode: wait-free enqueue on `rank`'s SPSC ring;
-  /// returns false only if the ring was full (the batch is then counted
-  /// as lost + ring-dropped). Thread-safe across ranks; each rank's
-  /// ship() calls must come from one thread (the rank thread) — that is
-  /// the single-producer half of the SPSC contract.
+  /// Ship one batch from `rank` at virtual time `now`: stamps the next
+  /// sequence number, walks the retry loop inline, and returns true if the
+  /// batch was delivered (possibly deferred behind later deliveries when
+  /// the fault model delays it). Thread-safe across ranks, but each rank's
+  /// ship() calls must come from one thread (the rank thread): the
+  /// delivery itself runs outside the transport lock, so two threads
+  /// shipping for one rank could deliver its batches out of order, and
+  /// the fold's per-rank state (matrix cell sums, last slice, intra
+  /// flags) is reproducible only when each rank's batches arrive in the
+  /// order they were shipped (docs/pipeline.md §6e).
   bool ship(int rank, std::span<const SliceRecord> batch, double now);
 
-  /// Same, from staged struct-of-arrays columns. The gather to the AoS
-  /// wire form happens here, once, at the transport boundary.
+  /// Same, from struct-of-arrays columns: gathers to the AoS wire form
+  /// once, then ships the span.
   bool ship(int rank, const RecordBatch& batch, double now);
 
-  /// Ring mode: consume every batch currently enqueued on the rank rings,
-  /// stamping sequence numbers and walking the normal delivery path (in
-  /// rank order, FIFO within a rank). Returns batches pumped. Safe to call
-  /// concurrently with producers; consumers serialize on an internal
-  /// mutex. No-op in synchronous mode. Must not be called from inside a
-  /// delivery callback.
-  size_t pump();
-
   /// Deliver every batch still held in the delay queue (end of run; the
-  /// wire is always drained before analysis). In ring mode the rank rings
-  /// are pumped first, so nothing enqueued before drain() is lost.
-  /// Idempotent and re-entrancy safe: a second call — including the
-  /// destructor's — delivers only what arrived since the first, and a
-  /// drain triggered from within a drain (e.g. a sink that ships) is a
-  /// no-op instead of a deadlock.
+  /// wire is always drained before analysis). Idempotent and re-entrancy
+  /// safe: a second call — including the destructor's — delivers only
+  /// what arrived since the first, and a drain triggered from within a
+  /// drain (e.g. a sink that ships) is a no-op instead of a deadlock.
   void drain();
 
   /// Ranks considered stale at `now`: transport killed by the fault model,
@@ -229,7 +204,7 @@ class BatchTransport : public obs::HealthSource {
   /// Grow the channel table by one rank at virtual time `now` (elastic
   /// jobs: a rank joining mid-run). The new channel ages toward staleness
   /// from `now`, not from job start. Returns the new rank id. Not safe
-  /// against concurrent ship()/pump() — call from the coordinator between
+  /// against concurrent ship() — call from the coordinator between
   /// communication phases.
   int add_rank(double now);
 
@@ -239,8 +214,8 @@ class BatchTransport : public obs::HealthSource {
   /// the sticky reported-stale verdict is cleared (the caller routes the
   /// matching mark_live revival into the detection layer). Returns whether
   /// the rank had been reported stale (i.e. whether a revival is needed).
-  /// Safe against concurrent ship()/pump() from *other* ranks; the
-  /// rejoining rank itself must not be shipping concurrently.
+  /// Safe against concurrent ship() from *other* ranks; the rejoining rank
+  /// itself must not be shipping concurrently.
   bool rejoin_rank(int rank, double now);
 
   RankChannelStats rank_stats(int rank) const;
@@ -251,18 +226,16 @@ class BatchTransport : public obs::HealthSource {
   int ranks() const { return static_cast<int>(channels_.size()); }
   const TransportConfig& config() const { return cfg_; }
 
-  /// Health plane (opt-in, non-owning). Hooks emit RingOverflow events
-  /// from the producer edge; the sampler is poked with the virtual arrival
-  /// time of every unique delivery (the transport's natural clock ticks).
-  /// Both must be wired before ranks start shipping and cleared only after
-  /// they quiesce — the producer path reads them unsynchronized.
-  void set_event_hooks(obs::EventHooks hooks) { hooks_ = hooks; }
+  /// Health plane (opt-in, non-owning): the sampler is poked with the
+  /// virtual arrival time of every unique delivery (the transport's
+  /// natural clock ticks). Wire it before ranks start shipping and clear
+  /// it only after they quiesce — the delivery path reads it
+  /// unsynchronized.
   void set_health_sampler(obs::HealthSampler* sampler) { sampler_ = sampler; }
 
   /// Aggregate channel health: delivery/loss totals, per-rank channel lag
   /// (now − last delivery) extremes, watermark skew (spread of contiguous
-  /// sequence watermarks across ranks), delay-queue depth, and — in ring
-  /// mode — SPSC occupancy, high-water, and overflow drops.
+  /// sequence watermarks across ranks), and delay-queue depth.
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
@@ -288,28 +261,6 @@ class BatchTransport : public obs::HealthSource {
     double first_seen = 0.0;
   };
 
-  /// One batch parked on a rank's SPSC ring between the rank thread's
-  /// ship() and the consumer's pump(). Sequence numbers are stamped at
-  /// pump time (under mu_), not enqueue time, so the seq space stays
-  /// dense even when enqueues race with ring-full drops.
-  struct PendingShip {
-    double now = 0.0;
-    std::vector<SliceRecord> records;
-  };
-
-  /// Ring-mode per-rank state, split from Channel because the producer
-  /// side must never touch mu_: overflow counters are atomics the rank
-  /// thread bumps lock-free and rank_stats() folds into the snapshot.
-  struct RingChannel {
-    SpscRing<PendingShip> ring;
-    std::atomic<uint64_t> dropped_batches{0};
-    std::atomic<uint64_t> dropped_records{0};
-    /// Deepest occupancy the producer ever observed after an enqueue —
-    /// the health plane's saturation signal for this rank's ring.
-    std::atomic<uint64_t> high_water{0};
-    explicit RingChannel(size_t capacity) : ring(capacity) {}
-  };
-
   /// One delivery arriving at the server: dedup, then store. Appends any
   /// releases from the delay queue to `ready`. Caller holds mu_.
   void arrive(int rank, uint64_t seq, std::span<const SliceRecord> batch,
@@ -321,15 +272,6 @@ class BatchTransport : public obs::HealthSource {
   void deliver(int rank, uint64_t seq, std::span<const SliceRecord> batch,
                double now);
 
-  /// The synchronous delivery path (stamp seq, retry loop, arrive).
-  /// Called directly by ship() in synchronous mode, by pump() in ring mode.
-  bool ship_sync(int rank, std::span<const SliceRecord> batch, double now);
-  /// Ring mode: wait-free enqueue of an owned batch onto `rank`'s ring.
-  bool ship_enqueue(int rank, std::vector<SliceRecord>&& records, double now);
-  /// Merge `rank`'s ring overflow counters into a stats snapshot: ring
-  /// drops count as sent + lost so conservation holds. Caller holds mu_.
-  void fold_ring_locked(size_t rank, RankChannelStats& s) const;
-
   Collector* collector_;
   DeliverySink* sink_ = nullptr;
   TransportConfig cfg_;
@@ -339,14 +281,8 @@ class BatchTransport : public obs::HealthSource {
   std::vector<Channel> channels_;
   std::vector<DelayedBatch> delayed_;
   std::atomic<bool> draining_{false};
-  /// Ring mode only (channel_ring_capacity > 0): one SPSC ring per rank,
-  /// heap-allocated so the atomics stay address-stable, plus the consumer
-  /// serialization for pump().
-  std::vector<std::unique_ptr<RingChannel>> rings_;
-  std::mutex pump_mu_;
 
   /// Health plane (non-owning; null = unwired, one branch per site).
-  obs::EventHooks hooks_;
   obs::HealthSampler* sampler_ = nullptr;
 };
 

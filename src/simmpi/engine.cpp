@@ -41,9 +41,12 @@ Engine::P2PEntryPtr Engine::post_send(int src, int dst, int tag, uint64_t bytes,
   auto& queue = channels_[ChannelKey{src, dst, tag}];
   for (auto& entry : queue) {
     if (entry->has_receiver && !entry->has_sender) {
+      // Whichever side posts second checks the sizes (see post_recv), so a
+      // mismatch is caught whatever order the rank threads run in.
+      VS_CHECK_MSG(entry->bytes == bytes,
+                   "send/recv size mismatch on channel (src,dst,tag)");
       entry->has_sender = true;
       entry->sender_time = now;
-      entry->bytes = bytes;
       auto kept = entry;
       try_complete(kept, queue);
       return kept;

@@ -8,9 +8,10 @@
 // builds; everything else takes the multi-accumulator scalar loop, which
 // modern compilers vectorize on their own.
 //
-// All kernels operate on contiguous arrays — the reason the record path is
-// struct-of-arrays (see runtime/record_batch.hpp): an AoS scan strides 56
-// bytes per record to touch one double, an SoA scan streams cache lines.
+// All kernels operate on contiguous arrays — the reason batch analysis
+// converts records to struct-of-arrays once (see runtime/record_batch.hpp):
+// an AoS scan strides 56 bytes per record to touch one double, an SoA scan
+// streams cache lines.
 #pragma once
 
 #include <cstddef>
@@ -147,32 +148,6 @@ inline uint64_t count_below(const double* v, size_t n, double threshold) {
     if (v[i] < threshold) ++count;
   }
   return count;
-}
-
-/// Maximum over v[0..n) (0 elements -> lowest double). Used for the
-/// ship-time scan over a batch's contiguous t_end array.
-inline double max_value(const double* v, size_t n) {
-  double best = -std::numeric_limits<double>::infinity();
-  size_t i = 0;
-#if VSENSOR_SIMD_SSE2
-  __m128d vbest = _mm_set1_pd(best);
-  for (; i + 2 <= n; i += 2) {
-    vbest = _mm_max_pd(vbest, _mm_loadu_pd(v + i));
-  }
-  alignas(16) double lanes[2];
-  _mm_store_pd(lanes, vbest);
-  best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-#elif VSENSOR_SIMD_NEON
-  float64x2_t vbest = vdupq_n_f64(best);
-  for (; i + 2 <= n; i += 2) vbest = vmaxq_f64(vbest, vld1q_f64(v + i));
-  best = vgetq_lane_f64(vbest, 0) > vgetq_lane_f64(vbest, 1)
-             ? vgetq_lane_f64(vbest, 0)
-             : vgetq_lane_f64(vbest, 1);
-#endif
-  for (; i < n; ++i) {
-    if (v[i] > best) best = v[i];
-  }
-  return best;
 }
 
 }  // namespace vsensor::simd

@@ -139,10 +139,10 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
       transport = std::make_unique<rt::BatchTransport>(
           collector, sim_config.ranks, options.transport, faults.get());
     }
-    // Health plane wiring (all non-owning): the caller's sampler and event
-    // log see this run's transport and analysis stack until the run ends.
+    // Health plane wiring (all non-owning) until the run ends: the caller's
+    // sampler sees this run's transport and analysis stack, its event log
+    // the analysis stack.
     if (options.events != nullptr) {
-      transport->set_event_hooks(obs::EventHooks{options.events, nullptr, -1});
       if (options.analysis_tier != nullptr) {
         options.analysis_tier->set_event_log(options.events);
       } else if (options.server != nullptr) {

@@ -118,6 +118,23 @@ TEST(Engine, MismatchedSizesThrow) {
                Error);
 }
 
+// The barrier orders the receive ahead of the send, so the size check has
+// to happen when the send matches the posted receive.
+TEST(Engine, MismatchedSizesThrowWhenRecvPostsFirst) {
+  EXPECT_THROW(run(small(2),
+                   [](Comm& comm) {
+                     if (comm.rank() == 0) {
+                       comm.barrier();
+                       comm.send(1, 1, 100);
+                     } else {
+                       auto req = comm.irecv(0, 1, 999);
+                       comm.barrier();
+                       comm.wait(req);
+                     }
+                   }),
+               Error);
+}
+
 TEST(Engine, BarrierSynchronizesClocks) {
   auto result = run(small(4), [](Comm& comm) {
     comm.compute(0.1 * (comm.rank() + 1));

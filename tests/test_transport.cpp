@@ -103,6 +103,11 @@ class ScriptedFaults final : public TransportFaultModel {
 
 TransportFaultModel::Decision no_fault(int, uint64_t, uint32_t) { return {}; }
 
+/// Every shipped batch is accounted exactly once: delivered or lost.
+void expect_conserved(const RankChannelStats& s) {
+  EXPECT_EQ(s.batches_sent, s.batches_delivered + s.batches_lost);
+}
+
 // ---------------------------------------------------------------------------
 // Pass-through and sequencing
 // ---------------------------------------------------------------------------
@@ -156,6 +161,24 @@ TEST(Transport, EmptyBatchIsANoOp) {
   EXPECT_EQ(collector.record_count(), 0u);
 }
 
+// The column adapter gathers to AoS once and takes the span path.
+TEST(Transport, SoaShipGathersOnceAndRoundTrips) {
+  Collector collector;
+  BatchTransport transport(&collector, 1);
+
+  RecordBatch batch;
+  batch.push_back(make_record(0, 0, 0.0, 2.0));
+  batch.push_back(make_record(0, 0, 1e-3, 3.0));
+  EXPECT_TRUE(transport.ship(0, batch, 1e-3));
+  transport.drain();
+
+  const auto records = collector.records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_TRUE(same_record(records[0], batch.get(0)));
+  EXPECT_TRUE(same_record(records[1], batch.get(1)));
+  expect_conserved(transport.rank_stats(0));
+}
+
 // ---------------------------------------------------------------------------
 // Duplicate suppression
 // ---------------------------------------------------------------------------
@@ -183,6 +206,7 @@ TEST(Transport, DuplicateDeliveriesAreSuppressed) {
   // Duplicates still crossed the wire; they just never reach the analysis.
   EXPECT_EQ(stats.wire_bytes, 20u * kRecordWireBytes);
   EXPECT_EQ(collector.record_count(), 10u);
+  expect_conserved(stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,6 +238,7 @@ TEST(Transport, RetryRecoversFromTransientDrops) {
   // The delivery time reflects the backoff the batch waited through.
   EXPECT_DOUBLE_EQ(stats.last_delivery_time, 3e-4);
   EXPECT_EQ(collector.record_count(), 1u);
+  expect_conserved(stats);
 }
 
 TEST(Transport, BatchIsLostWhenAttemptsExhaust) {
@@ -239,6 +264,7 @@ TEST(Transport, BatchIsLostWhenAttemptsExhaust) {
   // The final attempt fails outright; only the first two count as retries.
   EXPECT_EQ(stats.retries, 2u);
   EXPECT_EQ(collector.record_count(), 0u);
+  expect_conserved(stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,6 +296,7 @@ TEST(Transport, DelayedBatchIsOvertakenThenReleased) {
   const auto stats = transport.rank_stats(0);
   EXPECT_EQ(stats.delayed_batches, 1u);
   EXPECT_EQ(stats.batches_delivered, 3u);
+  expect_conserved(stats);
 }
 
 TEST(Transport, DrainDeliversBatchesStillHeldInTheDelayQueue) {
@@ -288,6 +315,7 @@ TEST(Transport, DrainDeliversBatchesStillHeldInTheDelayQueue) {
   transport.drain();
   EXPECT_EQ(collector.record_count(), 1u);
   EXPECT_EQ(transport.rank_stats(0).batches_delivered, 1u);
+  expect_conserved(transport.rank_stats(0));
 }
 
 TEST(Transport, DuplicateOfADelayedBatchIsSuppressedOnRelease) {
@@ -308,6 +336,7 @@ TEST(Transport, DuplicateOfADelayedBatchIsSuppressedOnRelease) {
   EXPECT_EQ(stats.batches_delivered, 1u);
   EXPECT_EQ(stats.duplicates_suppressed, 1u);
   EXPECT_EQ(collector.record_count(), 1u);
+  expect_conserved(stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +356,7 @@ TEST(Transport, KilledRankLosesBatchesWithoutRetry) {
   EXPECT_EQ(stats.batches_delivered, 1u);
   EXPECT_EQ(stats.batches_lost, 1u);
   EXPECT_EQ(stats.retries, 0u);  // a dead transport is not retried
+  expect_conserved(stats);
 
   const auto stale = transport.stale_ranks(6.0);
   ASSERT_EQ(stale.size(), 1u);
@@ -520,6 +550,7 @@ TEST(Transport, BatchStageShipsThroughTransportAndCountsLosses) {
   EXPECT_EQ(stage.shipped_batches(), 3u);
   EXPECT_EQ(stage.lost_records(), 2u);
   EXPECT_EQ(collector.record_count(), 4u);
+  expect_conserved(transport.rank_stats(0));
 }
 
 TEST(Transport, BatchStageDestructorFlushesStagedRecords) {
@@ -541,155 +572,6 @@ TEST(Transport, BatchStageDestructorFlushesStagedRecords) {
     stage.flush();
   }
   EXPECT_EQ(BatchStage::unflushed_records() - before, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Ring mode (lock-free SPSC rank channels) and drop conservation
-// ---------------------------------------------------------------------------
-
-/// The invariant every transport mode must keep: each shipped batch is
-/// accounted exactly once — delivered or lost (ring overflow drops are
-/// included in lost, broken out in ring_dropped_*).
-void expect_conserved(const RankChannelStats& s) {
-  EXPECT_EQ(s.batches_sent, s.batches_delivered + s.batches_lost);
-  EXPECT_LE(s.ring_dropped_batches, s.batches_lost);
-  EXPECT_LE(s.ring_dropped_records, s.records_lost);
-}
-
-TEST(TransportRing, DeliversEverythingAndMatchesSyncMode) {
-  Collector sync_dest;
-  Collector ring_dest;
-  BatchTransport sync_transport(&sync_dest, 2);
-  TransportConfig rcfg;
-  rcfg.channel_ring_capacity = 64;
-  BatchTransport ring_transport(&ring_dest, 2, rcfg);
-
-  for (int b = 0; b < 40; ++b) {
-    const std::vector<SliceRecord> batch{
-        make_record(0, b % 2, 1e-3 * b, 2.0 + b),
-        make_record(0, b % 2, 1e-3 * b + 5e-4, 3.0 + b)};
-    const double now = 1e-3 * b;
-    EXPECT_TRUE(sync_transport.ship(b % 2, batch, now));
-    EXPECT_TRUE(ring_transport.ship(b % 2, batch, now));
-    if (b % 16 == 15) ring_transport.pump();
-  }
-  sync_transport.drain();
-  ring_transport.drain();
-
-  // Same records. Global interleaving differs (pump drains rank 0's ring
-  // before rank 1's, sync mode delivers in ship order), so compare under a
-  // canonical sort; FIFO within a rank is covered by the dense seq check.
-  const auto want = sorted_records(sync_dest);
-  const auto got = sorted_records(ring_dest);
-  ASSERT_EQ(want.size(), got.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_TRUE(same_record(want[i], got[i])) << i;
-  }
-
-  const auto totals = ring_transport.totals();
-  EXPECT_EQ(totals.batches_sent, 40u);
-  EXPECT_EQ(totals.batches_delivered, 40u);
-  EXPECT_EQ(totals.ring_dropped_batches, 0u);
-  expect_conserved(totals);
-  // Seq spaces stay dense per rank even though stamping happens at pump.
-  EXPECT_EQ(ring_transport.rank_stats(0).next_seq, 20u);
-  EXPECT_EQ(ring_transport.rank_stats(1).next_seq, 20u);
-}
-
-TEST(TransportRing, FullRingRefusesBatchesAndConservesCounts) {
-  Collector collector;
-  TransportConfig cfg;
-  cfg.channel_ring_capacity = 4;  // tiny on purpose
-  BatchTransport transport(&collector, 1, cfg);
-
-  // No pump between ships: after 4 enqueues the ring is full and every
-  // further ship must be refused and counted, never silently dropped.
-  uint64_t accepted = 0;
-  uint64_t refused = 0;
-  constexpr uint64_t kShips = 11;
-  for (uint64_t b = 0; b < kShips; ++b) {
-    const std::vector<SliceRecord> batch{
-        make_record(0, 0, 1e-3 * static_cast<double>(b), 2.0),
-        make_record(0, 0, 1e-3 * static_cast<double>(b) + 5e-4, 3.0)};
-    if (transport.ship(0, batch, 1e-3 * static_cast<double>(b))) {
-      ++accepted;
-    } else {
-      ++refused;
-    }
-  }
-  EXPECT_EQ(accepted, 4u);
-  EXPECT_EQ(refused, kShips - 4u);
-  transport.drain();
-
-  const auto stats = transport.rank_stats(0);
-  EXPECT_EQ(stats.batches_sent, kShips);  // enqueued == sent in the snapshot
-  EXPECT_EQ(stats.batches_delivered, accepted);
-  EXPECT_EQ(stats.batches_lost, refused);
-  EXPECT_EQ(stats.ring_dropped_batches, refused);
-  EXPECT_EQ(stats.ring_dropped_records, refused * 2u);
-  EXPECT_EQ(stats.records_delivered, accepted * 2u);
-  EXPECT_EQ(stats.records_lost, refused * 2u);
-  expect_conserved(stats);
-  EXPECT_EQ(collector.record_count(), accepted * 2u);
-}
-
-TEST(TransportRing, DrainPumpsWhatProducersEnqueued) {
-  Collector collector;
-  TransportConfig cfg;
-  cfg.channel_ring_capacity = 16;
-  BatchTransport transport(&collector, 1, cfg);
-
-  EXPECT_TRUE(transport.ship(0, {{make_record(0, 0, 0.0, 2.0)}}, 0.0));
-  EXPECT_EQ(collector.record_count(), 0u);  // parked on the ring
-  transport.drain();                        // pumps before flushing delays
-  EXPECT_EQ(collector.record_count(), 1u);
-  expect_conserved(transport.rank_stats(0));
-}
-
-TEST(TransportRing, SoaShipGathersOnceAndRoundTrips) {
-  Collector collector;
-  TransportConfig cfg;
-  cfg.channel_ring_capacity = 8;
-  BatchTransport transport(&collector, 1, cfg);
-
-  RecordBatch batch;
-  batch.push_back(make_record(0, 0, 0.0, 2.0));
-  batch.push_back(make_record(0, 0, 1e-3, 3.0));
-  EXPECT_TRUE(transport.ship(0, batch, 1e-3));
-  transport.drain();
-
-  const auto records = collector.records();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_TRUE(same_record(records[0], batch.get(0)));
-  EXPECT_TRUE(same_record(records[1], batch.get(1)));
-  expect_conserved(transport.rank_stats(0));
-}
-
-TEST(TransportRing, FaultsApplyAtPumpTimeAndStillConserve) {
-  Collector collector;
-  // Every third sequence number is unrecoverably dropped on the wire.
-  ScriptedFaults faults([](int, uint64_t seq, uint32_t) {
-    TransportFaultModel::Decision d;
-    d.drop = seq % 3 == 0;
-    return d;
-  });
-  TransportConfig cfg;
-  cfg.max_attempts = 1;
-  cfg.channel_ring_capacity = 8;
-  BatchTransport transport(&collector, 1, cfg, &faults);
-
-  for (int b = 0; b < 12; ++b) {
-    transport.ship(0, {{make_record(0, 0, 1e-3 * b, 2.0)}}, 1e-3 * b);
-    if (b % 4 == 3) transport.pump();
-  }
-  transport.drain();
-
-  const auto stats = transport.rank_stats(0);
-  EXPECT_EQ(stats.batches_sent, 12u);
-  EXPECT_EQ(stats.batches_lost, 4u);  // seqs 0, 3, 6, 9
-  EXPECT_EQ(stats.ring_dropped_batches, 0u);  // wire loss, not backpressure
-  expect_conserved(stats);
-  EXPECT_EQ(collector.record_count(), 8u);
 }
 
 // ---------------------------------------------------------------------------
