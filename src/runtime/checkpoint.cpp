@@ -53,21 +53,25 @@ bool read_counters(ByteReader& in, Collector::Counters* c) {
          in.read(&c->bytes) && in.read(&c->batches);
 }
 
-std::string encode_payload(const ServerCheckpoint& ckpt) {
-  std::string out;
-  put(out, ckpt.sensor_count);
-  put(out, ckpt.ranks);
-  put(out, ckpt.run_time);
-  put_counters(out, ckpt.collector);
-
-  put(out, static_cast<uint64_t>(ckpt.watermarks.size()));
-  for (const auto& wm : ckpt.watermarks) {
+/// Leading payload section: shape, collector counters, watermarks.
+void put_server_state(std::string& out, uint32_t sensor_count, int32_t ranks,
+                      double run_time, const Collector::Counters& counters,
+                      const std::vector<SeqTracker>& watermarks) {
+  put(out, sensor_count);
+  put(out, ranks);
+  put(out, run_time);
+  put_counters(out, counters);
+  put(out, static_cast<uint64_t>(watermarks.size()));
+  for (const auto& wm : watermarks) {
     put(out, wm.contiguous);
     put(out, static_cast<uint64_t>(wm.ahead.size()));
     for (uint64_t seq : wm.ahead) put(out, seq);
   }
+}
 
-  const auto& d = ckpt.detector;
+/// Detector section from a Snapshot — the reference form of what
+/// StreamingDetector::encode_checkpoint_state writes from live state.
+void put_detector(std::string& out, const StreamingDetector::Snapshot& d) {
   put(out, static_cast<uint64_t>(d.standard.size()));
   for (const auto& [key, v] : d.standard) {
     put(out, static_cast<int32_t>(key.first));
@@ -113,7 +117,24 @@ std::string encode_payload(const ServerCheckpoint& ckpt) {
   put(out, d.degenerate_records);
   put(out, d.intra_flags);
   put(out, d.inter_flags);
-  return out;
+}
+
+/// Frame the payload `body` appends to `out`: header, then length and CRC
+/// placeholders that are patched in place once the payload is complete,
+/// so the payload is never copied. `out` is overwritten but keeps its
+/// capacity.
+template <typename Body>
+void frame_checkpoint(std::string& out, Body&& body) {
+  out.assign(kHeader);
+  const size_t len_at = out.size();
+  put(out, uint64_t{0});
+  put(out, uint32_t{0});
+  const size_t payload_at = out.size();
+  body();
+  const uint64_t len = out.size() - payload_at;
+  const uint32_t crc = crc32(out.data() + payload_at, len);
+  std::memcpy(out.data() + len_at, &len, sizeof len);
+  std::memcpy(out.data() + len_at + sizeof len, &crc, sizeof crc);
 }
 
 /// Validate a declared container count against the bytes actually left,
@@ -212,20 +233,33 @@ bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
 }  // namespace
 
 std::string encode_checkpoint(const ServerCheckpoint& ckpt) {
-  const std::string payload = encode_payload(ckpt);
-  std::string out = kHeader;
-  put(out, static_cast<uint64_t>(payload.size()));
-  put(out, crc32(payload));
-  out += payload;
+  std::string out;
+  frame_checkpoint(out, [&] {
+    put_server_state(out, ckpt.sensor_count, ckpt.ranks, ckpt.run_time,
+                     ckpt.collector, ckpt.watermarks);
+    put_detector(out, ckpt.detector);
+  });
   return out;
 }
 
-CheckpointSaveResult try_save_checkpoint(const std::string& path,
-                                         const ServerCheckpoint& ckpt,
-                                         io::Vfs* vfs) {
+void encode_live_checkpoint(std::string& out,
+                            const Collector::Counters& collector,
+                            const std::vector<SeqTracker>& watermarks,
+                            const StreamingDetector& detector) {
+  VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
+  frame_checkpoint(out, [&] {
+    put_server_state(out, static_cast<uint32_t>(detector.sensor_count()),
+                     detector.ranks(), detector.run_time(), collector,
+                     watermarks);
+    detector.encode_checkpoint_state(out);
+  });
+}
+
+CheckpointSaveResult try_publish_checkpoint(const std::string& path,
+                                            std::string_view bytes,
+                                            io::Vfs* vfs) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
   auto& fs = io::resolve(vfs);
-  const std::string bytes = encode_checkpoint(ckpt);
   const std::string tmp = path + ".tmp";
   CheckpointSaveResult result;
   {
@@ -268,7 +302,7 @@ CheckpointSaveResult try_save_checkpoint(const std::string& path,
 }
 
 void save_checkpoint(const std::string& path, const ServerCheckpoint& ckpt) {
-  const auto r = try_save_checkpoint(path, ckpt);
+  const auto r = try_publish_checkpoint(path, encode_checkpoint(ckpt));
   if (!r.ok) throw Error(r.error);
 }
 

@@ -14,7 +14,15 @@
 //    never restored into a differently-shaped server.
 //
 // File layout: one-line header, then u64 payload_len | u32 crc32(payload)
-// | payload. Writing goes to `<path>.tmp` and renames over the target, so
+// | payload. The payload is the fields of ServerCheckpoint in declaration
+// order; each container is a u64 count then fixed-width entries in
+// ascending key order.
+//
+// Two encoders write these bytes. The server writes each checkpoint
+// straight from its live state (encode_live_checkpoint): no Snapshot copy,
+// one reused buffer, the CRC patched in place. encode_checkpoint writes the
+// same bytes from a ServerCheckpoint; it is what save_checkpoint writes and
+// the reference the live encoder is tested against. Writing goes to `<path>.tmp` and renames over the target, so
 // a crash mid-checkpoint leaves the previous checkpoint intact — the file
 // at `path` is always either absent or a complete previous snapshot.
 // Loading never throws on corrupt content: damage fails closed with a
@@ -24,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/vfs.hpp"
@@ -50,6 +59,17 @@ struct ServerCheckpoint {
 /// length + CRC + payload). Exposed so tests can corrupt real bytes.
 std::string encode_checkpoint(const ServerCheckpoint& ckpt);
 
+/// Encode a running server's checkpoint into `out` straight from live
+/// state: the same bytes encode_checkpoint writes for
+/// ServerCheckpoint{shape of `detector`, collector, watermarks,
+/// detector.snapshot()}. `out` is overwritten and keeps its capacity, so a
+/// server that reuses it grows the buffer once. The caller must keep the
+/// detector from folding meanwhile (the server holds its lock).
+void encode_live_checkpoint(std::string& out,
+                            const Collector::Counters& collector,
+                            const std::vector<SeqTracker>& watermarks,
+                            const StreamingDetector& detector);
+
 /// Outcome of a non-throwing checkpoint publish attempt.
 struct CheckpointSaveResult {
   bool ok = false;
@@ -60,15 +80,15 @@ struct CheckpointSaveResult {
   std::string error;
 };
 
-/// Write `ckpt` atomically through `vfs` (null = real filesystem):
-/// serialize, write `<path>.tmp`, flush, rename over `path`. On failure the
-/// previous checkpoint at `path` is untouched; the result says whether the
-/// staging tmp was left behind.
-CheckpointSaveResult try_save_checkpoint(const std::string& path,
-                                         const ServerCheckpoint& ckpt,
-                                         io::Vfs* vfs = nullptr);
+/// Publish encoded checkpoint bytes atomically through `vfs` (null = real
+/// filesystem): write `<path>.tmp`, flush, rename over `path`. On failure
+/// the previous checkpoint at `path` is untouched; the result says whether
+/// the staging tmp was left behind.
+CheckpointSaveResult try_publish_checkpoint(const std::string& path,
+                                            std::string_view bytes,
+                                            io::Vfs* vfs = nullptr);
 
-/// Throwing convenience wrapper over try_save_checkpoint (real filesystem).
+/// Encode `ckpt` and publish it on the real filesystem; throws on failure.
 void save_checkpoint(const std::string& path, const ServerCheckpoint& ckpt);
 
 /// Result of reading a checkpoint back. Never throws on corrupt content.

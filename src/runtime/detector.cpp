@@ -161,6 +161,7 @@ AnalysisResult Detector::analyze_batch(const RecordBatch& records,
         const int id = ids[i];
         VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
                      "record references unknown sensor");
+        VS_CHECK_MSG(rk[i] >= 0 && rk[i] < ranks, "record from unknown rank");
         if (a < flat_standard[static_cast<size_t>(id)]) {
           flat_standard[static_cast<size_t>(id)] = a;
         }
@@ -173,6 +174,7 @@ AnalysisResult Detector::analyze_batch(const RecordBatch& records,
         const int id = ids[i];
         VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
                      "record references unknown sensor");
+        VS_CHECK_MSG(rk[i] >= 0 && rk[i] < ranks, "record from unknown rank");
         const auto key = std::make_pair(id, group_of(metric[i]));
         auto [it, inserted] = grouped_standard.try_emplace(key, a);
         if (!inserted) it->second = std::min(it->second, a);
@@ -205,12 +207,10 @@ AnalysisResult Detector::analyze_batch(const RecordBatch& records,
     if (!admissible[i]) continue;
     const auto type = sensors[static_cast<size_t>(ids[i])].type;
     auto& matrix = result.matrices[static_cast<size_t>(type)];
-    const int rank = rk[i];
-    if (rank >= 0 && rank < ranks) {
-      const double mid = 0.5 * (t_begin[i] + t_end[i]);
-      matrix.accumulate(rank, matrix.bucket_of(mid), normalized[i],
-                        static_cast<double>(count[i]));
-    }
+    // Pass 1 admitted only records of ranks in [0, ranks).
+    const double mid = 0.5 * (t_begin[i] + t_end[i]);
+    matrix.accumulate(rk[i], matrix.bucket_of(mid), normalized[i],
+                      static_cast<double>(count[i]));
     if (normalized[i] < cfg_.variance_threshold) {
       result.flagged.push_back(
           {records.get(i), normalized[i], grouped ? group_of(metric[i]) : 0});

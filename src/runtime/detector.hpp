@@ -122,7 +122,9 @@ class Detector {
   /// are off, the default), and the per-record normalization is one SIMD
   /// divide pass (support/simd.hpp). Results are bit-identical to the
   /// historical per-record path: min/max/divide are exactly rounded and
-  /// the accumulation order over records is preserved.
+  /// the accumulation order over records is preserved. A non-degenerate
+  /// record of an unknown sensor or of a rank outside [0, ranks) throws,
+  /// as it does in the StreamingDetector fold.
   AnalysisResult analyze_batch(const RecordBatch& records,
                                const std::vector<SensorInfo>& sensors,
                                int ranks, double run_time) const;

@@ -32,6 +32,25 @@ struct ServerInstruments {
 }  // namespace
 #endif
 
+namespace {
+
+/// Whether every record of `batch` can fold into `detector`: a known sensor
+/// and a rank in [0, ranks). The server checks before it journals, so the
+/// journal never holds a frame whose replay would throw.
+bool foldable(const StreamingDetector& detector,
+              std::span<const SliceRecord> batch) {
+  for (const auto& rec : batch) {
+    if (rec.sensor_id < 0 ||
+        static_cast<size_t>(rec.sensor_id) >= detector.sensor_count() ||
+        rec.rank < 0 || rec.rank >= detector.ranks()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 AnalysisServer::AnalysisServer(ServerConfig cfg, Collector* collector,
                                StreamingDetector* detector)
     : cfg_(std::move(cfg)),
@@ -43,8 +62,6 @@ AnalysisServer::AnalysisServer(ServerConfig cfg, Collector* collector,
   VS_CHECK_MSG(!cfg_.journal_path.empty() && !cfg_.checkpoint_path.empty(),
                "server needs journal and checkpoint paths");
   watermarks_.resize(static_cast<size_t>(detector_->ranks()));
-  journal_ =
-      std::make_unique<JournalWriter>(cfg_.journal_path, cfg_.journal, cfg_.vfs);
 }
 
 AnalysisServer::~AnalysisServer() = default;
@@ -60,6 +77,10 @@ void AnalysisServer::set_crash_plan(std::vector<double> times, uint64_t seed) {
 void AnalysisServer::on_delivery(int rank, uint64_t seq,
                                  std::span<const SliceRecord> batch,
                                  double now) {
+  VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
+               "delivery from unknown rank");
+  VS_CHECK_MSG(foldable(*detector_, batch),
+               "delivery carries a record of an unknown sensor or rank");
   std::lock_guard<std::mutex> lock(mu_);
   last_now_ = now;
   // The crash fires at a delivery boundary, before the triggering delivery
@@ -96,6 +117,8 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
 }
 
 void AnalysisServer::mark_stale(int rank, double now) {
+  VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
+               "stale mark for unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
   append_frame_locked(JournalFrame{JournalFrameKind::StaleRank, rank, 0, {}});
   // Sweeps that know the virtual time stamp it onto the StaleRank event;
@@ -105,6 +128,8 @@ void AnalysisServer::mark_stale(int rank, double now) {
 }
 
 void AnalysisServer::mark_live(int rank, double now) {
+  VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
+               "live mark for unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
   append_frame_locked(JournalFrame{JournalFrameKind::RankRejoin, rank, 0, {}});
   detector_->mark_live(rank, now >= 0.0 ? now : last_now_);
@@ -118,7 +143,15 @@ void AnalysisServer::apply_standard(int sensor_id, int group, double value) {
   maybe_rearm_locked();
 }
 
+void AnalysisServer::open_journal_locked() {
+  if (!journal_unopened_) return;
+  journal_unopened_ = false;
+  journal_ =
+      std::make_unique<JournalWriter>(cfg_.journal_path, cfg_.journal, cfg_.vfs);
+}
+
 void AnalysisServer::append_frame_locked(const JournalFrame& frame) {
+  open_journal_locked();
   if (degraded_ || journal_ == nullptr) {
     // Non-durable mode: the frame still folds (the caller continues), but
     // its bytes are dropped-and-counted instead of journaled. The re-arm
@@ -187,8 +220,7 @@ void AnalysisServer::maybe_rearm_locked() {
   // Durability only re-arms once a fresh checkpoint (covering everything
   // folded so far, dropped frames included) actually lands — only then may
   // the journal be truncated without widening the loss window.
-  const auto saved = try_save_checkpoint(cfg_.checkpoint_path,
-                                         build_checkpoint_locked(), cfg_.vfs);
+  const auto saved = save_checkpoint_locked();
   if (!saved.ok) {
     ++checkpoint_failures_;
     if (hooks_) {
@@ -222,27 +254,24 @@ void AnalysisServer::maybe_rearm_locked() {
   }
 }
 
-ServerCheckpoint AnalysisServer::build_checkpoint_locked() const {
-  ServerCheckpoint ckpt;
-  ckpt.sensor_count = static_cast<uint32_t>(detector_->sensor_count());
-  ckpt.ranks = detector_->ranks();
-  ckpt.run_time = detector_->run_time();
-  ckpt.collector = collector_->counters();
-  ckpt.watermarks = watermarks_;
-  ckpt.detector = detector_->snapshot();
-  return ckpt;
+CheckpointSaveResult AnalysisServer::save_checkpoint_locked() {
+  encode_live_checkpoint(ckpt_buf_, collector_->counters(), watermarks_,
+                         *detector_);
+  return try_publish_checkpoint(cfg_.checkpoint_path, ckpt_buf_, cfg_.vfs);
 }
 
 void AnalysisServer::checkpoint_locked() {
   obs::ScopedSpan span("server:checkpoint", "durability");
   span.set_shard(hooks_.shard);
   span.set_path(cfg_.checkpoint_path);
-  // Drain journaled frames to the file first (hygiene; the checkpoint
-  // covers all *folded* state either way, and replay is idempotent, so a
-  // failed drain does not block the publish).
+  // A checkpoint supersedes whatever journal a predecessor left, so it
+  // opens the journal like any other first write. Drain journaled frames
+  // to the file first (hygiene; the checkpoint covers all *folded* state
+  // either way, and replay is idempotent, so a failed drain does not block
+  // the publish).
+  open_journal_locked();
   if (journal_ != nullptr) journal_->commit();
-  const auto saved = try_save_checkpoint(cfg_.checkpoint_path,
-                                         build_checkpoint_locked(), cfg_.vfs);
+  const auto saved = save_checkpoint_locked();
   // Success or failure, the interval restarts: a failed publish keeps the
   // previous checkpoint and retries at the next boundary, not every batch.
   batches_since_checkpoint_ = 0;
@@ -288,8 +317,11 @@ void AnalysisServer::crash_locked() {
     ev.detail = cfg_.journal_path;
     hooks_.emit(std::move(ev));
   }
-  // The user-space journal buffer dies with the process; only committed
-  // bytes survive in the page cache / file.
+  // The torn tail below is a journal write, so a server that never wrote
+  // opens (truncates) its journal first, like any first write. The
+  // user-space journal buffer dies with the process; only committed bytes
+  // survive in the page cache / file.
+  open_journal_locked();
   if (journal_ != nullptr) {
     journal_->discard_buffer();
     retire_journal_locked();  // closes the stream
@@ -346,7 +378,9 @@ RecoveryReport AnalysisServer::recover_locked() {
 
   // Standalone recover() over a live server: put buffered frames on the
   // file and release it before reading it back. (The crash path already
-  // destroyed the writer.)
+  // destroyed the writer; a fresh server never opened one, so the journal
+  // its predecessor left is read intact.)
+  journal_unopened_ = false;
   if (journal_ != nullptr) {
     journal_->commit();
     retire_journal_locked();
@@ -375,10 +409,18 @@ RecoveryReport AnalysisServer::recover_locked() {
         c.ranks == detector_->ranks() &&
         c.run_time == detector_->run_time() &&
         c.watermarks.size() == watermarks_.size()) {
-      detector_->restore(c.detector);
-      collector_->restore_counters(c.collector);
-      watermarks_ = c.watermarks;
-      report.checkpoint_loaded = true;
+      try {
+        detector_->restore(c.detector);
+        collector_->restore_counters(c.collector);
+        watermarks_ = c.watermarks;
+        report.checkpoint_loaded = true;
+      } catch (const Error& e) {
+        // CRC-valid but out of shape (a rank or bucket this server does
+        // not have): fail closed like any other damaged checkpoint.
+        report.checkpoint_warning =
+            std::string("checkpoint state does not fit this server: ") +
+            e.what();
+      }
     } else {
       report.checkpoint_warning =
           "checkpoint shape does not match this server; ignored";
@@ -398,7 +440,8 @@ RecoveryReport AnalysisServer::recover_locked() {
     switch (frame.kind) {
       case JournalFrameKind::Batch: {
         if (frame.rank < 0 ||
-            static_cast<size_t>(frame.rank) >= watermarks_.size()) {
+            static_cast<size_t>(frame.rank) >= watermarks_.size() ||
+            !foldable(*detector_, frame.records)) {
           ++report.frames_skipped;
           break;
         }
@@ -415,12 +458,17 @@ RecoveryReport AnalysisServer::recover_locked() {
         break;
       }
       case JournalFrameKind::StaleRank:
-        detector_->mark_stale(frame.rank);
-        ++report.frames_replayed;
-        break;
       case JournalFrameKind::RankRejoin:
-        detector_->mark_live(frame.rank);
-        ++report.frames_replayed;
+        if (frame.rank < 0 || frame.rank >= detector_->ranks()) {
+          ++report.frames_skipped;
+        } else {
+          if (frame.kind == JournalFrameKind::StaleRank) {
+            detector_->mark_stale(frame.rank);
+          } else {
+            detector_->mark_live(frame.rank);
+          }
+          ++report.frames_replayed;
+        }
         break;
       case JournalFrameKind::Standard: {
         const auto view = decode_standard_frame(frame);
@@ -445,8 +493,7 @@ RecoveryReport AnalysisServer::recover_locked() {
   // the on-disk journal must be preserved as the redo source — a fresh
   // writer would truncate it — so the server comes back degraded
   // (journal-less) and the re-arm probe retries the whole sequence.
-  const auto saved = try_save_checkpoint(cfg_.checkpoint_path,
-                                         build_checkpoint_locked(), cfg_.vfs);
+  const auto saved = save_checkpoint_locked();
   if (saved.ok) {
     batches_since_checkpoint_ = 0;
     checkpoint_t_ = last_now_;

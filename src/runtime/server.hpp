@@ -8,8 +8,9 @@
 //    journal (runtime/journal.hpp) *before* it folds into streaming state,
 //    under the same lock, so the journal's frame order IS the fold order;
 //  * periodic checkpoints — every `checkpoint_every_batches` deliveries,
-//    the complete detector snapshot + collector counters + per-rank
-//    delivery watermarks are saved atomically (runtime/checkpoint.hpp);
+//    the complete detector state + collector counters + per-rank delivery
+//    watermarks are saved atomically, encoded straight from the live state
+//    into one reused buffer (runtime/checkpoint.hpp);
 //  * recovery — load the newest valid checkpoint (or start from zero state
 //    if it is missing/corrupt), salvage the valid prefix of the journal,
 //    and replay the suffix through the normal ingest path. Frames already
@@ -101,7 +102,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// simulated crash as objects — crash() resets their state in place, so
   /// external wiring (the collector's attached sink, references held by
   /// the workload) stays valid across crash/recover cycles. The detector
-  /// must be attached as the collector's sink by the caller.
+  /// must be attached as the collector's sink by the caller. Construction
+  /// touches no file: the journal is opened (truncated) at the server's
+  /// first write, or by recover() once it has replayed it, so a server
+  /// built over a predecessor's journal and checkpoint can recover them.
   AnalysisServer(ServerConfig cfg, Collector* collector,
                  StreamingDetector* detector);
   ~AnalysisServer();
@@ -117,13 +121,16 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
 
   /// Transport delivery path: maybe crash/recover per the plan, then
   /// journal-append and fold under one lock (journal order = fold order).
+  /// A delivery from a rank outside [0, ranks), or carrying a record the
+  /// detector would reject, throws before anything is journaled.
   void on_delivery(int rank, uint64_t seq,
                    std::span<const SliceRecord> batch, double now) override;
 
   /// Journal a stale-rank mark and forward it to the detector, so the
   /// exclusion survives a crash that happens before the next checkpoint.
   /// `now` (when known) stamps the sweep's virtual time onto the emitted
-  /// StaleRank event.
+  /// StaleRank event. A rank outside [0, ranks) throws before anything is
+  /// journaled, here and in mark_live.
   void mark_stale(int rank, double now = -1.0);
 
   /// Journal an elastic revival (rank rejoined after a stale verdict) and
@@ -142,7 +149,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
 
   /// Restore from the newest valid checkpoint + journal suffix replay.
   /// Normally invoked internally by the crash path; exposed for tests and
-  /// for restarting a server over existing on-disk state.
+  /// for restarting a server over existing on-disk state: a fresh server
+  /// built over a predecessor's files and recovered first ends with the
+  /// predecessor's state, bit for bit. Journal frames that cannot fold
+  /// (unknown rank or sensor) are skipped and counted.
   RecoveryReport recover();
 
   /// Simulate the process dying right now: discard the journal's
@@ -205,7 +215,10 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   void crash_locked();
   RecoveryReport recover_locked();
   void checkpoint_locked();
-  ServerCheckpoint build_checkpoint_locked() const;
+  /// Encode the live state into ckpt_buf_ and publish it atomically.
+  CheckpointSaveResult save_checkpoint_locked();
+  /// Open (truncate) the journal if this server has not written yet.
+  void open_journal_locked();
   void append_frame_locked(const JournalFrame& frame);
   void dump_flight_locked();
   /// Fold the dying writer's error/loss counters into the server-level
@@ -222,6 +235,12 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
 
   mutable std::mutex mu_;
   std::unique_ptr<JournalWriter> journal_;
+  /// True until the first write or recover(): the constructor leaves a
+  /// predecessor's journal intact so recover() can replay it.
+  bool journal_unopened_ = true;
+  /// Checkpoint bytes, reused so each checkpoint writes into a buffer that
+  /// already has the capacity of the last one.
+  std::string ckpt_buf_;
   std::vector<SeqTracker> watermarks_;  ///< per-rank replay dedup state
   std::vector<double> crash_times_;     ///< ascending virtual-time points
   size_t next_crash_ = 0;

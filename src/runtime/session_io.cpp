@@ -167,6 +167,10 @@ bool parse_line(const std::string& line, Session* session, std::string* err) {
       *err = "record references unknown sensor: " + line;
       return false;
     }
+    if (r.rank < 0 || r.rank >= session->ranks) {
+      *err = "record from unknown rank: " + line;
+      return false;
+    }
     session->records.push_back(r);
   } else if (kind == "transport") {
     size_t rank = 0;

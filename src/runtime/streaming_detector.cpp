@@ -6,6 +6,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "support/binio.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
@@ -52,6 +53,33 @@ struct StreamingInstruments {
 }  // namespace
 #endif
 
+StreamingDetector::State::State(size_t sensors, int ranks)
+    : hint(sensors, {0, kNoSlot}),
+      stats(sensors),
+      sensor_records(sensors, 0),
+      last(sensors * static_cast<size_t>(ranks)),
+      stale(static_cast<size_t>(ranks), 0) {}
+
+std::vector<uint32_t>::const_iterator StreamingDetector::State::lower_bound(
+    int sensor, int group) const {
+  return std::lower_bound(
+      order.begin(), order.end(), std::pair(sensor, group),
+      [this](uint32_t i, const std::pair<int, int>& key) {
+        return std::pair(slots[i].sensor, slots[i].group) < key;
+      });
+}
+
+StreamingDetector::State::Sizes StreamingDetector::State::sizes() const {
+  Sizes n;
+  for (const Slot& slot : slots) {
+    n.standards += slot.has_standard ? 1 : 0;
+    for (const auto& row : slot.rows) n.rank_standards += row ? 1 : 0;
+  }
+  for (const auto& slice : last) n.last += slice ? 1 : 0;
+  for (const uint8_t flag : stale) n.stale += flag;
+  return n;
+}
+
 StreamingDetector::StreamingDetector(DetectorConfig cfg,
                                      std::vector<SensorInfo> sensors,
                                      int ranks, double run_time)
@@ -60,12 +88,11 @@ StreamingDetector::StreamingDetector(DetectorConfig cfg,
       ranks_(ranks),
       run_time_(run_time),
       buckets_(std::max(
-          1, static_cast<int>(std::ceil(run_time / cfg.matrix_resolution)))),
-      stats_(sensors_.size()),
-      sensor_records_(sensors_.size(), 0) {
+          1, static_cast<int>(std::ceil(run_time / cfg.matrix_resolution)))) {
   VS_CHECK_MSG(cfg_.matrix_resolution > 0.0, "matrix resolution must be positive");
   VS_CHECK_MSG(ranks_ > 0, "need at least one rank");
   VS_CHECK_MSG(run_time_ > 0.0, "run time must be positive");
+  st_ = State(sensors_.size(), ranks_);
 }
 
 int StreamingDetector::group_of(float metric) const {
@@ -81,6 +108,39 @@ int StreamingDetector::bucket_of(double time) const {
   return std::clamp(b, 0, buckets_ - 1);
 }
 
+uint32_t StreamingDetector::slot_of(State& st, int sensor, int group) const {
+  const auto at = st.lower_bound(sensor, group);
+  if (at != st.order.end() && st.slots[*at].sensor == sensor &&
+      st.slots[*at].group == group) {
+    return *at;
+  }
+  Slot slot;
+  slot.sensor = sensor;
+  slot.group = group;
+  slot.rank_standard.assign(static_cast<size_t>(ranks_), 0.0);
+  slot.rows.resize(static_cast<size_t>(ranks_));
+  const auto index = static_cast<uint32_t>(st.slots.size());
+  st.slots.push_back(std::move(slot));
+  st.order.insert(at, index);
+  return index;
+}
+
+const StreamingDetector::Slot* StreamingDetector::find_slot(int sensor,
+                                                            int group) const {
+  const auto at = st_.lower_bound(sensor, group);
+  if (at == st_.order.end()) return nullptr;
+  const Slot& slot = st_.slots[*at];
+  return slot.sensor == sensor && slot.group == group ? &slot : nullptr;
+}
+
+StreamingDetector::CellSums* StreamingDetector::add_row(Slot& slot,
+                                                        size_t rank) const {
+  auto& row = slot.rows[rank];
+  row.reset(new CellSums[static_cast<size_t>(buckets_)]);
+  std::fill_n(row.get(), buckets_, CellSums{0.0, kEmptyCell});
+  return row.get();
+}
+
 void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
   VS_OBS_ONLY(if (obs::enabled()) {
@@ -89,90 +149,108 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     inst.records.add(batch.size());
   })
   std::lock_guard<std::mutex> lock(mu_);
+  State& st = st_;
   for (const auto& rec : batch) {
     VS_CHECK_MSG(rec.sensor_id >= 0 &&
                      static_cast<size_t>(rec.sensor_id) < sensors_.size(),
                  "record references unknown sensor");
-    observed_ += 1;
+    VS_CHECK_MSG(rec.rank >= 0 && rec.rank < ranks_,
+                 "record from unknown rank");
+    st.observed += 1;
+    const auto rank = static_cast<size_t>(rec.rank);
     // Graceful degradation: a straggler from a rank already declared stale
     // must not reopen that rank's history.
-    if (stale_.count(rec.rank) != 0) {
-      ++stale_records_;
+    if (st.stale[rank] != 0) {
+      ++st.stale_records;
       continue;
     }
     // Mirror of the batch path's degeneracy rule: a zero/near-zero
     // duration is a broken measurement, not the fastest slice — it must
     // not ratchet the running minima down to 0 and zero every later score.
     if (is_degenerate(rec)) {
-      ++degenerate_records_;
+      ++st.degenerate_records;
       continue;
     }
     const auto sensor = static_cast<size_t>(rec.sensor_id);
     const int g = group_of(rec.metric);
-    sensor_records_[sensor] += 1;
+    const double avg = rec.avg_duration;
+    st.sensor_records[sensor] += 1;
+    auto& hint = st.hint[sensor];
+    if (hint.second == kNoSlot || hint.first != g) {
+      hint = {g, slot_of(st, rec.sensor_id, g)};
+    }
+    Slot& slot = st.slots[hint.second];
 
     // Running minima. A record that lowers a standard normalizes against
     // itself (to 1.0), exactly as in the batch path where the global
     // minimum includes every record.
-    auto [std_it, std_new] = standard_.try_emplace({rec.sensor_id, g},
-                                                   rec.avg_duration);
-    bool std_lowered = std_new;
-    if (!std_new && rec.avg_duration < std_it->second) {
-      std_it->second = rec.avg_duration;
-      std_lowered = true;
+    if (!slot.has_standard || avg < slot.standard) {
+      slot.has_standard = true;
+      slot.standard = avg;
+      if (publish_standards_ && !slot.queued) {
+        slot.queued = true;
+        lowered_.push_back(hint.second);
+      }
     }
-    if (publish_standards_ && std_lowered) lowered_.insert({rec.sensor_id, g});
-    auto [rank_it, rank_new] = rank_standard_.try_emplace(
-        {rec.sensor_id, g, rec.rank}, rec.avg_duration);
-    if (!rank_new) rank_it->second = std::min(rank_it->second, rec.avg_duration);
+    double& rank_standard = slot.rank_standard[rank];
+    CellSums* row = slot.rows[rank].get();
+    if (row == nullptr) {
+      row = add_row(slot, rank);
+      rank_standard = avg;
+    } else {
+      rank_standard = std::min(rank_standard, avg);
+    }
 
-    const double inter_norm = std_it->second / rec.avg_duration;
-    const double intra_norm = rank_it->second / rec.avg_duration;
+    const double inter_norm = slot.standard / avg;
+    const double intra_norm = rank_standard / avg;
     if (inter_norm < cfg_.variance_threshold) {
-      ++inter_flags_;
+      ++st.inter_flags;
       VS_OBS_ONLY(
           if (obs::enabled()) StreamingInstruments::get().inter_flags.add();)
       if (hooks_) {
         emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, inter_norm,
-                  std_it->second, "inter");
+                  slot.standard, "inter");
       }
     }
     if (intra_norm < cfg_.variance_threshold) {
-      ++intra_flags_;
+      ++st.intra_flags;
       VS_OBS_ONLY(
           if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
       if (hooks_) {
         emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, intra_norm,
-                  rank_it->second, "intra");
+                  rank_standard, "intra");
       }
     }
 
     // Welford update over normalized performance.
-    RunningStats& st = stats_[sensor];
-    st.count += 1;
-    const double delta = inter_norm - st.mean;
-    st.mean += delta / static_cast<double>(st.count);
-    st.m2 += delta * (inter_norm - st.mean);
+    RunningStats& stats = st.stats[sensor];
+    stats.count += 1;
+    const double delta = inter_norm - stats.mean;
+    stats.mean += delta / static_cast<double>(stats.count);
+    stats.m2 += delta * (inter_norm - stats.mean);
 
-    last_[{rec.sensor_id, rec.rank}] =
-        LastSlice{rec.t_end, rec.avg_duration, inter_norm};
+    st.last[sensor * static_cast<size_t>(ranks_) + rank] =
+        LastSlice{rec.t_end, avg, inter_norm};
 
-    if (rec.rank >= 0 && rec.rank < ranks_) {
-      const double mid = 0.5 * (rec.t_begin + rec.t_end);
-      CellSums& cell =
-          cells_[{rec.sensor_id, g, rec.rank, bucket_of(mid)}];
-      const auto weight = static_cast<double>(rec.count);
-      cell.weight_over_avg += weight / rec.avg_duration;
-      cell.weight += weight;
+    CellSums& cell = row[bucket_of(0.5 * (rec.t_begin + rec.t_end))];
+    if (cell.weight == kEmptyCell) {
+      cell = CellSums{};
+      ++st.cells;
     }
+    const auto weight = static_cast<double>(rec.count);
+    cell.weight_over_avg += weight / avg;
+    cell.weight += weight;
   }
 }
 
 void StreamingDetector::mark_stale(int rank, double now) {
+  VS_CHECK_MSG(rank >= 0 && rank < ranks_, "stale mark for unknown rank");
   bool fresh = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fresh = stale_.insert(rank).second;
+    uint8_t& flag = st_.stale[static_cast<size_t>(rank)];
+    fresh = flag == 0;
+    flag = 1;
   }
   // Event only on the first verdict for a rank: mark_stale is idempotent
   // and replayed journals re-apply it, but "this rank went stale" is one
@@ -187,10 +265,13 @@ void StreamingDetector::mark_stale(int rank, double now) {
 }
 
 void StreamingDetector::mark_live(int rank, double now) {
+  VS_CHECK_MSG(rank >= 0 && rank < ranks_, "live mark for unknown rank");
   bool revived = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    revived = stale_.erase(rank) != 0;
+    uint8_t& flag = st_.stale[static_cast<size_t>(rank)];
+    revived = flag != 0;
+    flag = 0;
   }
   // Like mark_stale: one event per actual transition, so idempotent
   // journal replays don't multiply revival events.
@@ -205,13 +286,19 @@ void StreamingDetector::mark_live(int rank, double now) {
 
 std::vector<int> StreamingDetector::stale_ranks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {stale_.begin(), stale_.end()};
+  std::vector<int> out;
+  for (int r = 0; r < ranks_; ++r) {
+    if (st_.stale[static_cast<size_t>(r)] != 0) out.push_back(r);
+  }
+  return out;
 }
 
 void StreamingDetector::enable_standard_publication(bool on) {
   std::lock_guard<std::mutex> lock(mu_);
   publish_standards_ = on;
-  if (!on) lowered_.clear();
+  if (on) return;
+  for (const uint32_t i : lowered_) st_.slots[i].queued = false;
+  lowered_.clear();
 }
 
 std::vector<StandardUpdate> StreamingDetector::take_lowered_standards() {
@@ -221,123 +308,290 @@ std::vector<StandardUpdate> StreamingDetector::take_lowered_standards() {
   // Publish each key's *current* board value, not the value at the moment
   // of lowering: later records of the same key may have lowered it again
   // before this drain, and the lowest value is the one peers need.
-  for (const auto& key : lowered_) {
-    out.push_back(StandardUpdate{key.first, key.second, standard_.at(key)});
+  for (const uint32_t i : lowered_) {
+    Slot& slot = st_.slots[i];
+    slot.queued = false;
+    out.push_back(StandardUpdate{slot.sensor, slot.group, slot.standard});
   }
   lowered_.clear();
+  // Key order, so every peer journals the same broadcast in the same order.
+  std::sort(out.begin(), out.end(),
+            [](const StandardUpdate& a, const StandardUpdate& b) {
+              return std::pair(a.sensor_id, a.group) <
+                     std::pair(b.sensor_id, b.group);
+            });
   return out;
 }
 
 void StreamingDetector::apply_standard_update(int sensor_id, int group,
                                               double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = standard_.try_emplace({sensor_id, group}, value);
-  if (!inserted) it->second = std::min(it->second, value);
+  Slot& slot = st_.slots[slot_of(st_, sensor_id, group)];
+  if (!slot.has_standard || value < slot.standard) {
+    slot.has_standard = true;
+    slot.standard = value;
+  }
 }
 
 StreamingDetector::RunningStats StreamingDetector::sensor_stats(
     int sensor_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  VS_CHECK(sensor_id >= 0 && static_cast<size_t>(sensor_id) < stats_.size());
-  return stats_[static_cast<size_t>(sensor_id)];
+  VS_CHECK(sensor_id >= 0 && static_cast<size_t>(sensor_id) < st_.stats.size());
+  return st_.stats[static_cast<size_t>(sensor_id)];
 }
 
 std::optional<StreamingDetector::LastSlice> StreamingDetector::last_slice(
     int sensor_id, int rank) const {
+  if (sensor_id < 0 || static_cast<size_t>(sensor_id) >= sensors_.size() ||
+      rank < 0 || rank >= ranks_) {
+    return std::nullopt;
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = last_.find({sensor_id, rank});
-  if (it == last_.end()) return std::nullopt;
-  return it->second;
+  return st_.last[static_cast<size_t>(sensor_id) *
+                      static_cast<size_t>(ranks_) +
+                  static_cast<size_t>(rank)];
 }
 
 double StreamingDetector::standard_time(int sensor_id, float metric) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = standard_.find({sensor_id, group_of(metric)});
-  return it == standard_.end() ? 0.0 : it->second;
+  const Slot* slot = find_slot(sensor_id, group_of(metric));
+  return slot != nullptr && slot->has_standard ? slot->standard : 0.0;
 }
 
 uint64_t StreamingDetector::observed_records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return observed_;
+  return st_.observed;
 }
 
 uint64_t StreamingDetector::stale_records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stale_records_;
+  return st_.stale_records;
 }
 
 uint64_t StreamingDetector::degenerate_records() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return degenerate_records_;
+  return st_.degenerate_records;
 }
 
 uint64_t StreamingDetector::intra_flags() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return intra_flags_;
+  return st_.intra_flags;
 }
 
 void StreamingDetector::sample_health(double /*now*/,
                                       obs::HealthRecorder& rec) const {
   std::lock_guard<std::mutex> lock(mu_);
-  rec.gauge("observed_records", observed_);
-  rec.gauge("stale_records", stale_records_);
-  rec.gauge("degenerate_records", degenerate_records_);
-  rec.gauge("intra_flags", intra_flags_);
-  rec.gauge("inter_flags", inter_flags_);
-  rec.gauge("standards", static_cast<uint64_t>(standard_.size()));
-  rec.gauge("rank_standards", static_cast<uint64_t>(rank_standard_.size()));
-  rec.gauge("matrix_cells", static_cast<uint64_t>(cells_.size()));
-  rec.gauge("stale_ranks", static_cast<uint64_t>(stale_.size()));
+  const State::Sizes n = st_.sizes();
+  rec.gauge("observed_records", st_.observed);
+  rec.gauge("stale_records", st_.stale_records);
+  rec.gauge("degenerate_records", st_.degenerate_records);
+  rec.gauge("intra_flags", st_.intra_flags);
+  rec.gauge("inter_flags", st_.inter_flags);
+  rec.gauge("standards", n.standards);
+  rec.gauge("rank_standards", n.rank_standards);
+  rec.gauge("matrix_cells", st_.cells);
+  rec.gauge("stale_ranks", n.stale);
 }
 
 uint64_t StreamingDetector::inter_flags() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return inter_flags_;
+  return st_.inter_flags;
 }
 
 StreamingDetector::Snapshot StreamingDetector::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Snapshot{standard_,        rank_standard_,       cells_,
-                  stats_,           sensor_records_,      last_,
-                  stale_,           observed_,            stale_records_,
-                  degenerate_records_, intra_flags_,      inter_flags_};
+  Snapshot snap;
+  // Slots in key order, ranks and buckets ascending: every map is filled
+  // in its own order, so each insert is an O(1) append at the end.
+  for (const uint32_t i : st_.order) {
+    const Slot& slot = st_.slots[i];
+    if (slot.has_standard) {
+      snap.standard.emplace_hint(snap.standard.end(),
+                                 std::pair(slot.sensor, slot.group),
+                                 slot.standard);
+    }
+    for (int r = 0; r < ranks_; ++r) {
+      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
+      if (row == nullptr) continue;
+      snap.rank_standard.emplace_hint(
+          snap.rank_standard.end(), std::tuple(slot.sensor, slot.group, r),
+          slot.rank_standard[static_cast<size_t>(r)]);
+      for (int b = 0; b < buckets_; ++b) {
+        if (row[b].weight == kEmptyCell) continue;
+        snap.cells.emplace_hint(snap.cells.end(),
+                                CellKey{slot.sensor, slot.group, r, b}, row[b]);
+      }
+    }
+  }
+  snap.stats = st_.stats;
+  snap.sensor_records = st_.sensor_records;
+  for (size_t s = 0; s < sensors_.size(); ++s) {
+    for (int r = 0; r < ranks_; ++r) {
+      const auto& slice =
+          st_.last[s * static_cast<size_t>(ranks_) + static_cast<size_t>(r)];
+      if (slice) {
+        snap.last.emplace_hint(snap.last.end(),
+                               std::pair(static_cast<int>(s), r), *slice);
+      }
+    }
+  }
+  for (int r = 0; r < ranks_; ++r) {
+    if (st_.stale[static_cast<size_t>(r)] != 0) {
+      snap.stale.insert(snap.stale.end(), r);
+    }
+  }
+  snap.observed = st_.observed;
+  snap.stale_records = st_.stale_records;
+  snap.degenerate_records = st_.degenerate_records;
+  snap.intra_flags = st_.intra_flags;
+  snap.inter_flags = st_.inter_flags;
+  return snap;
 }
 
 void StreamingDetector::restore(const Snapshot& snap) {
   VS_CHECK_MSG(snap.stats.size() == sensors_.size() &&
                    snap.sensor_records.size() == sensors_.size(),
                "snapshot sensor table does not match this detector");
+  const auto known_sensor = [this](int sensor) {
+    return sensor >= 0 && static_cast<size_t>(sensor) < sensors_.size();
+  };
+  const auto rank_index = [this](int rank) {
+    VS_CHECK_MSG(rank >= 0 && rank < ranks_, "snapshot names an unknown rank");
+    return static_cast<size_t>(rank);
+  };
+  // Build aside and swap in, so a snapshot that does not fit leaves the
+  // running state untouched.
+  State st(sensors_.size(), ranks_);
+  for (const auto& [key, value] : snap.standard) {
+    Slot& slot = st.slots[slot_of(st, key.first, key.second)];
+    slot.has_standard = true;
+    slot.standard = value;
+  }
+  for (const auto& [key, value] : snap.rank_standard) {
+    const auto& [sensor, group, rank] = key;
+    Slot& slot = st.slots[slot_of(st, sensor, group)];
+    VS_CHECK_MSG(known_sensor(sensor) && slot.has_standard,
+                 "snapshot rank standard without a known sensor's standard");
+    const size_t r = rank_index(rank);
+    add_row(slot, r);
+    slot.rank_standard[r] = value;
+  }
+  for (const auto& [key, cell] : snap.cells) {
+    const auto& [sensor, group, rank, bucket] = key;
+    Slot& slot = st.slots[slot_of(st, sensor, group)];
+    CellSums* row = slot.rows[rank_index(rank)].get();
+    VS_CHECK_MSG(row != nullptr && bucket >= 0 && bucket < buckets_ &&
+                     !(cell.weight < 0.0),
+                 "snapshot cell does not fit this detector");
+    row[bucket] = cell;
+    ++st.cells;
+  }
+  st.stats = snap.stats;
+  st.sensor_records = snap.sensor_records;
+  for (const auto& [key, slice] : snap.last) {
+    VS_CHECK_MSG(known_sensor(key.first), "snapshot names an unknown sensor");
+    st.last[static_cast<size_t>(key.first) * static_cast<size_t>(ranks_) +
+            rank_index(key.second)] = slice;
+  }
+  for (const int rank : snap.stale) st.stale[rank_index(rank)] = 1;
+  st.observed = snap.observed;
+  st.stale_records = snap.stale_records;
+  st.degenerate_records = snap.degenerate_records;
+  st.intra_flags = snap.intra_flags;
+  st.inter_flags = snap.inter_flags;
+
   std::lock_guard<std::mutex> lock(mu_);
-  standard_ = snap.standard;
-  rank_standard_ = snap.rank_standard;
-  cells_ = snap.cells;
-  stats_ = snap.stats;
-  sensor_records_ = snap.sensor_records;
-  last_ = snap.last;
-  stale_ = snap.stale;
+  st_ = std::move(st);
   lowered_.clear();
-  observed_ = snap.observed;
-  stale_records_ = snap.stale_records;
-  degenerate_records_ = snap.degenerate_records;
-  intra_flags_ = snap.intra_flags;
-  inter_flags_ = snap.inter_flags;
 }
 
 void StreamingDetector::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  standard_.clear();
-  rank_standard_.clear();
-  cells_.clear();
-  stats_.assign(sensors_.size(), RunningStats{});
-  sensor_records_.assign(sensors_.size(), 0);
-  last_.clear();
-  stale_.clear();
+  st_ = State(sensors_.size(), ranks_);
   lowered_.clear();
-  observed_ = 0;
-  stale_records_ = 0;
-  degenerate_records_ = 0;
-  intra_flags_ = 0;
-  inter_flags_ = 0;
+}
+
+void StreamingDetector::encode_checkpoint_state(std::string& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const State::Sizes n = st_.sizes();
+  const uint64_t sensors = sensors_.size();
+  // Section layout (runtime/checkpoint.cpp): each container is a u64 count
+  // then fixed-width entries, in Snapshot's key order.
+  const uint64_t bytes = 7 * 8 + n.standards * 16 + n.rank_standards * 20 +
+                         st_.cells * 32 + sensors * 24 + sensors * 8 +
+                         n.last * 32 + n.stale * 4 + 5 * 8;
+  const size_t at = out.size();
+  out.resize(at + bytes);
+  ByteCursor w{out.data() + at};
+
+  w.put(n.standards);
+  for (const uint32_t i : st_.order) {
+    const Slot& slot = st_.slots[i];
+    if (!slot.has_standard) continue;
+    w.put(static_cast<int32_t>(slot.sensor));
+    w.put(static_cast<int32_t>(slot.group));
+    w.put(slot.standard);
+  }
+  w.put(n.rank_standards);
+  for (const uint32_t i : st_.order) {
+    const Slot& slot = st_.slots[i];
+    for (int r = 0; r < ranks_; ++r) {
+      if (slot.rows[static_cast<size_t>(r)] == nullptr) continue;
+      w.put(static_cast<int32_t>(slot.sensor));
+      w.put(static_cast<int32_t>(slot.group));
+      w.put(static_cast<int32_t>(r));
+      w.put(slot.rank_standard[static_cast<size_t>(r)]);
+    }
+  }
+  w.put(st_.cells);
+  for (const uint32_t i : st_.order) {
+    const Slot& slot = st_.slots[i];
+    for (int r = 0; r < ranks_; ++r) {
+      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
+      if (row == nullptr) continue;
+      for (int b = 0; b < buckets_; ++b) {
+        if (row[b].weight == kEmptyCell) continue;
+        w.put(static_cast<int32_t>(slot.sensor));
+        w.put(static_cast<int32_t>(slot.group));
+        w.put(static_cast<int32_t>(r));
+        w.put(static_cast<int32_t>(b));
+        w.put(row[b].weight_over_avg);
+        w.put(row[b].weight);
+      }
+    }
+  }
+  w.put(sensors);
+  for (const auto& stats : st_.stats) {
+    w.put(stats.count);
+    w.put(stats.mean);
+    w.put(stats.m2);
+  }
+  w.put(sensors);
+  for (const uint64_t count : st_.sensor_records) w.put(count);
+  w.put(n.last);
+  for (size_t s = 0; s < sensors_.size(); ++s) {
+    for (int r = 0; r < ranks_; ++r) {
+      const auto& slice =
+          st_.last[s * static_cast<size_t>(ranks_) + static_cast<size_t>(r)];
+      if (!slice) continue;
+      w.put(static_cast<int32_t>(s));
+      w.put(static_cast<int32_t>(r));
+      w.put(slice->t_end);
+      w.put(slice->avg_duration);
+      w.put(slice->normalized);
+    }
+  }
+  w.put(n.stale);
+  for (int r = 0; r < ranks_; ++r) {
+    if (st_.stale[static_cast<size_t>(r)] != 0) w.put(static_cast<int32_t>(r));
+  }
+  w.put(st_.observed);
+  w.put(st_.stale_records);
+  w.put(st_.degenerate_records);
+  w.put(st_.intra_flags);
+  w.put(st_.inter_flags);
+  VS_CHECK_MSG(w.p == out.data() + out.size(),
+               "checkpoint state size does not match its layout");
 }
 
 StreamingDetector::Snapshot StreamingDetector::merge_snapshots(
@@ -420,26 +674,39 @@ AnalysisResult StreamingDetector::finalize() const {
       .flagged = {},
       .run_time = run_time_,
       .ranks = ranks_,
-      .stale_ranks = {stale_.begin(), stale_.end()},
+      .stale_ranks = {},
   };
+  for (int r = 0; r < ranks_; ++r) {
+    if (st_.stale[static_cast<size_t>(r)] != 0) result.stale_ranks.push_back(r);
+  }
 
   // Apply the final standards to the standard-free cell sums. A cell's
   // records of one (sensor, group) contributed sum(count/avg); multiplying
   // by the group's final standard yields exactly the batch Detector's
-  // sum(normalized * count) for those records.
-  for (const auto& [key, cell] : cells_) {
-    const auto& [sensor, group, rank, bucket] = key;
-    if (sensor_records_[static_cast<size_t>(sensor)] < cfg_.min_records) {
+  // sum(normalized * count) for those records. Cells are visited in
+  // (sensor, group, rank, bucket) order, so every matrix cell sums its
+  // contributions in the same order as Snapshot's cell map.
+  for (const uint32_t i : st_.order) {
+    const Slot& slot = st_.slots[i];
+    // A slot of an unknown sensor only ever carries a peer's standard.
+    const auto sensor = static_cast<size_t>(slot.sensor);
+    if (sensor >= sensors_.size() ||
+        st_.sensor_records[sensor] < cfg_.min_records) {
       continue;
     }
-    const double std_time =
-        std::max(standard_.at({sensor, group}), kMinStandardTime);
-    const double value_sum = std_time * cell.weight_over_avg;
-    const double weight = cell.weight;
-    if (weight <= 0.0) continue;
-    const auto type = sensors_[static_cast<size_t>(sensor)].type;
-    result.matrices[static_cast<size_t>(type)].accumulate(
-        rank, bucket, value_sum / weight, weight);
+    const double std_time = std::max(slot.standard, kMinStandardTime);
+    auto& matrix = result.matrices[static_cast<size_t>(sensors_[sensor].type)];
+    for (int r = 0; r < ranks_; ++r) {
+      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
+      if (row == nullptr) continue;
+      for (int b = 0; b < buckets_; ++b) {
+        // Also skips empty cells, whose weight is kEmptyCell.
+        const double weight = row[b].weight;
+        if (weight <= 0.0) continue;
+        const double value_sum = std_time * row[b].weight_over_avg;
+        matrix.accumulate(r, b, value_sum / weight, weight);
+      }
+    }
   }
 
   finalize_analysis(result, cfg_);

@@ -17,14 +17,33 @@
 // and variance events as Detector::analyze_records on the same records,
 // with values within 1e-12: the two paths sum each cell in a different
 // order, so the last bits can differ.
+//
+// State layout. The running state is dense, so a record folds by index
+// arithmetic rather than tree lookups:
+//  * one slot per (sensor, dynamic-rule group) seen, holding the group's
+//    standard, a per-rank standard array, and one row of bucket cells per
+//    rank. A row is allocated the first time a record of its rank folds
+//    into the slot, so a tier shard pays only for the ranks routed to it;
+//  * a sensors x ranks array of last slices and a per-rank stale flag.
+// Memory is bounded by slots x touched-rank rows x buckets cells (16 bytes
+// each) plus slots x ranks x 16 bytes of per-rank standards and row
+// pointers, plus sensors x ranks last slices (32 bytes each). Records must
+// name a known sensor and a rank in [0, ranks); anything else throws.
+//
+// Snapshot is the export form of that state — ordered maps, as merges,
+// tests and tools consume it. The server's checkpoints are written
+// straight from the dense state (encode_checkpoint_state), in the same
+// bytes encode_checkpoint produces from snapshot().
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -56,7 +75,9 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
                     int ranks, double run_time);
 
   /// Fold one batch into the running state. Thread-safe; O(batch) work.
-  /// Column batches reach this fold through the BatchSink bridge.
+  /// Column batches reach this fold through the BatchSink bridge. A record
+  /// of an unknown sensor or of a rank outside [0, ranks) throws; the
+  /// records before it in the batch stay folded.
   using BatchSink::on_batch;
   void on_batch(std::span<const SliceRecord> batch) override;
   void observe(std::span<const SliceRecord> batch) { on_batch(batch); }
@@ -92,6 +113,7 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// a half-delivered history. Idempotent; thread-safe. The `now` overload
   /// stamps the sweep's virtual time onto the emitted StaleRank event;
   /// callers that don't know the time get an unstamped event (t = -1).
+  /// A rank outside [0, ranks) throws, as it does for mark_live.
   void mark_stale(int rank) { mark_stale(rank, -1.0); }
   void mark_stale(int rank, double now);
   std::vector<int> stale_ranks() const;
@@ -173,8 +195,10 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   };
   using CellKey = std::tuple<int, int, int, int>;
 
-  /// The complete mutable state of the detector, as plain data. Snapshots
-  /// feed the checkpoint serializer (runtime/checkpoint.hpp); restoring a
+  /// The complete mutable state of the detector, as plain data: the export
+  /// and merge form (the tier's reduction, encode_checkpoint, tools and
+  /// tests). The server's checkpoints hold the same bytes, encoded from the
+  /// live state by encode_checkpoint_state. Restoring a
   /// snapshot and re-folding the same suffix of batches reproduces the
   /// uninterrupted detector bit for bit — every field here is either an
   /// exact integer or a double carried through byte-exact serialization.
@@ -203,16 +227,80 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   static Snapshot merge_snapshots(const Snapshot& a, const Snapshot& b);
 
   /// Replace the running state with `snap` (recovery). The snapshot must
-  /// come from a detector with the same sensor table.
+  /// come from a detector with the same sensor table, ranks and buckets,
+  /// and every cell must have its rank standard, as every fold leaves it.
+  /// A snapshot that does not fit throws and leaves the state untouched.
   void restore(const Snapshot& snap);
 
   /// Drop all running state (a server crash destroys the in-memory
   /// detector; recovery then restores a snapshot and replays the journal).
   void reset();
 
+  /// Append this detector's section of a `vsensor-checkpoint 1` payload to
+  /// `out`: byte for byte what encode_checkpoint writes for snapshot(),
+  /// written straight from the live state under the detector lock, with no
+  /// Snapshot copy. `out` grows once, by the section's exact size.
+  void encode_checkpoint_state(std::string& out) const;
+
  private:
+  /// A CellSums::weight no fold can produce: the cell holds no record.
+  static constexpr double kEmptyCell = -1.0;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Dense state of one (sensor, dynamic-rule group).
+  struct Slot {
+    int sensor = 0;
+    int group = 0;
+    bool has_standard = false;
+    double standard = 0.0;
+    /// Queued for publication (enable_standard_publication).
+    bool queued = false;
+    /// Per-rank fastest slice; meaningful where the rank's row exists.
+    std::vector<double> rank_standard;
+    /// Per-rank row of buckets cells, null until a record of the rank
+    /// folds here. Untouched cells carry weight kEmptyCell.
+    std::vector<std::unique_ptr<CellSums[]>> rows;
+  };
+
+  /// The complete running state; reset() and restore() replace it whole.
+  struct State {
+    State() = default;
+    State(size_t sensors, int ranks);
+    /// First position in `order` whose slot is not below (sensor, group).
+    std::vector<uint32_t>::const_iterator lower_bound(int sensor,
+                                                     int group) const;
+    /// Entry counts of the sparse sections of Snapshot.
+    struct Sizes {
+      uint64_t standards = 0;
+      uint64_t rank_standards = 0;
+      uint64_t last = 0;
+      uint64_t stale = 0;
+    };
+    Sizes sizes() const;
+
+    std::vector<Slot> slots;       ///< in creation order
+    std::vector<uint32_t> order;   ///< slot indices by (sensor, group)
+    /// Per sensor: the (group, slot) of its last fold, so an ungrouped
+    /// sensor finds its slot without a search.
+    std::vector<std::pair<int, uint32_t>> hint;
+    std::vector<RunningStats> stats;       ///< per sensor id
+    std::vector<uint64_t> sensor_records;  ///< per sensor id
+    std::vector<std::optional<LastSlice>> last;  ///< sensor * ranks + rank
+    std::vector<uint8_t> stale;                  ///< per rank
+    uint64_t cells = 0;  ///< cells holding at least one record
+    uint64_t observed = 0;
+    uint64_t stale_records = 0;
+    uint64_t degenerate_records = 0;
+    uint64_t intra_flags = 0;
+    uint64_t inter_flags = 0;
+  };
+
   int group_of(float metric) const;
   int bucket_of(double time) const;
+  /// Slot of (sensor, group) in `st`, created (standard unset) if absent.
+  uint32_t slot_of(State& st, int sensor, int group) const;
+  const Slot* find_slot(int sensor, int group) const;
+  CellSums* add_row(Slot& slot, size_t rank) const;
 
   DetectorConfig cfg_;
   std::vector<SensorInfo> sensors_;
@@ -221,24 +309,13 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   int buckets_;
 
   mutable std::mutex mu_;
-  std::map<std::pair<int, int>, double> standard_;  ///< (sensor, group) -> min
-  std::map<std::tuple<int, int, int>, double> rank_standard_;
-  std::map<CellKey, CellSums> cells_;
-  std::vector<RunningStats> stats_;         ///< per sensor id
-  std::vector<uint64_t> sensor_records_;    ///< per sensor id
-  std::map<std::pair<int, int>, LastSlice> last_;
-  std::set<int> stale_;
-  /// Publication queue (enable_standard_publication): (sensor, group) keys
-  /// whose standard a folded record inserted or lowered. Transient routing
-  /// state — never part of Snapshot; a recovering shard repopulates it by
-  /// replaying its journal and re-broadcasts (idempotent min-folds).
+  State st_;
+  /// Publication queue (enable_standard_publication): slots whose standard
+  /// a folded record inserted or lowered. Transient routing state — never
+  /// part of Snapshot; a recovering shard repopulates it by replaying its
+  /// journal and re-broadcasts (idempotent min-folds).
   bool publish_standards_ = false;
-  std::set<std::pair<int, int>> lowered_;
-  uint64_t observed_ = 0;
-  uint64_t stale_records_ = 0;
-  uint64_t degenerate_records_ = 0;
-  uint64_t intra_flags_ = 0;
-  uint64_t inter_flags_ = 0;
+  std::vector<uint32_t> lowered_;
   /// Health plane (non-owning; disengaged = one branch per flag site).
   obs::EventHooks hooks_;
 };

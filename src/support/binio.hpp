@@ -29,6 +29,20 @@ void put_raw(std::string& out, T v) {
   out.append(bytes, sizeof(T));
 }
 
+/// Write cursor into a buffer already sized for everything it will hold:
+/// the in-place counterpart of put_raw, for encoders that know their exact
+/// size up front and so skip the per-field capacity checks of append.
+struct ByteCursor {
+  char* p = nullptr;
+
+  template <typename T>
+  void put(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::memcpy(p, &v, sizeof(T));
+    p += sizeof(T);
+  }
+};
+
 /// Bounds-checked cursor over untrusted bytes: every read is validated, so
 /// corrupt input can only ever produce a clean failure, never a crash.
 struct ByteReader {

@@ -7,6 +7,7 @@
 // replay ever double-counts a batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -629,6 +630,175 @@ TEST(RecoveryEquivalence, WorkloadRunWithTransportFaultsAndCrashes) {
   // bit-identical invariant is pinned by the single-threaded property
   // tests above, where fold order is controlled.
   expect_equivalent(smooth.analysis, crashed.analysis);
+}
+
+/// Every field of a snapshot, bit for bit, as checkpoint bytes.
+std::string snapshot_bytes(const StreamingDetector::Snapshot& snap) {
+  ServerCheckpoint ckpt;
+  ckpt.detector = snap;
+  return encode_checkpoint(ckpt);
+}
+
+TEST(RecoveryEquivalence, FreshServerRecoversPredecessorFiles) {
+  const int ranks = 3;
+  const double T = 10e-3;
+  const uint64_t every = 4;
+  const auto stream = make_stream(/*seed=*/7, ranks, T);
+
+  // Server A delivers past its last periodic checkpoint, then its process
+  // ends: only the journal and checkpoint files remain.
+  ServerConfig cfg;
+  std::string want;
+  Collector::Counters want_counters;
+  {
+    ServerRig a("predecessor", ranks, T, every);
+    cfg = a.server.config();
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (i == stream.size() / 2) a.server.mark_stale(ranks - 1);
+      const auto& d = stream[i];
+      a.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    }
+    ASSERT_NE(a.server.delivered_batches() % every, 0u)
+        << "the stream must leave journal frames past the last checkpoint";
+    want = snapshot_bytes(a.detector.snapshot());
+    want_counters = a.collector.counters();
+  }
+
+  // Server B is a new process over the same paths.
+  Collector collector;
+  collector.set_sensors(two_sensors());
+  StreamingDetector detector(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  collector.attach_sink(&detector);
+  AnalysisServer b(cfg, &collector, &detector);
+  const auto report = b.recover();
+  EXPECT_TRUE(report.checkpoint_loaded) << report.checkpoint_warning;
+  EXPECT_GT(report.frames_replayed, 0u);
+  EXPECT_TRUE(snapshot_bytes(detector.snapshot()) == want)
+      << "recovered state differs from the predecessor's";
+  EXPECT_EQ(collector.counters().ingested, want_counters.ingested);
+  EXPECT_EQ(collector.counters().batches, want_counters.batches);
+}
+
+TEST(RecoveryEquivalence, OutOfShapeDeliveryThrowsBeforeJournaling) {
+  const int ranks = 2;
+  ServerRig rig("out_of_shape", ranks, 10e-3, /*checkpoint_every=*/0);
+  const std::vector<SliceRecord> good{make_record(0, 0, 0.0, 1e-4)};
+  rig.server.on_delivery(0, 0, good, 1e-3);
+  const std::string journal = read_file(rig.server.config().journal_path);
+  ASSERT_FALSE(journal.empty());
+
+  const std::vector<SliceRecord> rank2{make_record(0, 2, 0.0, 1e-5)};
+  const std::vector<SliceRecord> sensor9{make_record(9, 1, 0.0, 1e-5)};
+  EXPECT_THROW(rig.server.on_delivery(ranks, 0, good, 2e-3), Error);
+  EXPECT_THROW(rig.server.on_delivery(-1, 0, good, 2e-3), Error);
+  EXPECT_THROW(rig.server.on_delivery(1, 0, rank2, 2e-3), Error);
+  EXPECT_THROW(rig.server.on_delivery(1, 0, sensor9, 2e-3), Error);
+  EXPECT_THROW(rig.server.mark_stale(ranks), Error);
+  EXPECT_THROW(rig.server.mark_live(-1), Error);
+
+  EXPECT_TRUE(read_file(rig.server.config().journal_path) == journal)
+      << "a rejected call reached the journal";
+  EXPECT_EQ(rig.server.journal()->appended_frames(), 1u);
+  EXPECT_EQ(rig.server.delivered_batches(), 1u);
+  EXPECT_EQ(rig.detector.observed_records(), 1u);
+  EXPECT_EQ(rig.detector.standard_time(0, 0.0F), 1e-4);
+}
+
+/// Per-rank batches of 4, dealt round-robin in time order: a deterministic
+/// delivery stream from one workload run.
+std::vector<Delivery> deal_batches(std::vector<SliceRecord> records, int ranks) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const SliceRecord& a, const SliceRecord& b) {
+                     return a.t_begin < b.t_begin;
+                   });
+  std::vector<std::vector<SliceRecord>> by_rank(static_cast<size_t>(ranks));
+  for (const auto& r : records) by_rank[static_cast<size_t>(r.rank)].push_back(r);
+  std::vector<Delivery> stream;
+  for (size_t at = 0;; at += 4) {
+    bool any = false;
+    for (int rank = 0; rank < ranks; ++rank) {
+      const auto& src = by_rank[static_cast<size_t>(rank)];
+      if (at >= src.size()) continue;
+      any = true;
+      const auto end = std::min(src.size(), at + 4);
+      Delivery d{rank, at / 4, {src.begin() + static_cast<long>(at),
+                                src.begin() + static_cast<long>(end)}, 0.0};
+      d.now = d.records.back().t_end;
+      stream.push_back(std::move(d));
+    }
+    if (!any) break;
+  }
+  return stream;
+}
+
+TEST(Checkpoint, LiveEncoderMatchesReferenceEncoder) {
+  const int ranks = 8;
+  workloads::RunOptions opts;
+  opts.params.iterations = 4;
+  opts.params.scale = 0.05;
+  opts.runtime.batch_records = 8;
+  auto apps = workloads::make_all_workloads();
+  apps.push_back(workloads::make_workload("CAPACITY"));
+
+  for (const auto& app : apps) {
+    SCOPED_TRACE(app->name());
+    Collector collected;
+    const auto run = workloads::run_workload(
+        *app, workloads::baseline_config(ranks), opts, &collected);
+    const auto stream = deal_batches(collected.records(), ranks);
+    ASSERT_FALSE(stream.empty());
+
+    DetectorConfig dcfg;
+    dcfg.matrix_resolution = run.makespan / 20.0;
+    dcfg.metric_bucket_width = 0.1;  // grouping on
+    dcfg.min_records = 1;
+    Collector collector;
+    collector.set_sensors(app->sensors());
+    StreamingDetector detector(dcfg, app->sensors(), ranks, run.makespan);
+    collector.attach_sink(&detector);
+    auto cfg = ServerRig::make_server_cfg("live_" + app->name(), 16);
+    AnalysisServer server(cfg, &collector, &detector);
+    server.set_crash_plan({stream[stream.size() / 2].now}, 0x11FE);
+
+    std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (i == stream.size() * 3 / 4) server.mark_stale(ranks - 1);
+      const auto& d = stream[i];
+      server.on_delivery(d.rank, d.seq, d.records, d.now);
+      watermarks[static_cast<size_t>(d.rank)].insert(d.seq);
+    }
+    // A peer's standard on a key no record of this run touched.
+    server.apply_standard(0, 1000, 1e-3);
+    ASSERT_EQ(server.crashes(), 1u);
+
+    const auto reference = [&] {
+      ServerCheckpoint ckpt;
+      ckpt.sensor_count = static_cast<uint32_t>(app->sensors().size());
+      ckpt.ranks = ranks;
+      ckpt.run_time = run.makespan;
+      ckpt.collector = collector.counters();
+      ckpt.watermarks = watermarks;
+      ckpt.detector = detector.snapshot();
+      return encode_checkpoint(ckpt);
+    };
+    server.checkpoint();
+    const std::string written = read_file(cfg.checkpoint_path);
+    EXPECT_TRUE(written == reference())
+        << "live checkpoint differs from encode_checkpoint of snapshot()";
+
+    // The checkpoint a recovery writes, from restored state.
+    server.crash();
+    server.recover();
+    EXPECT_TRUE(read_file(cfg.checkpoint_path) == written)
+        << "recovery checkpoint differs from the pre-crash checkpoint";
+
+    // restore(snapshot()) round-trips bit for bit.
+    const auto snap = detector.snapshot();
+    StreamingDetector restored(dcfg, app->sensors(), ranks, run.makespan);
+    restored.restore(snap);
+    EXPECT_TRUE(snapshot_bytes(restored.snapshot()) == snapshot_bytes(snap))
+        << "restore(snapshot()) does not round-trip";
+  }
 }
 
 // --------------------------------------------- Satellite regression pins

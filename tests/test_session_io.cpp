@@ -116,6 +116,28 @@ TEST(SessionIo, RejectsGarbage) {
   EXPECT_THROW(load_session(truncated_record), Error);
 }
 
+TEST(SessionIo, RejectsRecordFromUnknownRank) {
+  // Strict (v2): the line throws, like a record of an unknown sensor.
+  for (const char* rank : {"2", "-1"}) {
+    std::istringstream v2(std::string("vsensor-session 2\nranks 2 run_time 1\n"
+                                      "sensor 0 0 1 f.c s\nrecord 0 ") +
+                          rank + " 0.1 0.2 1e-4 9e-5 3 0.5 0\n");
+    EXPECT_THROW(load_session(v2), Error) << rank;
+  }
+
+  // Salvaging (v3): the load stops at the record and says why.
+  Session session = make_session();
+  session.records[10].rank = session.ranks;
+  std::stringstream buffer;
+  save_session(buffer, session);
+  const Session loaded = load_session(buffer);
+  EXPECT_FALSE(loaded.clean());
+  ASSERT_EQ(loaded.warnings.size(), 1u);
+  EXPECT_NE(loaded.warnings[0].find("record from unknown rank"),
+            std::string::npos);
+  EXPECT_EQ(loaded.records.size(), 10u);
+}
+
 TEST(SessionIo, V3LinesCarryCrcAndLoadClean) {
   std::stringstream buffer;
   save_session(buffer, make_session());

@@ -270,5 +270,44 @@ TEST(StreamingDetector, RejectsUnknownSensor) {
   EXPECT_THROW(streaming.observe(batch), Error);
 }
 
+TEST(StreamingDetector, RejectsUnknownRank) {
+  StreamingDetector streaming({}, one_sensor(), 2, 1.0);
+  for (const int rank : {-1, 2}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    // Faster than anything in range: folded, it would lower the standard
+    // every in-range rank is scored against.
+    std::vector<SliceRecord> batch{make_record(0, rank, 0.0, 1e-6)};
+    EXPECT_THROW(streaming.observe(batch), Error);
+    EXPECT_THROW(streaming.mark_stale(rank), Error);
+    EXPECT_THROW(streaming.mark_live(rank), Error);
+  }
+  std::vector<SliceRecord> ok{make_record(0, 1, 0.0, 2e-6)};
+  streaming.observe(ok);
+  EXPECT_EQ(streaming.standard_time(0, 0.0F), 2e-6);
+  EXPECT_EQ(streaming.observed_records(), 1u);
+  EXPECT_TRUE(streaming.stale_ranks().empty());
+
+  // A snapshot with state for a rank this detector does not have cannot be
+  // restored into it, and the failed restore leaves the state untouched.
+  StreamingDetector wider({}, one_sensor(), 3, 1.0);
+  std::vector<SliceRecord> rank2{make_record(0, 2, 0.0, 3e-6)};
+  wider.observe(rank2);
+  EXPECT_THROW(streaming.restore(wider.snapshot()), Error);
+  EXPECT_EQ(streaming.observed_records(), 1u);
+  EXPECT_EQ(streaming.standard_time(0, 0.0F), 2e-6);
+}
+
+TEST(Detector, RejectsRecordFromUnknownRank) {
+  Detector batch{DetectorConfig{}};
+  for (const int rank : {-1, 2}) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    std::vector<SliceRecord> records{make_record(0, 0, 0.0, 2e-6),
+                                     make_record(0, rank, 1e-3, 1e-6)};
+    EXPECT_THROW(batch.analyze_records(records, one_sensor(), 2, 1.0), Error);
+  }
+  std::vector<SliceRecord> in_range{make_record(0, 1, 0.0, 2e-6)};
+  EXPECT_NO_THROW(batch.analyze_records(in_range, one_sensor(), 2, 1.0));
+}
+
 }  // namespace
 }  // namespace vsensor::rt
