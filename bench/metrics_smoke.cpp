@@ -81,19 +81,24 @@ PipelineOutcome run_pipeline(const workloads::Workload& w,
   dcfg.matrix_resolution = horizon / 50.0;
   rt::StreamingDetector streaming(dcfg, w.sensors(), kRanks, horizon);
   collector.attach_sink(&streaming);
-  // Server-less wiring: run_workload only reaches the transport and
-  // collector, so the detector's flag events and gauges register here.
+  // run_workload registers only the transport it builds, so the analysis
+  // stack's flag events and gauges register here.
   if (events != nullptr) {
     streaming.set_event_hooks(obs::EventHooks{events, nullptr, -1});
   }
-  if (health != nullptr) health->add_source("detector", &streaming);
+  if (health != nullptr) {
+    health->add_source("collector", &collector);
+    health->add_source("detector", &streaming);
+  }
 
   auto opts = options();
   opts.health = health;
-  opts.events = events;
   PipelineOutcome out;
   out.run = workloads::run_workload(w, cfg, opts, &collector);
-  if (health != nullptr) health->remove_source("detector");
+  if (health != nullptr) {
+    health->remove_source("collector");
+    health->remove_source("detector");
+  }
   const auto analysis = streaming.finalize();
   for (int t = 0; t < rt::kSensorTypeCount; ++t) {
     out.matrices_csv +=

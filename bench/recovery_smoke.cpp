@@ -84,12 +84,12 @@ RunOutput run_once(const workloads::Workload& workload, double makespan,
   std::remove(scfg.checkpoint_path.c_str());
   rt::AnalysisServer server(scfg, &collector, &streaming);
   std::remove(server.flight_path().c_str());
-  if (events != nullptr) server.set_run_identity(identity());
+  if (events != nullptr) {
+    server.set_run_identity(identity());
+    server.set_event_hooks(obs::EventHooks{events, nullptr, -1});
+  }
 
-  auto opts = options();
-  opts.server = &server;
-  opts.events = events;
-  workloads::run_workload(workload, cfg, opts, &collector);
+  workloads::run_workload(workload, cfg, options(), &server);
   server.checkpoint();  // final durable state for the artifact upload
 
   RunOutput out{streaming.finalize(),

@@ -43,16 +43,46 @@ class BatchSink {
     const auto aos = batch.to_aos();
     on_batch(std::span<const SliceRecord>(aos));
   }
-  /// Transport-layer stale verdict for `rank` (BatchTransport::sweep_stale
-  /// forwarded through the collector). Default ignores it; the streaming
-  /// detector overrides to exclude the rank's stragglers. This is how the
-  /// verdict reaches a detector on server-less runs, where no
-  /// AnalysisServer exists to journal and forward it.
+  /// Transport-layer stale verdict for `rank`, forwarded by
+  /// Collector::mark_stale. Default ignores it; the streaming detector
+  /// overrides to exclude the rank's stragglers. This is how the verdict
+  /// reaches a detector on server-less runs, where no AnalysisServer
+  /// exists to journal and forward it.
   virtual void on_stale_rank(int rank) { (void)rank; }
-  /// Elastic revival for `rank` (BatchTransport::rejoin_rank forwarded
-  /// through the collector). Default ignores it; the streaming detector
-  /// overrides to lift the rank's stale exclusion.
+  /// Elastic revival for `rank`. Default ignores it; the streaming
+  /// detector overrides to lift the rank's stale exclusion. Nothing in the
+  /// library calls it: it stays virtual only so wrapping sinks that
+  /// override it keep compiling.
   virtual void on_live_rank(int rank) { (void)rank; }
+};
+
+/// The one destination of a run's deliveries (paper §5.4: ranks push their
+/// batches to one analysis process). BatchTransport hands it every unique
+/// batch with the transport metadata (origin rank, send-side sequence
+/// number, virtual arrival time) intact. Collector ingests the batch,
+/// AnalysisServer journals it before folding, ShardedAnalysisTier routes
+/// it to the rank's shard. The other hooks default to no-ops, so a sink
+/// that wraps another overrides only what it needs.
+class DeliverySink {
+ public:
+  virtual ~DeliverySink() = default;
+  virtual void on_delivery(int rank, uint64_t seq,
+                           std::span<const SliceRecord> batch, double now) = 0;
+  /// The run's sensor table, registered before deliveries start.
+  virtual void set_sensors(std::vector<SensorInfo> sensors) { (void)sensors; }
+  /// Transport stale verdict for `rank` at virtual time `now`
+  /// (BatchTransport::sweep_stale).
+  virtual void mark_stale(int rank, double now) {
+    (void)rank;
+    (void)now;
+  }
+  /// The fault model's server crash schedule
+  /// (TransportFaultModel::server_crash_schedule); only crash-tolerant
+  /// sinks act on it. Call before deliveries start.
+  virtual void set_crash_plan(std::vector<double> times, uint64_t seed) {
+    (void)times;
+    (void)seed;
+  }
 };
 
 struct CollectorConfig {
@@ -63,34 +93,38 @@ struct CollectorConfig {
   size_t shard_capacity = 1u << 20;
 };
 
-class Collector : public obs::HealthSource {
+class Collector : public DeliverySink, public obs::HealthSource {
  public:
   Collector() : Collector(CollectorConfig{}) {}
   explicit Collector(CollectorConfig cfg);
 
   /// Register the sensor table (identical on every rank; registration is
   /// deterministic because instrumentation is static).
-  void set_sensors(std::vector<SensorInfo> sensors);
+  void set_sensors(std::vector<SensorInfo> sensors) override;
 
   /// Receive one batch from a rank. Thread-safe: records scatter to their
   /// sensor's shard, and each shard mutex is taken at most once per batch.
   void ingest(std::span<const SliceRecord> batch);
+
+  /// DeliverySink: ingest the batch (the collector keeps no transport
+  /// metadata).
+  void on_delivery(int /*rank*/, uint64_t /*seq*/,
+                   std::span<const SliceRecord> batch,
+                   double /*now*/) override {
+    ingest(batch);
+  }
 
   /// Attach a streaming sink; every subsequent batch is forwarded to it
   /// after being stored. Pass nullptr to detach. Not thread-safe against
   /// concurrent ingest — attach before the run starts.
   void attach_sink(BatchSink* sink) { sink_ = sink; }
 
-  /// Forward a transport stale verdict to the attached sink (no-op when
-  /// none is attached). Thread-safe for the same reason ingest's forward
-  /// is: the sink pointer is fixed before the run starts.
-  void notify_stale(int rank) {
+  /// Forward a transport stale verdict to the attached sink's
+  /// on_stale_rank (no-op when none is attached). Thread-safe for the same
+  /// reason ingest's forward is: the sink pointer is fixed before the run
+  /// starts.
+  void mark_stale(int rank, double /*now*/) override {
     if (sink_ != nullptr) sink_->on_stale_rank(rank);
-  }
-
-  /// Forward an elastic revival to the attached sink (see notify_stale).
-  void notify_live(int rank) {
-    if (sink_ != nullptr) sink_->on_live_rank(rank);
   }
 
   const std::vector<SensorInfo>& sensors() const { return sensors_; }

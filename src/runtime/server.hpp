@@ -117,7 +117,12 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// >= times[i], the server crashes and recovers before processing it.
   /// `seed` derives the torn journal tail appended at each crash. Call
   /// before deliveries start.
-  void set_crash_plan(std::vector<double> times, uint64_t seed);
+  void set_crash_plan(std::vector<double> times, uint64_t seed) override;
+
+  /// The sensor table goes to the wrapped collector.
+  void set_sensors(std::vector<SensorInfo> sensors) override {
+    collector_->set_sensors(std::move(sensors));
+  }
 
   /// Transport delivery path: maybe crash/recover per the plan, then
   /// journal-append and fold under one lock (journal order = fold order).
@@ -131,7 +136,7 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// `now` (when known) stamps the sweep's virtual time onto the emitted
   /// StaleRank event. A rank outside [0, ranks) throws before anything is
   /// journaled, here and in mark_live.
-  void mark_stale(int rank, double now = -1.0);
+  void mark_stale(int rank, double now = -1.0) override;
 
   /// Journal an elastic revival (rank rejoined after a stale verdict) and
   /// forward it to the detector, so a crash-recovered server replays the

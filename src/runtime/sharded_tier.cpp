@@ -111,7 +111,7 @@ void ShardedAnalysisTier::set_crash_plan(int shard, std::vector<double> times,
   shards_[checked(shard)]->server->set_crash_plan(std::move(times), seed);
 }
 
-void ShardedAnalysisTier::set_crash_plan(const std::vector<double>& times,
+void ShardedAnalysisTier::set_crash_plan(std::vector<double> times,
                                          uint64_t seed) {
   for (size_t k = 0; k < shards_.size(); ++k) {
     shards_[k]->server->set_crash_plan(times, seed + k);

@@ -103,7 +103,7 @@ class ShardedAnalysisTier final : public DeliverySink,
   /// Route a transport stale verdict to the rank's owning shard (journaled
   /// there, like any delivery). `now` (when known) stamps the emitted
   /// StaleRank event's virtual time.
-  void mark_stale(int rank, double now = -1.0);
+  void mark_stale(int rank, double now = -1.0) override;
 
   /// Route an elastic revival (rank rejoined after a stale verdict) to its
   /// owning shard, journaled there like the stale mark it lifts.
@@ -113,7 +113,7 @@ class ShardedAnalysisTier final : public DeliverySink,
   /// tail seed), or for every shard at once — each shard crashes at its
   /// own first delivery at/after each point.
   void set_crash_plan(int shard, std::vector<double> times, uint64_t seed);
-  void set_crash_plan(const std::vector<double>& times, uint64_t seed);
+  void set_crash_plan(std::vector<double> times, uint64_t seed) override;
 
   /// Binary tree reduction of the per-shard detector snapshots.
   StreamingDetector::Snapshot merged_snapshot() const;

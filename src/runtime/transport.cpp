@@ -56,23 +56,16 @@ bool SeqTracker::insert(uint64_t seq) {
   return true;
 }
 
-BatchTransport::BatchTransport(Collector* collector, int ranks,
+BatchTransport::BatchTransport(DeliverySink* sink, int ranks,
                                TransportConfig cfg,
                                const TransportFaultModel* faults)
-    : collector_(collector), cfg_(cfg), faults_(faults) {
+    : sink_(sink), cfg_(cfg), faults_(faults) {
+  VS_CHECK_MSG(sink_ != nullptr, "transport needs a delivery sink");
   VS_CHECK_MSG(ranks > 0, "transport needs at least one rank channel");
   VS_CHECK_MSG(cfg_.max_attempts > 0, "need at least one delivery attempt");
   VS_CHECK_MSG(cfg_.retry_backoff >= 0.0, "retry backoff must be non-negative");
   VS_CHECK_MSG(cfg_.stale_after > 0.0, "stale threshold must be positive");
   channels_.resize(static_cast<size_t>(ranks));
-}
-
-BatchTransport::BatchTransport(DeliverySink* sink, int ranks,
-                               TransportConfig cfg,
-                               const TransportFaultModel* faults)
-    : BatchTransport(static_cast<Collector*>(nullptr), ranks, cfg, faults) {
-  VS_CHECK_MSG(sink != nullptr, "transport needs a delivery sink");
-  sink_ = sink;
 }
 
 BatchTransport::~BatchTransport() { drain(); }
@@ -83,11 +76,22 @@ void BatchTransport::deliver(int rank, uint64_t seq,
   // chance for virtual time to cross the next sampling boundary. Called
   // here — never under mu_ — because sampling re-enters sample_health().
   if (sampler_ != nullptr) sampler_->maybe_sample(now);
-  if (sink_ != nullptr) {
-    sink_->on_delivery(rank, seq, batch, now);
-  } else if (collector_ != nullptr) {
-    collector_->ingest(batch);
+  sink_->on_delivery(rank, seq, batch, now);
+}
+
+void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
+  Channel& ch = channels_[static_cast<size_t>(ev.rank)];
+  ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
+  if (!ch.seen.insert(ev.seq)) {
+    ch.stats.duplicates_suppressed += 1;
+    VS_OBS_ONLY(
+        if (obs::enabled()) TransportInstruments::get().duplicates.add();)
+    return;
   }
+  ch.stats.batches_delivered += 1;
+  ch.stats.records_delivered += ev.records.size();
+  ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
+  ready.push_back(std::move(ev));
 }
 
 void BatchTransport::arrive(int rank, uint64_t seq,
@@ -102,18 +106,7 @@ void BatchTransport::arrive(int rank, uint64_t seq,
   while (!queue.empty()) {
     DelayedBatch ev = std::move(queue.back());
     queue.pop_back();
-    Channel& ch = channels_[static_cast<size_t>(ev.rank)];
-    ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
-    if (!ch.seen.insert(ev.seq)) {
-      ch.stats.duplicates_suppressed += 1;
-      VS_OBS_ONLY(
-          if (obs::enabled()) TransportInstruments::get().duplicates.add();)
-    } else {
-      ch.stats.batches_delivered += 1;
-      ch.stats.records_delivered += ev.records.size();
-      ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
-      ready.push_back(std::move(ev));
-    }
+    accept(std::move(ev), ready);
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (--(it->remaining) <= 0) {
         queue.push_back(std::move(*it));
@@ -221,18 +214,7 @@ void BatchTransport::drain() {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<DelayedBatch> held;
     held.swap(delayed_);
-    for (auto& ev : held) {
-      Channel& ch = channels_[static_cast<size_t>(ev.rank)];
-      ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
-      if (!ch.seen.insert(ev.seq)) {
-        ch.stats.duplicates_suppressed += 1;
-        continue;
-      }
-      ch.stats.batches_delivered += 1;
-      ch.stats.records_delivered += ev.records.size();
-      ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
-      ready.push_back(std::move(ev));
-    }
+    for (auto& ev : held) accept(std::move(ev), ready);
   }
   for (const auto& rb : ready) deliver(rb.rank, rb.seq, rb.records, rb.now);
 }

@@ -38,17 +38,6 @@
 
 namespace vsensor::rt {
 
-/// Server-side consumer of unique deliveries, with the transport metadata
-/// (origin rank, send-side sequence number, virtual arrival time) the plain
-/// Collector interface erases. The crash-tolerant AnalysisServer implements
-/// this to journal every batch as (rank, seq, records) before folding it.
-class DeliverySink {
- public:
-  virtual ~DeliverySink() = default;
-  virtual void on_delivery(int rank, uint64_t seq,
-                           std::span<const SliceRecord> batch, double now) = 0;
-};
-
 /// Elastic-rank generations ride in the high bits of the wire sequence
 /// number: a rank that leaves and rejoins under the same id starts a new
 /// incarnation whose sequence space sorts strictly above everything the
@@ -102,8 +91,9 @@ class TransportFaultModel {
   virtual bool killed(int rank, double now) const = 0;
 
   /// Virtual-time points at which the analysis *server* crashes and
-  /// recovers (empty = never). The workload harness forwards this to the
-  /// crash-tolerant server's crash plan; the transport itself ignores it.
+  /// recovers (empty = never). The workload harness hands this to the run's
+  /// DeliverySink::set_crash_plan, which only the crash-tolerant server and
+  /// tier act on; the transport itself ignores it.
   virtual std::vector<double> server_crash_schedule() const { return {}; }
 
   /// Seed deriving the deterministic details of each server crash (torn
@@ -142,17 +132,12 @@ struct RankChannelStats {
 
 class BatchTransport : public obs::HealthSource {
  public:
-  /// `collector` receives every unique delivery; `faults` (optional, not
-  /// owned) injects failures. With no fault model the transport is a
-  /// transparent sequenced pass-through: same batches, same order, same
-  /// collector counters as calling Collector::ingest directly.
-  BatchTransport(Collector* collector, int ranks, TransportConfig cfg = {},
-                 const TransportFaultModel* faults = nullptr);
-
-  /// Same, but unique deliveries go to `sink` with their transport
-  /// metadata (rank, seq, arrival time) intact — the crash-tolerant
-  /// analysis server journals each delivery before folding it. Exactly one
-  /// of the two destinations is used per transport.
+  /// `sink` receives every unique delivery with its transport metadata
+  /// (rank, seq, arrival time) intact: a Collector ingests it, the
+  /// crash-tolerant analysis server journals it before folding. `faults`
+  /// (optional, not owned) injects failures. With no fault model the
+  /// transport is a transparent sequenced pass-through: same batches, same
+  /// order, same collector counters as calling Collector::ingest directly.
   BatchTransport(DeliverySink* sink, int ranks, TransportConfig cfg = {},
                  const TransportFaultModel* faults = nullptr);
 
@@ -222,7 +207,6 @@ class BatchTransport : public obs::HealthSource {
   /// Field-wise sum over all ranks (last_delivery_time = max, next_seq = sum).
   RankChannelStats totals() const;
 
-  Collector* collector() const { return collector_; }
   int ranks() const { return static_cast<int>(channels_.size()); }
   const TransportConfig& config() const { return cfg_; }
 
@@ -261,19 +245,22 @@ class BatchTransport : public obs::HealthSource {
     double first_seen = 0.0;
   };
 
-  /// One delivery arriving at the server: dedup, then store. Appends any
-  /// releases from the delay queue to `ready`. Caller holds mu_.
+  /// One delivery arriving at the server: accept it, then release held
+  /// batches whose countdown expires, each one an arrival itself.
+  /// Caller holds mu_.
   void arrive(int rank, uint64_t seq, std::span<const SliceRecord> batch,
               double now, std::vector<DelayedBatch>& ready);
+  /// The receive side of one physical arrival, shared by arrive() and
+  /// drain(): wire bytes, dedup, counters, and a first copy onto `ready`.
+  /// Caller holds mu_.
+  void accept(DelayedBatch ev, std::vector<DelayedBatch>& ready);
   bool stale_locked(const Channel& ch, int rank, double now) const;
 
-  /// Hand one deduplicated batch to whichever destination this transport
-  /// was built with. Caller must NOT hold mu_.
+  /// Hand one deduplicated batch to the sink. Caller must NOT hold mu_.
   void deliver(int rank, uint64_t seq, std::span<const SliceRecord> batch,
                double now);
 
-  Collector* collector_;
-  DeliverySink* sink_ = nullptr;
+  DeliverySink* sink_;
   TransportConfig cfg_;
   const TransportFaultModel* faults_;
 

@@ -7,8 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "runtime/server.hpp"
-#include "runtime/sharded_tier.hpp"
 #include "support/error.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/kernels.hpp"
@@ -94,12 +92,11 @@ double WorkloadRun::workload_max_error() const {
 }
 
 WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
-                         const RunOptions& options, rt::Collector* collector) {
+                         const RunOptions& options, rt::DeliverySink* sink) {
   VS_OBS_ONLY(
       obs::ScopedSpan vs_obs_span("run:" + workload.name(), "workload");
       const auto vs_obs_wall_begin = std::chrono::steady_clock::now();)
   const auto sensor_table = workload.sensors();
-  if (collector != nullptr) collector->set_sensors(sensor_table);
 
   WorkloadRun run;
   run.pmu.assign(static_cast<size_t>(sim_config.ranks), {});
@@ -110,55 +107,19 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
   // the transport consults it for stats and staleness after the run.
   const auto faults = sim_config.transport_faults;
   std::unique_ptr<rt::BatchTransport> transport;
-  if (collector != nullptr) {
-    VS_CHECK_MSG(options.server == nullptr || options.analysis_tier == nullptr,
-                 "attach either an analysis server or a sharded tier, not both");
-    if (options.analysis_tier != nullptr) {
-      // Sharded fan-in: deliveries route by rank to one of N crash-
-      // tolerant shards; each shard journals, dedups, and folds its rank
-      // partition, and lowered standards broadcast between shards.
-      transport = std::make_unique<rt::BatchTransport>(
-          static_cast<rt::DeliverySink*>(options.analysis_tier),
-          sim_config.ranks, options.transport, faults.get());
-      if (faults != nullptr) {
-        options.analysis_tier->set_crash_plan(faults->server_crash_schedule(),
-                                              faults->schedule_seed());
-      }
-    } else if (options.server != nullptr) {
-      // Crash-tolerant path: deliveries carry their transport metadata to
-      // the server, which journals and dedups them before the collector
-      // sees anything. Crashes fire per the fault model's schedule.
-      transport = std::make_unique<rt::BatchTransport>(
-          static_cast<rt::DeliverySink*>(options.server), sim_config.ranks,
-          options.transport, faults.get());
-      if (faults != nullptr) {
-        options.server->set_crash_plan(faults->server_crash_schedule(),
-                                       faults->schedule_seed());
-      }
-    } else {
-      transport = std::make_unique<rt::BatchTransport>(
-          collector, sim_config.ranks, options.transport, faults.get());
+  if (sink != nullptr) {
+    sink->set_sensors(sensor_table);
+    transport = std::make_unique<rt::BatchTransport>(
+        sink, sim_config.ranks, options.transport, faults.get());
+    if (faults != nullptr) {
+      sink->set_crash_plan(faults->server_crash_schedule(),
+                           faults->schedule_seed());
     }
-    // Health plane wiring (all non-owning) until the run ends: the caller's
-    // sampler sees this run's transport and analysis stack, its event log
-    // the analysis stack.
-    if (options.events != nullptr) {
-      if (options.analysis_tier != nullptr) {
-        options.analysis_tier->set_event_log(options.events);
-      } else if (options.server != nullptr) {
-        options.server->set_event_hooks(
-            obs::EventHooks{options.events, nullptr, -1});
-      }
-    }
+    // Health plane wiring (non-owning) until the run ends. The run
+    // registers what it builds, the transport; the caller registers the
+    // analysis stack it owns.
     if (options.health != nullptr) {
       options.health->add_source("transport", transport.get());
-      if (options.analysis_tier != nullptr) {
-        options.health->add_source("tier", options.analysis_tier);
-      } else if (options.server != nullptr) {
-        options.health->add_source("server", options.server);
-      } else {
-        options.health->add_source("collector", collector);
-      }
       // The transport pokes the sampler from its delivery path — the only
       // place that sees virtual time advance with no pipeline lock held.
       transport->set_health_sampler(options.health);
@@ -168,7 +129,7 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
       static_cast<size_t>(sim_config.ranks));
 
   // The engine drives the final batched push: each rank's staged records
-  // drain to the collector on that rank's own thread as it completes,
+  // drain to the sink on that rank's own thread as it completes,
   // not serialized after the join.
   sim_config.on_rank_complete = [&](simmpi::Comm& comm) {
     const auto r = static_cast<size_t>(comm.rank());
@@ -194,7 +155,7 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
             [&comm](double s) { comm.charge_overhead(s); });
       } else {
         runtimes[r] = std::make_unique<rt::SensorRuntime>(
-            options.runtime, comm.rank(), collector,
+            options.runtime, comm.rank(), nullptr,
             [&comm] { return comm.now(); },
             [&comm](double s) { comm.charge_overhead(s); });
       }
@@ -208,24 +169,15 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
     }
     if (!hooks.windows.empty()) {
       // Leave: flush staged slices so nothing half-shipped outlives the
-      // absence. Rejoin: start a fresh transport incarnation, and if a
-      // sweep had already declared the rank stale, route the revival into
-      // whichever detection stack this run feeds (mirroring the stale
-      // sweep's routing below).
+      // absence. Rejoin: start a fresh transport incarnation. No revival
+      // needs routing: rejoin_rank reports only a rank a sweep marked
+      // stale, and this run sweeps after the ranks join.
       hooks.on_leave = [&runtimes, r](double) {
         if (runtimes[r]) runtimes[r]->flush();
       };
-      hooks.on_rejoin = [&transport, &options, collector, r](double now) {
-        if (transport == nullptr) return;
-        const int rank = static_cast<int>(r);
-        if (transport->rejoin_rank(rank, now)) {
-          if (options.server != nullptr) {
-            options.server->mark_live(rank, now);
-          } else if (options.analysis_tier != nullptr) {
-            options.analysis_tier->mark_live(rank, now);
-          } else if (collector != nullptr) {
-            collector->notify_live(rank);
-          }
+      hooks.on_rejoin = [&transport, r](double now) {
+        if (transport != nullptr) {
+          transport->rejoin_rank(static_cast<int>(r), now);
         }
       };
       ctx.set_elastic(std::move(hooks));
@@ -241,18 +193,11 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
   runtimes.clear();
   if (transport != nullptr) {
     transport->drain();
-    // Always sweep the end-of-run stale verdicts into the detection layer:
-    // the journal entry needs an analysis server (or tier), but the
-    // detector's exclusion must not — a server-less run's streaming
-    // detector hears about stale ranks through the collector's sink hook.
+    // Always sweep the end-of-run stale verdicts into the sink: a server
+    // or tier journals them, a collector forwards them to its attached
+    // detector.
     transport->sweep_stale(run.makespan, [&](int r) {
-      if (options.server != nullptr) {
-        options.server->mark_stale(r, run.makespan);
-      } else if (options.analysis_tier != nullptr) {
-        options.analysis_tier->mark_stale(r, run.makespan);
-      } else {
-        collector->notify_stale(r);
-      }
+      sink->mark_stale(r, run.makespan);
     });
     run.transport.reserve(static_cast<size_t>(transport->ranks()));
     for (int r = 0; r < transport->ranks(); ++r) {
@@ -264,39 +209,12 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
     // exclusions (e.g. a rank that recovered after being swept).
     run.stale_ranks = transport->reported_stale_ranks();
     // Close the health plane: one unconditional makespan snapshot, then
-    // unregister everything scoped to this run (the sampler outlives the
-    // transport it was observing).
+    // unregister the transport (the sampler outlives it).
     if (options.health != nullptr) {
       options.health->sample_now(run.makespan);
       transport->set_health_sampler(nullptr);
       options.health->remove_source("transport");
-      if (options.analysis_tier != nullptr) {
-        options.health->remove_source("tier");
-      } else if (options.server != nullptr) {
-        options.health->remove_source("server");
-      } else {
-        options.health->remove_source("collector");
-      }
     }
-  }
-  // Durability bill of the run: how the attached analysis tier/server's
-  // storage fared. Zero across the board on a healthy filesystem.
-  if (options.analysis_tier != nullptr) {
-    const auto& tier = *options.analysis_tier;
-    run.durability.degraded_shards = tier.degraded_shards();
-    run.durability.degraded_entries = tier.degraded_entries();
-    run.durability.rearms = tier.rearms();
-    run.durability.lossy_recoveries = tier.lossy_recoveries();
-    run.durability.io_errors = tier.io_errors();
-    run.durability.dropped_journal_bytes = tier.dropped_journal_bytes();
-  } else if (options.server != nullptr) {
-    const auto& server = *options.server;
-    run.durability.degraded_shards = server.degraded() ? 1 : 0;
-    run.durability.degraded_entries = server.degraded_entries();
-    run.durability.rearms = server.rearms();
-    run.durability.lossy_recoveries = server.lossy_recoveries();
-    run.durability.io_errors = server.io_errors();
-    run.durability.dropped_journal_bytes = server.dropped_journal_bytes();
   }
   VS_OBS_ONLY(if (obs::enabled()) {
     vs_obs_span.set_virtual(0.0, run.makespan);

@@ -15,18 +15,12 @@
 #include <vector>
 
 #include "interp/interp.hpp"
-#include "obs/events.hpp"
 #include "obs/health.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/sensor.hpp"
 #include "runtime/transport.hpp"
 #include "simmpi/comm.hpp"
 #include "support/rng.hpp"
-
-namespace vsensor::rt {
-class AnalysisServer;
-class ShardedAnalysisTier;
-}
 
 namespace vsensor::workloads {
 
@@ -134,44 +128,13 @@ struct RunOptions {
   /// Knobs of the resilient batch transport every instrumented run ships
   /// through (retry budget, backoff, stale threshold).
   rt::TransportConfig transport;
-  /// Crash-tolerant analysis server (optional, not owned). When set,
-  /// deliveries route through it — journaled, watermark-deduplicated,
-  /// checkpointed — instead of straight into the collector, and the fault
-  /// model's server_crash_schedule() becomes the server's crash plan. The
-  /// `collector` passed to run_workload must be the one this server wraps.
-  rt::AnalysisServer* server = nullptr;
-  /// Sharded analysis tier (optional, not owned; mutually exclusive with
-  /// `server`). When set, deliveries route by rank to one of its N shards
-  /// — the tier's shard count IS the run's analysis shard count — and the
-  /// fault model's server_crash_schedule() becomes every shard's crash
-  /// plan. Results come from tier->finalize(); the `collector` argument is
-  /// ignored for storage (each shard owns its own) but still receives the
-  /// sensor table for callers that inspect it.
-  rt::ShardedAnalysisTier* analysis_tier = nullptr;
   /// Live health plane (optional, not owned). When set, the transport's
   /// delivery path pokes the sampler at virtual-time boundary crossings,
-  /// and run_workload registers the transport plus the attached
-  /// server/tier/collector as sources for the run's duration, closing with
-  /// one unconditional snapshot at the makespan.
+  /// run_workload registers the transport as the "transport" source for
+  /// the run's duration, and it closes with one unconditional snapshot at
+  /// the makespan. The analysis stack behind the sink (collector, detector,
+  /// server or tier) is the caller's to register, like its event hooks.
   obs::HealthSampler* health = nullptr;
-  /// Structured event log (optional, not owned). Wired into the transport
-  /// (ring overflow) and the attached server/tier (variance flags, stale
-  /// sweeps, crash/recovery/salvage, standards broadcasts).
-  obs::EventLog* events = nullptr;
-};
-
-/// End-of-run durability accounting, aggregated from the attached server
-/// or sharded tier (all zero for runs with neither, and for runs whose
-/// storage never misbehaved). A nonzero degraded_shards/lossy_recoveries
-/// is the run saying "my durable artifacts are incomplete" — detection
-/// results are still exact (degraded mode keeps folding in memory).
-struct DurabilitySummary {
-  int degraded_shards = 0;          ///< shards still degraded at run end
-  uint64_t degraded_entries = 0;    ///< durable→degraded transitions
-  uint64_t rearms = 0;              ///< degraded→durable transitions
-  uint64_t lossy_recoveries = 0;    ///< recoveries over incomplete artifacts
-  uint64_t io_errors = 0;           ///< failed durable writes observed
-  uint64_t dropped_journal_bytes = 0;
 };
 
 struct WorkloadRun {
@@ -188,17 +151,19 @@ struct WorkloadRun {
   /// told to exclude, so it always equals StreamingDetector::stale_ranks()
   /// of whatever detector the run fed.
   std::vector<int> stale_ranks;
-  /// Storage-durability outcome of the attached server/tier (see above).
-  DurabilitySummary durability;
 
   /// Pm - 1: the paper's "workload max error" (Table 1).
   double workload_max_error() const;
 };
 
-/// Execute the workload on a simulated job. Slice records flow into
-/// `collector` when provided (instrumented runs only).
+/// Execute the workload on a simulated job. When `sink` is given
+/// (instrumented runs only), every rank ships its slice records through one
+/// resilient BatchTransport into it: a Collector, an AnalysisServer or a
+/// ShardedAnalysisTier. The sink gets the sensor table before the run, the
+/// fault model's server crash schedule as its crash plan, and the
+/// end-of-run stale verdicts through mark_stale.
 WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
                          const RunOptions& options = {},
-                         rt::Collector* collector = nullptr);
+                         rt::DeliverySink* sink = nullptr);
 
 }  // namespace vsensor::workloads

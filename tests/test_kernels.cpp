@@ -408,15 +408,23 @@ TEST(Kernels, HostileSweepHoldsAllDetectionInvariants) {
       observed.attach_sink(&obs_streaming);
       obs::HealthSampler health;
       obs::EventLog events;
+      obs_streaming.set_event_hooks(obs::EventHooks{&events, nullptr, -1});
+      health.add_source("collector", &observed);
+      health.add_source("detector", &obs_streaming);
       auto obs_opts = quick_options();
       obs_opts.health = &health;
-      obs_opts.events = &events;
       const auto obs_run =
           workloads::run_workload(*kernel, make_cfg(), obs_opts, &observed);
       EXPECT_EQ(obs_run.makespan, run.makespan);
       expect_records_identical(canonical(collected.records()),
                                canonical(observed.records()));
       expect_bit_identical(streaming.finalize(), obs_streaming.finalize());
+      // The plane really was attached: every flag and stale verdict became
+      // one event, and the sampler took snapshots.
+      EXPECT_EQ(events.total_emitted(),
+                obs_streaming.intra_flags() + obs_streaming.inter_flags() +
+                    obs_streaming.stale_ranks().size());
+      EXPECT_GT(health.snapshot_count(), 0u);
 
       // Invariant 3 — streaming == batch at finalize, over exactly the
       // ranks the streaming side still trusts.

@@ -19,6 +19,7 @@
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/server.hpp"
+#include "runtime/sharded_tier.hpp"
 #include "runtime/slicer.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
@@ -602,9 +603,7 @@ TEST(RecoveryEquivalence, WorkloadRunWithTransportFaultsAndCrashes) {
         ServerRig::make_server_cfg("workload_" + tag, /*checkpoint_every=*/32),
         &collector, &detector);
 
-    workloads::RunOptions o = opts;
-    o.server = &server;
-    workloads::run_workload(*cg, cluster, o, &collector);
+    workloads::run_workload(*cg, cluster, opts, &server);
 
     return Result{detector.finalize(), collector.counters().ingested,
                   server.crashes(), server.duplicate_deliveries()};
@@ -677,6 +676,58 @@ TEST(RecoveryEquivalence, FreshServerRecoversPredecessorFiles) {
       << "recovered state differs from the predecessor's";
   EXPECT_EQ(collector.counters().ingested, want_counters.ingested);
   EXPECT_EQ(collector.counters().batches, want_counters.batches);
+}
+
+TEST(RecoveryEquivalence, RevivalSurvivesRecovery) {
+  // Rank 1 folds, goes stale, sends a straggler, rejoins and folds again
+  // under its next generation. The journal holds the StaleRank and
+  // RankRejoin frames in that order, so a journal-only recovery must end
+  // with the rank live and the straggler still excluded.
+  const int ranks = 2;
+  const double T = 10e-3;
+  const std::vector<SliceRecord> first{make_record(0, 1, 1e-3, 1e-4)};
+  // Faster than anything that folds: it would set the standard if the
+  // stale exclusion let it through.
+  const std::vector<SliceRecord> straggler{make_record(0, 1, 2e-3, 3e-5)};
+  const std::vector<SliceRecord> fresh{make_record(0, 1, 4e-3, 5e-5)};
+  const auto feed = [&](auto& sink) {
+    sink.on_delivery(1, 0, first, 2e-3);
+    sink.mark_stale(1);
+    sink.on_delivery(1, 1, straggler, 3e-3);
+    sink.mark_live(1);
+    sink.on_delivery(1, seq_make(1, 0), fresh, 5e-3);
+  };
+
+  ServerRig rig("revival", ranks, T, /*checkpoint_every=*/0);
+  feed(rig.server);
+  EXPECT_EQ(rig.detector.stale_records(), 1u);
+  EXPECT_EQ(rig.detector.standard_time(0, 0.0F), 5e-5);
+  const std::string want = snapshot_bytes(rig.detector.snapshot());
+  rig.server.crash();
+  const auto report = rig.server.recover();
+  EXPECT_FALSE(report.checkpoint_loaded);
+  EXPECT_EQ(report.frames_replayed, 5u);
+  EXPECT_TRUE(snapshot_bytes(rig.detector.snapshot()) == want)
+      << "recovered state differs from the pre-crash state";
+  EXPECT_TRUE(rig.detector.stale_ranks().empty());
+
+  ShardedTierConfig tcfg;
+  tcfg.shards = 2;
+  tcfg.journal_path = tmp_path("revival_tier.wal");
+  tcfg.checkpoint_path = tmp_path("revival_tier.ckpt");
+  tcfg.detector = ServerRig::make_cfg();
+  for (int k = 0; k < tcfg.shards; ++k) {
+    std::remove((tcfg.checkpoint_path + ".shard" + std::to_string(k)).c_str());
+  }
+  ShardedAnalysisTier tier(tcfg, two_sensors(), ranks, T);
+  feed(tier);
+  AnalysisServer& owner = tier.server(tier.shard_of(1));
+  owner.crash();
+  owner.recover();
+  const auto merged = tier.merged_snapshot();
+  EXPECT_TRUE(merged.stale.empty());
+  EXPECT_EQ(merged.stale_records, 1u);
+  EXPECT_EQ(merged.observed, 3u);
 }
 
 TEST(RecoveryEquivalence, OutOfShapeDeliveryThrowsBeforeJournaling) {

@@ -503,9 +503,7 @@ TEST(ShardedTier, WorkloadRunRoutesThroughTier) {
   dcfg.min_records = 1;
   ShardedAnalysisTier tier(make_tier_cfg("wl_tier", shards, dcfg),
                            cg->sensors(), ranks, probe_run.makespan);
-  opts.analysis_tier = &tier;
-  Collector unused;
-  const auto run = workloads::run_workload(*cg, cfg, opts, &unused);
+  const auto run = workloads::run_workload(*cg, cfg, opts, &tier);
   ASSERT_GT(run.makespan, 0.0);
 
   // Every delivered record was routed to exactly one shard.

@@ -7,6 +7,8 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/slicer.hpp"
@@ -337,6 +339,44 @@ TEST(Transport, DuplicateOfADelayedBatchIsSuppressedOnRelease) {
   EXPECT_EQ(stats.duplicates_suppressed, 1u);
   EXPECT_EQ(collector.record_count(), 1u);
   expect_conserved(stats);
+}
+
+TEST(Transport, DrainCountsASuppressedOriginalLikeAnArrival) {
+  // Delayed by 2 and duplicated, with no later delivery: the duplicate copy
+  // lands first, and drain() releases the held original as the duplicate.
+  // drain() and arrive() share one accept path, so the metric counts it too.
+  Collector collector;
+  ScriptedFaults faults([](int, uint64_t, uint32_t) {
+    TransportFaultModel::Decision d;
+    d.delay_batches = 2;
+    d.duplicate = true;
+    return d;
+  });
+  BatchTransport transport(&collector, 1, {}, &faults);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const auto& metric = obs::MetricsRegistry::global().counter(
+      "transport.duplicates_suppressed");
+  const uint64_t metric_before = metric.value();
+
+  EXPECT_TRUE(transport.ship(0, {{make_record(0, 0, 0.0, 2.0)}}, 0.0));
+  EXPECT_EQ(collector.record_count(), 1u);  // the duplicate copy
+  EXPECT_EQ(transport.rank_stats(0).duplicates_suppressed, 0u);
+  transport.drain();
+  const uint64_t metric_delta = metric.value() - metric_before;
+  obs::set_enabled(was_enabled);
+
+  const auto stats = transport.rank_stats(0);
+  EXPECT_EQ(stats.batches_delivered, 1u);
+  EXPECT_EQ(stats.duplicates_suppressed, 1u);
+  EXPECT_EQ(stats.wire_bytes, 2 * kRecordWireBytes);
+  EXPECT_EQ(collector.record_count(), 1u);
+  expect_conserved(stats);
+#if VSENSOR_OBS
+  EXPECT_EQ(metric_delta, stats.duplicates_suppressed);
+#else
+  EXPECT_EQ(metric_delta, 0u);
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -854,10 +894,10 @@ TEST(TransportWorkload, FaultInjectionAcceptanceScenario) {
 }
 
 // Regression: a server-less run (collector + streaming sink, no
-// AnalysisServer) must still sweep stale ranks into the detector. The old
-// wiring guarded the sweep behind `options.server != nullptr`, so the
-// streaming detector never heard about the killed rank and its stale set
-// diverged from the run's.
+// AnalysisServer) must still sweep stale ranks into the detector. An
+// early wiring swept only when a server was attached, so the streaming
+// detector never heard about the killed rank and its stale set diverged
+// from the run's.
 TEST(TransportWorkload, ServerlessRunSweepsStaleIntoDetector) {
   const auto cg = workloads::make_workload("CG");
   const int ranks = 8;
