@@ -1,9 +1,13 @@
 #include "runtime/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -15,7 +19,14 @@ namespace vsensor::rt {
 
 namespace {
 
-constexpr const char* kHeader = "vsensor-checkpoint 1\n";
+constexpr const char* kHeader = "vsensor-checkpoint 2\n";
+constexpr std::string_view kMagic = "vsensor-checkpoint ";
+
+// Fixed bytes of one slot, row and cell entry (the layout in
+// checkpoint.hpp); the reader checks every declared count against them.
+constexpr size_t kSlotBytes = 4 + 4 + 8 + 8;
+constexpr size_t kRowBytes = 4 + 8 + 4;
+constexpr size_t kCellBytes = 4 + 8 + 8;
 
 #if VSENSOR_OBS
 struct CheckpointInstruments {
@@ -55,11 +66,13 @@ bool read_counters(ByteReader& in, Collector::Counters* c) {
 
 /// Leading payload section: shape, collector counters, watermarks.
 void put_server_state(std::string& out, uint32_t sensor_count, int32_t ranks,
-                      double run_time, const Collector::Counters& counters,
+                      double run_time, uint32_t buckets,
+                      const Collector::Counters& counters,
                       const std::vector<SeqTracker>& watermarks) {
   put(out, sensor_count);
   put(out, ranks);
   put(out, run_time);
+  put(out, buckets);
   put_counters(out, counters);
   put(out, static_cast<uint64_t>(watermarks.size()));
   for (const auto& wm : watermarks) {
@@ -70,29 +83,40 @@ void put_server_state(std::string& out, uint32_t sensor_count, int32_t ranks,
 }
 
 /// Detector section from a Snapshot — the reference form of what
-/// StreamingDetector::encode_checkpoint_state writes from live state.
-void put_detector(std::string& out, const StreamingDetector::Snapshot& d) {
+/// StreamingDetector::encode_checkpoint_state writes from live state. The
+/// three maps share their key prefixes and order, so one pass walks them
+/// together: a slot's rows are the run of rank standards under its key,
+/// and a row's cells the run of cells under the row's key.
+void put_snapshot(std::string& out, const StreamingDetector::Snapshot& d) {
+  auto row = d.rank_standard.begin();
+  auto cell = d.cells.begin();
   put(out, static_cast<uint64_t>(d.standard.size()));
-  for (const auto& [key, v] : d.standard) {
-    put(out, static_cast<int32_t>(key.first));
-    put(out, static_cast<int32_t>(key.second));
-    put(out, v);
-  }
-  put(out, static_cast<uint64_t>(d.rank_standard.size()));
-  for (const auto& [key, v] : d.rank_standard) {
-    put(out, static_cast<int32_t>(std::get<0>(key)));
-    put(out, static_cast<int32_t>(std::get<1>(key)));
-    put(out, static_cast<int32_t>(std::get<2>(key)));
-    put(out, v);
-  }
-  put(out, static_cast<uint64_t>(d.cells.size()));
-  for (const auto& [key, cell] : d.cells) {
-    put(out, static_cast<int32_t>(std::get<0>(key)));
-    put(out, static_cast<int32_t>(std::get<1>(key)));
-    put(out, static_cast<int32_t>(std::get<2>(key)));
-    put(out, static_cast<int32_t>(std::get<3>(key)));
-    put(out, cell.weight_over_avg);
-    put(out, cell.weight);
+  for (const auto& [slot, standard] : d.standard) {
+    const auto rows_end =
+        std::find_if(row, d.rank_standard.end(), [&](const auto& entry) {
+          const auto& [s, g, r] = entry.first;
+          return std::pair(s, g) != slot;
+        });
+    put(out, static_cast<int32_t>(slot.first));
+    put(out, static_cast<int32_t>(slot.second));
+    put(out, standard);
+    put(out, static_cast<uint64_t>(std::distance(row, rows_end)));
+    for (; row != rows_end; ++row) {
+      const auto& [key, rank_standard] = *row;
+      const auto cells_end =
+          std::find_if(cell, d.cells.end(), [&](const auto& entry) {
+            const auto& [s, g, r, b] = entry.first;
+            return std::tuple(s, g, r) != key;
+          });
+      put(out, static_cast<int32_t>(std::get<2>(key)));
+      put(out, rank_standard);
+      put(out, static_cast<uint32_t>(std::distance(cell, cells_end)));
+      for (; cell != cells_end; ++cell) {
+        put(out, static_cast<uint32_t>(std::get<3>(cell->first)));
+        put(out, cell->second.weight_over_avg);
+        put(out, cell->second.weight);
+      }
+    }
   }
   put(out, static_cast<uint64_t>(d.stats.size()));
   for (const auto& st : d.stats) {
@@ -143,10 +167,22 @@ bool plausible(const ByteReader& in, uint64_t count, size_t entry_bytes) {
   return count <= (in.len - in.pos) / entry_bytes;
 }
 
+/// Insert `key` into the ordered container `into` and report whether it
+/// sorted strictly after every key already there. Encoders write keys
+/// ascending, so anything else (a repeat, a step back) is corruption.
+template <typename Ordered, typename Key, typename... Value>
+bool append_ascending(Ordered& into, const Key& key, Value&&... value) {
+  const size_t before = into.size();
+  const auto at =
+      into.emplace_hint(into.end(), key, std::forward<Value>(value)...);
+  return into.size() > before && std::next(at) == into.end();
+}
+
 bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
   ByteReader in{data, len};
   if (!in.read(&ckpt->sensor_count) || !in.read(&ckpt->ranks) ||
-      !in.read(&ckpt->run_time) || !read_counters(in, &ckpt->collector)) {
+      !in.read(&ckpt->run_time) || !in.read(&ckpt->buckets) ||
+      ckpt->buckets == 0 || !read_counters(in, &ckpt->collector)) {
     return false;
   }
 
@@ -167,31 +203,40 @@ bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
   }
 
   auto& d = ckpt->detector;
-  if (!in.read(&n) || !plausible(in, n, 16)) return false;
+  if (!in.read(&n) || !plausible(in, n, kSlotBytes)) return false;
   for (uint64_t i = 0; i < n; ++i) {
-    int32_t a = 0, b = 0;
-    double v = 0.0;
-    if (!in.read(&a) || !in.read(&b) || !in.read(&v)) return false;
-    d.standard[{a, b}] = v;
-  }
-  if (!in.read(&n) || !plausible(in, n, 20)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    int32_t a = 0, b = 0, c = 0;
-    double v = 0.0;
-    if (!in.read(&a) || !in.read(&b) || !in.read(&c) || !in.read(&v)) {
+    int32_t sensor = 0, group = 0;
+    double standard = 0.0;
+    uint64_t rows = 0;
+    if (!in.read(&sensor) || !in.read(&group) || !in.read(&standard) ||
+        !in.read(&rows) || !plausible(in, rows, kRowBytes) ||
+        !append_ascending(d.standard, std::pair(sensor, group), standard)) {
       return false;
     }
-    d.rank_standard[{a, b, c}] = v;
-  }
-  if (!in.read(&n) || !plausible(in, n, 32)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    int32_t a = 0, b = 0, c = 0, e = 0;
-    StreamingDetector::CellSums cell;
-    if (!in.read(&a) || !in.read(&b) || !in.read(&c) || !in.read(&e) ||
-        !in.read(&cell.weight_over_avg) || !in.read(&cell.weight)) {
-      return false;
+    for (uint64_t j = 0; j < rows; ++j) {
+      int32_t rank = 0;
+      double rank_standard = 0.0;
+      uint32_t cells = 0;
+      if (!in.read(&rank) || !in.read(&rank_standard) || !in.read(&cells) ||
+          !plausible(in, cells, kCellBytes) ||
+          !append_ascending(d.rank_standard, std::tuple(sensor, group, rank),
+                            rank_standard)) {
+        return false;
+      }
+      for (uint32_t k = 0; k < cells; ++k) {
+        uint32_t bucket = 0;
+        StreamingDetector::CellSums cell;
+        if (!in.read(&bucket) || !in.read(&cell.weight_over_avg) ||
+            !in.read(&cell.weight) || bucket >= ckpt->buckets ||
+            !append_ascending(
+                d.cells,
+                StreamingDetector::CellKey{sensor, group, rank,
+                                           static_cast<int>(bucket)},
+                cell)) {
+          return false;
+        }
+      }
     }
-    d.cells[{a, b, c, e}] = cell;
   }
   if (!in.read(&n) || !plausible(in, n, 24)) return false;
   d.stats.resize(n);
@@ -207,19 +252,18 @@ bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
   }
   if (!in.read(&n) || !plausible(in, n, 32)) return false;
   for (uint64_t i = 0; i < n; ++i) {
-    int32_t a = 0, b = 0;
+    int32_t sensor = 0, rank = 0;
     StreamingDetector::LastSlice slice;
-    if (!in.read(&a) || !in.read(&b) || !in.read(&slice.t_end) ||
-        !in.read(&slice.avg_duration) || !in.read(&slice.normalized)) {
+    if (!in.read(&sensor) || !in.read(&rank) || !in.read(&slice.t_end) ||
+        !in.read(&slice.avg_duration) || !in.read(&slice.normalized) ||
+        !append_ascending(d.last, std::pair(sensor, rank), slice)) {
       return false;
     }
-    d.last[{a, b}] = slice;
   }
   if (!in.read(&n) || !plausible(in, n, 4)) return false;
   for (uint64_t i = 0; i < n; ++i) {
     int32_t rank = 0;
-    if (!in.read(&rank)) return false;
-    d.stale.insert(rank);
+    if (!in.read(&rank) || !append_ascending(d.stale, rank)) return false;
   }
   if (!in.read(&d.observed) || !in.read(&d.stale_records) ||
       !in.read(&d.degenerate_records) || !in.read(&d.intra_flags) ||
@@ -236,8 +280,8 @@ std::string encode_checkpoint(const ServerCheckpoint& ckpt) {
   std::string out;
   frame_checkpoint(out, [&] {
     put_server_state(out, ckpt.sensor_count, ckpt.ranks, ckpt.run_time,
-                     ckpt.collector, ckpt.watermarks);
-    put_detector(out, ckpt.detector);
+                     ckpt.buckets, ckpt.collector, ckpt.watermarks);
+    put_snapshot(out, ckpt.detector);
   });
   return out;
 }
@@ -249,7 +293,8 @@ void encode_live_checkpoint(std::string& out,
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
   frame_checkpoint(out, [&] {
     put_server_state(out, static_cast<uint32_t>(detector.sensor_count()),
-                     detector.ranks(), detector.run_time(), collector,
+                     detector.ranks(), detector.run_time(),
+                     static_cast<uint32_t>(detector.buckets()), collector,
                      watermarks);
     detector.encode_checkpoint_state(out);
   });
@@ -310,9 +355,16 @@ CheckpointLoad parse_checkpoint(const std::string& bytes) {
   CheckpointLoad load;
   load.total_bytes = bytes.size();
   const size_t header_len = std::strlen(kHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kHeader) != 0) {
-    load.warning = "checkpoint header invalid";
+  if (bytes.compare(0, header_len, kHeader) != 0) {
+    // Another version of the format names itself on its first line.
+    const auto head = std::string_view(bytes).substr(0, kMagic.size() + 8);
+    const size_t eol = head.find('\n');
+    load.warning =
+        head.starts_with(kMagic) && eol != std::string_view::npos
+            ? "checkpoint version " +
+                  std::string(head.substr(kMagic.size(), eol - kMagic.size())) +
+                  " is not readable (this build reads version 2)"
+            : "checkpoint header invalid";
     return load;
   }
   uint64_t payload_len = 0;

@@ -10,24 +10,40 @@
 //  * the per-rank delivery watermarks (SeqTracker), which make replaying a
 //    journal suffix that overlaps the checkpoint idempotent — a batch at
 //    or below its rank's watermark is skipped, never double-counted;
-//  * sanity fields (sensor count, ranks, run time) so a checkpoint is
-//    never restored into a differently-shaped server.
+//  * shape fields (sensor count, ranks, run time, matrix buckets) so a
+//    checkpoint is never restored into a differently-shaped server.
 //
-// File layout: one-line header, then u64 payload_len | u32 crc32(payload)
-// | payload. The payload is the fields of ServerCheckpoint in declaration
-// order; each container is a u64 count then fixed-width entries in
-// ascending key order.
+// File layout (`vsensor-checkpoint 2`): one-line header, then
+// u64 payload_len | u32 crc32(payload) | payload. The payload is
+//
+//   u32 sensor_count | i32 ranks | f64 run_time | u32 buckets
+//   collector counters, watermarks
+//   u64 slots; per slot, (sensor, group) ascending:
+//     i32 sensor | i32 group | f64 standard | u64 rows
+//     per row, rank ascending: i32 rank | f64 rank_standard | u32 cells
+//     per cell, bucket ascending: u32 bucket | f64 weight_over_avg
+//                                 | f64 weight
+//   Welford stats, per-sensor record counts, last slices, stale ranks,
+//   flag counters
+//
+// A row carries its key once for all its cells, so a cell costs 20 bytes.
+// Each other container is a u64 count then fixed-width entries in
+// ascending key order. A file of another version is not read: it fails
+// closed with a warning naming its version, and recovery replays the
+// journal.
 //
 // Two encoders write these bytes. The server writes each checkpoint
 // straight from its live state (encode_live_checkpoint): no Snapshot copy,
 // one reused buffer, the CRC patched in place. encode_checkpoint writes the
-// same bytes from a ServerCheckpoint; it is what save_checkpoint writes and
-// the reference the live encoder is tested against. Writing goes to `<path>.tmp` and renames over the target, so
-// a crash mid-checkpoint leaves the previous checkpoint intact — the file
-// at `path` is always either absent or a complete previous snapshot.
-// Loading never throws on corrupt content: damage fails closed with a
-// structured warning and recovery falls back to replaying the journal
-// from scratch.
+// same bytes from a ServerCheckpoint without validating it; it is what
+// save_checkpoint writes and the reference the live encoder is tested
+// against. The decoder validates: keys strictly ascending, buckets in
+// [0, buckets), counts within the bytes left. Writing goes to
+// `<path>.tmp` and renames over the target, so a crash mid-checkpoint
+// leaves the previous checkpoint intact — the file at `path` is always
+// either absent or a complete previous snapshot. Loading never throws on
+// corrupt content: damage fails closed with a structured warning and
+// recovery falls back to replaying the journal from scratch.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +60,13 @@ namespace vsensor::rt {
 
 struct ServerCheckpoint {
   // Shape sanity: restoring into a server with a different sensor table,
-  // rank count, or analysis horizon is refused.
+  // rank count, analysis horizon, or matrix resolution is refused.
   uint32_t sensor_count = 0;
   int32_t ranks = 0;
   double run_time = 0.0;
+  /// Matrix time buckets per row (StreamingDetector::buckets()); never 0
+  /// in a valid checkpoint.
+  uint32_t buckets = 0;
 
   Collector::Counters collector;
   /// Per-rank delivery watermarks at checkpoint time (journal-replay dedup).
@@ -56,12 +75,15 @@ struct ServerCheckpoint {
 };
 
 /// Serialize a checkpoint exactly as save_checkpoint writes it (header +
-/// length + CRC + payload). Exposed so tests can corrupt real bytes.
+/// length + CRC + payload). Exposed so tests can corrupt real bytes. The
+/// detector snapshot must be one restore() accepts (every cell under its
+/// rank standard, every rank standard under its standard); it is written
+/// as given, not checked.
 std::string encode_checkpoint(const ServerCheckpoint& ckpt);
 
 /// Encode a running server's checkpoint into `out` straight from live
 /// state: the same bytes encode_checkpoint writes for
-/// ServerCheckpoint{shape of `detector`, collector, watermarks,
+/// ServerCheckpoint{shape and buckets of `detector`, collector, watermarks,
 /// detector.snapshot()}. `out` is overwritten and keeps its capacity, so a
 /// server that reuses it grows the buffer once. The caller must keep the
 /// detector from folding meanwhile (the server holds its lock).

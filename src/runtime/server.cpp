@@ -408,6 +408,7 @@ RecoveryReport AnalysisServer::recover_locked() {
     if (c.sensor_count == detector_->sensor_count() &&
         c.ranks == detector_->ranks() &&
         c.run_time == detector_->run_time() &&
+        c.buckets == static_cast<uint32_t>(detector_->buckets()) &&
         c.watermarks.size() == watermarks_.size()) {
       try {
         detector_->restore(c.detector);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -515,11 +516,12 @@ void StreamingDetector::encode_checkpoint_state(std::string& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const State::Sizes n = st_.sizes();
   const uint64_t sensors = sensors_.size();
-  // Section layout (runtime/checkpoint.cpp): each container is a u64 count
-  // then fixed-width entries, in Snapshot's key order.
-  const uint64_t bytes = 7 * 8 + n.standards * 16 + n.rank_standards * 20 +
-                         st_.cells * 32 + sensors * 24 + sensors * 8 +
-                         n.last * 32 + n.stale * 4 + 5 * 8;
+  // Section layout (runtime/checkpoint.hpp): slots with their rows and
+  // cells in Snapshot's key order, then the u64-counted fixed-width
+  // containers.
+  const uint64_t bytes = 8 + n.standards * 24 + n.rank_standards * 16 +
+                         st_.cells * 20 + 8 + sensors * 24 + 8 + sensors * 8 +
+                         8 + n.last * 32 + 8 + n.stale * 4 + 5 * 8;
   const size_t at = out.size();
   out.resize(at + bytes);
   ByteCursor w{out.data() + at};
@@ -531,34 +533,29 @@ void StreamingDetector::encode_checkpoint_state(std::string& out) const {
     w.put(static_cast<int32_t>(slot.sensor));
     w.put(static_cast<int32_t>(slot.group));
     w.put(slot.standard);
-  }
-  w.put(n.rank_standards);
-  for (const uint32_t i : st_.order) {
-    const Slot& slot = st_.slots[i];
-    for (int r = 0; r < ranks_; ++r) {
-      if (slot.rows[static_cast<size_t>(r)] == nullptr) continue;
-      w.put(static_cast<int32_t>(slot.sensor));
-      w.put(static_cast<int32_t>(slot.group));
-      w.put(static_cast<int32_t>(r));
-      w.put(slot.rank_standard[static_cast<size_t>(r)]);
-    }
-  }
-  w.put(st_.cells);
-  for (const uint32_t i : st_.order) {
-    const Slot& slot = st_.slots[i];
+    // Row and cell counts are known only after the walk; patched in place.
+    char* const rows_at = w.p;
+    w.put(uint64_t{0});
+    uint64_t rows = 0;
     for (int r = 0; r < ranks_; ++r) {
       const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
       if (row == nullptr) continue;
+      ++rows;
+      w.put(static_cast<int32_t>(r));
+      w.put(slot.rank_standard[static_cast<size_t>(r)]);
+      char* const cells_at = w.p;
+      w.put(uint32_t{0});
+      uint32_t cells = 0;
       for (int b = 0; b < buckets_; ++b) {
         if (row[b].weight == kEmptyCell) continue;
-        w.put(static_cast<int32_t>(slot.sensor));
-        w.put(static_cast<int32_t>(slot.group));
-        w.put(static_cast<int32_t>(r));
-        w.put(static_cast<int32_t>(b));
+        ++cells;
+        w.put(static_cast<uint32_t>(b));
         w.put(row[b].weight_over_avg);
         w.put(row[b].weight);
       }
+      std::memcpy(cells_at, &cells, sizeof cells);
     }
+    std::memcpy(rows_at, &rows, sizeof rows);
   }
   w.put(sensors);
   for (const auto& stats : st_.stats) {

@@ -33,7 +33,10 @@
 // Snapshot is the export form of that state — ordered maps, as merges,
 // tests and tools consume it. The server's checkpoints are written
 // straight from the dense state (encode_checkpoint_state), in the same
-// bytes encode_checkpoint produces from snapshot().
+// `vsensor-checkpoint 2` bytes encode_checkpoint produces from snapshot():
+// each slot once, each touched row once under it, and each non-empty
+// cell as its bucket and two sums (20 bytes). A checkpoint also records
+// buckets(), so recovery refuses one taken at another matrix resolution.
 #pragma once
 
 #include <cstdint>
@@ -171,6 +174,8 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   const DetectorConfig& config() const { return cfg_; }
   int ranks() const { return ranks_; }
   double run_time() const { return run_time_; }
+  /// Matrix time buckets per row: ceil(run_time / matrix_resolution).
+  int buckets() const { return buckets_; }
   size_t sensor_count() const { return sensors_.size(); }
 
   /// Health plane (opt-in, non-owning). With hooks engaged, every online
@@ -236,9 +241,9 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// detector; recovery then restores a snapshot and replays the journal).
   void reset();
 
-  /// Append this detector's section of a `vsensor-checkpoint 1` payload to
+  /// Append this detector's section of a `vsensor-checkpoint 2` payload to
   /// `out`: byte for byte what encode_checkpoint writes for snapshot(),
-  /// written straight from the live state under the detector lock, with no
+  /// written straight from the dense rows under the detector lock, with no
   /// Snapshot copy. `out` grows once, by the section's exact size.
   void encode_checkpoint_state(std::string& out) const;
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -79,6 +80,65 @@ TEST(Crc32, MatchesKnownVectors) {
   const uint32_t whole = crc32(s);
   const uint32_t half = crc32(s.data(), 7);
   EXPECT_EQ(crc32(s.data() + 7, s.size() - 7, half), whole);
+}
+
+TEST(Crc32, EveryPathMatchesReference) {
+  // crc32() folds 16-byte blocks by carry-less multiply where the CPU has
+  // it and finishes in the tables; crc32_portable() is the tables alone.
+  // Both must equal the bytewise reference for every length across the
+  // fold threshold and block boundaries, at every alignment, from any
+  // seed, and when the input is split anywhere.
+  Rng rng(0xC4C);
+  std::vector<unsigned char> buf((9u << 20) + 16);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+  const uint32_t seeds[] = {0u, 0xFFFFFFFFu,
+                            static_cast<uint32_t>(rng.next_below(1ull << 32))};
+  using Crc = uint32_t (*)(const void*, size_t, uint32_t);
+  const std::pair<const char*, Crc> paths[] = {
+      {"crc32",
+       [](const void* p, size_t n, uint32_t s) { return crc32(p, n, s); }},
+      {"crc32_portable", crc32_portable}};
+  SCOPED_TRACE(std::string("active implementation ") + crc32_impl_name());
+  const auto expect_all = [&](const unsigned char* p, size_t len,
+                              uint32_t seed, uint32_t want) {
+    for (const auto& [name, crc] : paths) {
+      ASSERT_EQ(crc(p, len, seed), want)
+          << name << ": len " << len << " offset " << (p - buf.data())
+          << " seed " << seed;
+    }
+  };
+
+  for (size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (const uint32_t seed : seeds) {
+      for (size_t len = 0; len <= 1024; ++len) {
+        ASSERT_NO_FATAL_FAILURE(
+            expect_all(p, len, seed, crc32_reference(p, len, seed)));
+      }
+    }
+    // 1, 4 and 9 MB, one seed per offset (the bytewise reference is slow):
+    // the reference chains over the growing prefix.
+    const uint32_t seed = seeds[offset % 3];
+    uint32_t want = seed;
+    size_t done = 0;
+    for (const size_t mb : {1u, 4u, 9u}) {
+      const size_t len = mb << 20;
+      want = crc32_reference(p + done, len - done, want);
+      done = len;
+      ASSERT_NO_FATAL_FAILURE(expect_all(p, len, seed, want));
+    }
+  }
+  for (const uint32_t seed : seeds) {
+    const uint32_t whole = crc32_reference(buf.data(), 300, seed);
+    for (const auto& [name, crc] : paths) {
+      for (size_t split = 0; split <= 300; ++split) {
+        ASSERT_EQ(crc(buf.data() + split, 300 - split,
+                      crc(buf.data(), split, seed)),
+                  whole)
+            << name << ": split at " << split << " seed " << seed;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- Journal
@@ -208,6 +268,7 @@ ServerCheckpoint sample_checkpoint() {
   ckpt.sensor_count = 2;
   ckpt.ranks = 3;
   ckpt.run_time = 10e-3;
+  ckpt.buckets = static_cast<uint32_t>(det.buckets());
   ckpt.collector = Collector::Counters{3, 0, 0, 3 * kRecordWireBytes, 1};
   ckpt.watermarks.resize(3);
   ckpt.watermarks[0].insert(0);
@@ -274,6 +335,93 @@ TEST(Checkpoint, FuzzTruncationsAndBitFlipsFailClosed) {
   }
   // Trailing garbage after a complete payload is corruption, not slack.
   EXPECT_FALSE(parse_checkpoint(bytes + "x").ok);
+}
+
+TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
+  // The bit-flip fuzz above never reaches the parser: the CRC rejects every
+  // flip first. Here each structural field is damaged and the CRC
+  // recomputed, so only the decoder's own checks stand in the way.
+  ServerCheckpoint sample = sample_checkpoint();
+  ASSERT_EQ(sample.buckets, 10u);
+  // Slot (0, 0) gains a second row (rank 1) and its rank-0 row a second
+  // cell, so there are repeats and orders to break.
+  auto& d = sample.detector;
+  d.rank_standard[{0, 0, 1}] = 4e-4;
+  d.cells[{0, 0, 0, 5}] = StreamingDetector::CellSums{1.0 / 3e-4, 1.0};
+  d.cells[{0, 0, 1, 6}] = StreamingDetector::CellSums{1.0 / 4e-4, 1.0};
+  const std::string bytes = encode_checkpoint(sample);
+  ASSERT_TRUE(parse_checkpoint(bytes).ok);
+
+  // Field offsets, by the layout in checkpoint.hpp.
+  const size_t crc_at = bytes.find('\n') + 1 + 8;
+  const size_t payload = crc_at + 4;
+  const auto u32_at = [&](size_t at) {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  };
+  const auto u64_at = [&](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+  };
+  const size_t buckets_at = payload + 4 + 4 + 8;
+  size_t at = buckets_at + 4 + 5 * 8;  // collector counters
+  const uint64_t watermarks = u64_at(at);
+  at += 8;
+  for (uint64_t i = 0; i < watermarks; ++i) at += 16 + 8 * u64_at(at + 8);
+  ASSERT_EQ(u64_at(at), 3u) << "slot count";
+  const size_t slot0 = at + 8;       // i32 sensor | i32 group | f64 | u64 rows
+  const size_t row0 = slot0 + 24;    // i32 rank | f64 | u32 cells
+  const size_t cell00 = row0 + 16;   // u32 bucket | f64 | f64
+  const size_t cell01 = cell00 + 20;
+  const size_t row1 = cell01 + 20;
+  const size_t slot1 = row1 + 16 + 20;
+  ASSERT_EQ(u32_at(buckets_at), 10u);
+  ASSERT_EQ(u64_at(slot0 + 16), 2u) << "rows of slot (0, 0)";
+  ASSERT_EQ(u32_at(row0 + 12), 2u) << "cells of row 0";
+  ASSERT_EQ(u32_at(cell00), 1u);
+  ASSERT_EQ(u32_at(cell01), 5u);
+  ASSERT_EQ(u32_at(row1), 1u) << "rank of row 1";
+  ASSERT_EQ(u32_at(slot1 + 4), 1u) << "group of slot (0, 1)";
+
+  const auto with = [&](size_t field, auto value) {
+    std::string mutated = bytes;
+    std::memcpy(mutated.data() + field, &value, sizeof value);
+    const uint32_t crc =
+        crc32(mutated.data() + payload, mutated.size() - payload);
+    std::memcpy(mutated.data() + crc_at, &crc, sizeof crc);
+    return mutated;
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"bucket >= buckets", with(cell01, uint32_t{10})},
+      {"repeated bucket", with(cell01, uint32_t{1})},
+      {"ranks out of order", with(row0, int32_t{2})},
+      {"slots out of order", with(slot0 + 4, int32_t{5})},
+      {"row count past the end", with(slot0 + 16, uint64_t{1} << 40)},
+      {"cell count past the end", with(row0 + 12, UINT32_MAX)},
+      {"buckets = 0", with(buckets_at, uint32_t{0})},
+  };
+  for (const auto& [what, mutated] : cases) {
+    const auto load = parse_checkpoint(mutated);
+    EXPECT_FALSE(load.ok) << what;
+    EXPECT_NE(load.warning.find("payload malformed"), std::string::npos)
+        << what << ": " << load.warning;
+  }
+
+  // buckets = 0 is malformed even with no cell to fall outside it.
+  ServerCheckpoint cell_free;
+  cell_free.buckets = 1;
+  ASSERT_TRUE(parse_checkpoint(encode_checkpoint(cell_free)).ok);
+  cell_free.buckets = 0;
+  EXPECT_FALSE(parse_checkpoint(encode_checkpoint(cell_free)).ok);
+
+  // A file of another format version fails closed and names its version.
+  std::string v1 = bytes;
+  v1[bytes.find('\n') - 1] = '1';
+  const auto load = parse_checkpoint(v1);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.warning.find("version 1"), std::string::npos) << load.warning;
 }
 
 TEST(Checkpoint, MissingFileLoadsAsRejected) {
@@ -678,6 +826,53 @@ TEST(RecoveryEquivalence, FreshServerRecoversPredecessorFiles) {
   EXPECT_EQ(collector.counters().batches, want_counters.batches);
 }
 
+TEST(RecoveryEquivalence, CheckpointFromOtherResolutionIsIgnored) {
+  // A checkpoint taken at 1 ms buckets fits a 0.5 ms detector cell for
+  // cell (every bucket index is in range), but its cells hold the wrong
+  // time spans. Recovery must refuse it and replay the journal instead.
+  const int ranks = 3;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/5, ranks, T);
+  ServerConfig cfg;
+  {
+    ServerRig coarse("other_resolution", ranks, T, /*checkpoint_every=*/0);
+    cfg = coarse.server.config();
+    for (const auto& d : stream) {
+      coarse.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    }
+    coarse.server.checkpoint();
+  }
+  ASSERT_TRUE(load_checkpoint(cfg.checkpoint_path).ok);
+
+  DetectorConfig fine = ServerRig::make_cfg();
+  fine.matrix_resolution = 0.5e-3;
+  Collector collector;
+  collector.set_sensors(two_sensors());
+  StreamingDetector detector(fine, two_sensors(), ranks, T);
+  collector.attach_sink(&detector);
+  AnalysisServer recovered(cfg, &collector, &detector);
+  const auto report = recovered.recover();
+  EXPECT_FALSE(report.checkpoint_loaded);
+  EXPECT_NE(report.checkpoint_warning.find("shape"), std::string::npos)
+      << report.checkpoint_warning;
+  EXPECT_GT(report.frames_replayed, 0u);
+
+  Collector fresh_collector;
+  fresh_collector.set_sensors(two_sensors());
+  StreamingDetector fresh(fine, two_sensors(), ranks, T);
+  fresh_collector.attach_sink(&fresh);
+  AnalysisServer fresh_server(
+      ServerRig::make_server_cfg("other_resolution_fresh", 0),
+      &fresh_collector, &fresh);
+  for (const auto& d : stream) {
+    fresh_server.on_delivery(d.rank, d.seq, d.records, d.now);
+  }
+  EXPECT_TRUE(snapshot_bytes(detector.snapshot()) ==
+              snapshot_bytes(fresh.snapshot()))
+      << "recovered state differs from a fresh fold at 0.5 ms";
+  expect_bit_identical(detector.finalize(), fresh.finalize());
+}
+
 TEST(RecoveryEquivalence, RevivalSurvivesRecovery) {
   // Rank 1 folds, goes stale, sends a straggler, rejoins and folds again
   // under its next generation. The journal holds the StaleRank and
@@ -827,6 +1022,7 @@ TEST(Checkpoint, LiveEncoderMatchesReferenceEncoder) {
       ckpt.sensor_count = static_cast<uint32_t>(app->sensors().size());
       ckpt.ranks = ranks;
       ckpt.run_time = run.makespan;
+      ckpt.buckets = static_cast<uint32_t>(detector.buckets());
       ckpt.collector = collector.counters();
       ckpt.watermarks = watermarks;
       ckpt.detector = detector.snapshot();

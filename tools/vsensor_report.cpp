@@ -177,8 +177,8 @@ int inspect_checkpoint(const std::string& path) {
     return 4;
   }
   const auto& c = load.ckpt;
-  std::printf("  shape: %u sensors, %d ranks, run_time %.6f s\n",
-              c.sensor_count, c.ranks, c.run_time);
+  std::printf("  shape: %u sensors, %d ranks, run_time %.6f s, %u buckets\n",
+              c.sensor_count, c.ranks, c.run_time, c.buckets);
   std::printf("  collector: %llu records ingested, %llu batches, %llu bytes\n",
               static_cast<unsigned long long>(c.collector.ingested),
               static_cast<unsigned long long>(c.collector.batches),
