@@ -3,8 +3,9 @@
 // server crashes injected mid-run on top of transport drops, duplicates,
 // and delays — and checks that the recovered run's analysis equals the
 // uninterrupted one's. Also reports what durability costs: journal bytes
-// written, checkpoint cadence, and per-recovery replay latency. CI runs
-// this binary and archives the journal and checkpoint it leaves behind.
+// written, checkpoint cadence, and per-recovery replay latency, and fails
+// unless some recovery went through checkpoint deltas. CI runs this binary
+// and archives the journal and checkpoint it leaves behind.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -141,10 +142,11 @@ int main() {
   for (size_t i = 0; i < crashed.reports.size(); ++i) {
     const auto& r = crashed.reports[i];
     std::printf(
-        "recovery %zu: checkpoint %s, %llu frames replayed, %llu skipped "
-        "(watermark dedup), %llu records, %llu torn bytes dropped, "
-        "%.3f ms\n",
+        "recovery %zu: checkpoint %s (base + %llu deltas), %llu frames "
+        "replayed, %llu skipped (watermark dedup), %llu records, %llu torn "
+        "bytes dropped, %.3f ms\n",
         i + 1, r.checkpoint_loaded ? "loaded" : "absent",
+        static_cast<unsigned long long>(r.checkpoint_deltas),
         static_cast<unsigned long long>(r.frames_replayed),
         static_cast<unsigned long long>(r.frames_skipped),
         static_cast<unsigned long long>(r.records_replayed),
@@ -163,9 +165,16 @@ int main() {
                "recovery lost or double-counted records");
   VS_CHECK_MSG(smooth.batches == crashed.batches,
                "recovery lost or double-counted batches");
+  uint64_t deltas_applied = 0;
   for (const auto& r : crashed.reports) {
     VS_CHECK_MSG(r.torn_bytes > 0, "crash left no torn frame to salvage");
+    deltas_applied += r.checkpoint_deltas;
   }
+  // Periodic checkpoints after a post-recovery base are deltas, so a later
+  // crash recovers through a delta chain; the equality checks below then
+  // prove that chain bit-exact on a faulted run.
+  VS_CHECK_MSG(deltas_applied > 0,
+               "no recovery applied a checkpoint delta");
   // The health plane saw every crash: structured events with virtual-time
   // context, and a flight dump left by the (simulated) dying server.
   VS_CHECK_MSG(events.count(obs::EventKind::Crash) == 3,

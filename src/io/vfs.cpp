@@ -82,6 +82,16 @@ IoResult RealFs::remove_file(const std::string& path) {
   return IoResult::success();
 }
 
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  out->resize(static_cast<size_t>(size));
+  in.seekg(0);
+  return static_cast<bool>(in.read(out->data(), size));
+}
+
 RealFs& real_fs() {
   static RealFs fs;
   return fs;

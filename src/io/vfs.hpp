@@ -14,7 +14,8 @@
 //    translate into its own degradation policy (retry, degrade, warn).
 //  * The interface is write-side only. Loaders (load_journal,
 //    load_checkpoint, load_session) already fail closed on damaged bytes;
-//    injecting read faults would only re-test that salvage logic.
+//    injecting read faults would only re-test that salvage logic. They
+//    read through the plain read_file below.
 //  * Passing a null Vfs* anywhere means "the real filesystem" — existing
 //    call sites keep working untouched via resolve().
 #pragma once
@@ -94,6 +95,11 @@ class RealFs final : public Vfs {
 
 /// The process-wide real filesystem instance.
 RealFs& real_fs();
+
+/// Read all of `path` into `out`, which is sized from the file first, so
+/// the bytes are copied once and the file is held once. False when the
+/// file cannot be opened or read in full.
+bool read_file(const std::string& path, std::string* out);
 
 /// Null-tolerant resolution: every durable-I/O entry point takes a Vfs*
 /// that may be null, meaning the real filesystem.

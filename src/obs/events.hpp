@@ -38,7 +38,7 @@ enum class EventKind : uint8_t {
   JournalSalvage,   ///< journal load discarded a torn tail
   Crash,            ///< injected/real server crash fired
   Recovery,         ///< server finished checkpoint restore + replay
-  CheckpointSaved,  ///< atomic checkpoint published
+  CheckpointSaved,  ///< checkpoint written (base published or delta appended)
   DurabilityDegraded,  ///< journal gave up retrying; ingest continues non-durable
   DurabilityRearmed,   ///< fresh checkpoint landed; journaling resumed
   CheckpointFailed,    ///< a checkpoint publish attempt failed (old one kept)

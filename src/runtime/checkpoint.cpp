@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -19,7 +17,7 @@ namespace vsensor::rt {
 
 namespace {
 
-constexpr const char* kHeader = "vsensor-checkpoint 2\n";
+constexpr const char* kHeader = "vsensor-checkpoint 3\n";
 constexpr std::string_view kMagic = "vsensor-checkpoint ";
 
 // Fixed bytes of one slot, row and cell entry (the layout in
@@ -143,13 +141,28 @@ void put_snapshot(std::string& out, const StreamingDetector::Snapshot& d) {
   put(out, d.inter_flags);
 }
 
-/// Frame the payload `body` appends to `out`: header, then length and CRC
-/// placeholders that are patched in place once the payload is complete,
-/// so the payload is never copied. `out` is overwritten but keeps its
-/// capacity.
+/// Append all of `bytes` to `out`, then flush: the first failure, if any.
+io::IoResult append_all(io::File& out, std::string_view bytes) {
+  const auto w = out.append(bytes.data(), bytes.size());
+  return w.ok ? out.flush() : w;
+}
+
+/// Count one checkpoint frame written, of `bytes`.
+void count_saved([[maybe_unused]] size_t bytes) {
+  VS_OBS_ONLY(if (obs::enabled()) {
+    auto& inst = CheckpointInstruments::get();
+    inst.saves.add();
+    inst.bytes.add(bytes);
+  })
+}
+
+/// Frame the payload `body` appends to `out`: the file header for a base,
+/// then length and CRC placeholders that are patched in place once the
+/// payload is complete, so the payload is never copied. `out` is
+/// overwritten but keeps its capacity.
 template <typename Body>
-void frame_checkpoint(std::string& out, Body&& body) {
-  out.assign(kHeader);
+void frame_checkpoint(std::string& out, CheckpointFrame frame, Body&& body) {
+  out.assign(frame == CheckpointFrame::Base ? kHeader : "");
   const size_t len_at = out.size();
   put(out, uint64_t{0});
   put(out, uint32_t{0});
@@ -274,11 +287,66 @@ bool parse_payload(const char* data, size_t len, ServerCheckpoint* ckpt) {
   return in.done();
 }
 
+/// Read the frame at `in`'s position into `payload`. Returns why the frame
+/// is unusable, or null when it is whole and its CRC matches; only then
+/// does `in` move past it.
+const char* read_frame(ByteReader& in, std::string_view* payload) {
+  ByteReader at = in;
+  uint64_t len = 0;
+  uint32_t crc = 0;
+  if (!at.read(&len) || !at.read(&crc)) return "torn frame header";
+  if (!at.has(len)) return "torn frame payload";
+  *payload = std::string_view(at.p + at.pos, len);
+  if (crc32(payload->data(), len) != crc) return "CRC mismatch";
+  at.pos += len;
+  in = at;
+  return nullptr;
+}
+
+/// Whether a delta fits the base it follows: same shape, and whole
+/// sections of the same lengths.
+bool same_shape(const ServerCheckpoint& a, const ServerCheckpoint& b) {
+  return a.sensor_count == b.sensor_count && a.ranks == b.ranks &&
+         a.run_time == b.run_time && a.buckets == b.buckets &&
+         a.watermarks.size() == b.watermarks.size() &&
+         a.detector.stats.size() == b.detector.stats.size() &&
+         a.detector.sensor_records.size() ==
+             b.detector.sensor_records.size();
+}
+
+/// Assign every entry of `from` over `into`. Both are in key order, so
+/// each insert is hinted with the entry after the previous one: a run of
+/// keys adjacent in `into` costs O(1) each, and only a jump searches.
+template <typename Map>
+void assign_over(Map& into, const Map& from) {
+  auto hint = into.begin();
+  for (const auto& [key, value] : from) {
+    hint = std::next(into.insert_or_assign(hint, key, value));
+  }
+}
+
+/// Apply a delta frame to the state so far. Its standards, rank
+/// standards, cells and last slices are assigned over the state's; every
+/// other section of a delta is whole and replaces the state's.
+void apply_delta(ServerCheckpoint& into, ServerCheckpoint&& delta) {
+  auto& to = into.detector;
+  auto& from = delta.detector;
+  assign_over(to.standard, from.standard);
+  assign_over(to.rank_standard, from.rank_standard);
+  assign_over(to.cells, from.cells);
+  assign_over(to.last, from.last);
+  from.standard = std::move(to.standard);
+  from.rank_standard = std::move(to.rank_standard);
+  from.cells = std::move(to.cells);
+  from.last = std::move(to.last);
+  into = std::move(delta);
+}
+
 }  // namespace
 
 std::string encode_checkpoint(const ServerCheckpoint& ckpt) {
   std::string out;
-  frame_checkpoint(out, [&] {
+  frame_checkpoint(out, CheckpointFrame::Base, [&] {
     put_server_state(out, ckpt.sensor_count, ckpt.ranks, ckpt.run_time,
                      ckpt.buckets, ckpt.collector, ckpt.watermarks);
     put_snapshot(out, ckpt.detector);
@@ -286,17 +354,17 @@ std::string encode_checkpoint(const ServerCheckpoint& ckpt) {
   return out;
 }
 
-void encode_live_checkpoint(std::string& out,
+void encode_live_checkpoint(std::string& out, CheckpointFrame frame,
                             const Collector::Counters& collector,
                             const std::vector<SeqTracker>& watermarks,
-                            const StreamingDetector& detector) {
+                            StreamingDetector& detector) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
-  frame_checkpoint(out, [&] {
+  frame_checkpoint(out, frame, [&] {
     put_server_state(out, static_cast<uint32_t>(detector.sensor_count()),
                      detector.ranks(), detector.run_time(),
                      static_cast<uint32_t>(detector.buckets()), collector,
                      watermarks);
-    detector.encode_checkpoint_state(out);
+    detector.encode_checkpoint_state(out, frame);
   });
 }
 
@@ -315,10 +383,9 @@ CheckpointSaveResult try_publish_checkpoint(const std::string& path,
                                  : err;
       return result;
     }
-    const auto w = out->append(bytes.data(), bytes.size());
-    const auto f = w.ok ? out->flush() : io::IoResult::success();
-    if (!w.ok || !f.ok) {
-      result.error = !w.ok ? w.error : f.error;
+    const auto w = append_all(*out, bytes);
+    if (!w.ok) {
+      result.error = w.error;
       out.reset();
       // A half-written tmp is garbage; sweep it now so failure leaves no
       // residue. If even the sweep fails, tell the caller it is there.
@@ -337,11 +404,29 @@ CheckpointSaveResult try_publish_checkpoint(const std::string& path,
     result.tmp_left = true;
     return result;
   }
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = CheckpointInstruments::get();
-    inst.saves.add();
-    inst.bytes.add(bytes.size());
-  })
+  count_saved(bytes.size());
+  result.ok = true;
+  return result;
+}
+
+CheckpointSaveResult try_append_checkpoint(const std::string& path,
+                                           std::string_view frame,
+                                           io::Vfs* vfs) {
+  VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
+  CheckpointSaveResult result;
+  std::string err;
+  auto out = io::resolve(vfs).open_append(path, &err);
+  if (out == nullptr) {
+    result.error =
+        err.empty() ? "cannot open checkpoint for appending: " + path : err;
+    return result;
+  }
+  const auto w = append_all(*out, frame);
+  if (!w.ok) {
+    result.error = w.error;
+    return result;
+  }
+  count_saved(frame.size());
   result.ok = true;
   return result;
 }
@@ -363,44 +448,61 @@ CheckpointLoad parse_checkpoint(const std::string& bytes) {
         head.starts_with(kMagic) && eol != std::string_view::npos
             ? "checkpoint version " +
                   std::string(head.substr(kMagic.size(), eol - kMagic.size())) +
-                  " is not readable (this build reads version 2)"
+                  " is not readable (this build reads version 3)"
             : "checkpoint header invalid";
     return load;
   }
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-  ByteReader framing{bytes.data() + header_len, bytes.size() - header_len};
-  if (!framing.read(&payload_len) || !framing.read(&crc) ||
-      !framing.has(payload_len) ||
-      framing.len - framing.pos != payload_len) {
-    load.warning = "checkpoint truncated or length-damaged";
-    return load;
+  ByteReader in{bytes.data() + header_len, bytes.size() - header_len};
+  std::string_view payload;
+  const char* why = read_frame(in, &payload);
+  if (why == nullptr &&
+      !parse_payload(payload.data(), payload.size(), &load.ckpt)) {
+    why = "payload malformed";
   }
-  const char* payload = framing.p + framing.pos;
-  if (crc32(payload, payload_len) != crc) {
-    load.warning = "checkpoint CRC mismatch";
-    return load;
-  }
-  if (!parse_payload(payload, payload_len, &load.ckpt)) {
+  if (why != nullptr) {
     load.ckpt = ServerCheckpoint{};
-    load.warning = "checkpoint payload malformed";
+    load.warning = std::string("checkpoint base: ") + why;
     return load;
   }
   load.ok = true;
+
+  // The delta chain: the first frame that does not apply ends it, and the
+  // bytes from there on are a torn tail.
+  while (!in.done()) {
+    const size_t at = header_len + in.pos;
+    ServerCheckpoint delta;
+    why = read_frame(in, &payload);
+    if (why == nullptr &&
+        !parse_payload(payload.data(), payload.size(), &delta)) {
+      why = "payload malformed";
+    }
+    if (why == nullptr && !same_shape(delta, load.ckpt)) {
+      why = "shape differs from the base";
+    }
+    if (why == nullptr) {
+      apply_delta(load.ckpt, std::move(delta));
+      ++load.deltas;
+      continue;
+    }
+    load.torn_bytes = bytes.size() - at;
+    load.warning = "checkpoint delta at byte " + std::to_string(at) + ": " +
+                   why + "; " + std::to_string(load.torn_bytes) +
+                   " tail bytes dropped after " + std::to_string(load.deltas) +
+                   " deltas";
+    break;
+  }
   return load;
 }
 
 CheckpointLoad load_checkpoint(const std::string& path) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string bytes;
+  if (!io::read_file(path, &bytes)) {
     CheckpointLoad load;
     load.warning = "checkpoint missing or unreadable: " + path;
     return load;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_checkpoint(ss.str());
+  return parse_checkpoint(bytes);
 }
 
 }  // namespace vsensor::rt

@@ -1,7 +1,8 @@
 // Checkpoint/restore of the analysis server (crash tolerance layer).
 //
-// A checkpoint is one versioned, CRC-protected binary snapshot of
-// everything the server must remember to continue a run after a crash:
+// A checkpoint is one versioned file of CRC-protected binary frames that
+// together hold everything the server must remember to continue a run
+// after a crash:
 //  * the complete StreamingDetector state (running minima, Welford
 //    accumulators, standard-free matrix cell sums, per-rank last slices,
 //    stale set, flag counters) — every double carried byte-exact;
@@ -13,8 +14,8 @@
 //  * shape fields (sensor count, ranks, run time, matrix buckets) so a
 //    checkpoint is never restored into a differently-shaped server.
 //
-// File layout (`vsensor-checkpoint 2`): one-line header, then
-// u64 payload_len | u32 crc32(payload) | payload. The payload is
+// File layout (`vsensor-checkpoint 3`): a one-line header, then frames,
+// each u64 payload_len | u32 crc32(payload) | payload. Every payload is
 //
 //   u32 sensor_count | i32 ranks | f64 run_time | u32 buckets
 //   collector counters, watermarks
@@ -28,22 +29,38 @@
 //
 // A row carries its key once for all its cells, so a cell costs 20 bytes.
 // Each other container is a u64 count then fixed-width entries in
-// ascending key order. A file of another version is not read: it fails
-// closed with a warning naming its version, and recovery replays the
-// journal.
+// ascending key order.
 //
-// Two encoders write these bytes. The server writes each checkpoint
-// straight from its live state (encode_live_checkpoint): no Snapshot copy,
-// one reused buffer, the CRC patched in place. encode_checkpoint writes the
-// same bytes from a ServerCheckpoint without validating it; it is what
+// The first frame is the base: the whole state. Each later frame is a
+// delta: every standard, the rows the fold changed since the previous
+// frame (each with its rank standard and its cells from the lowest changed
+// bucket up), the last slices of those rows' (sensor, rank) pairs, and
+// every other section whole. Loading applies a delta by assigning its
+// entries over the state so far and replacing the whole sections. That is
+// exact because between two frames a fold only adds or changes entries;
+// the stale set can shrink, which is why it is written whole.
+//
+// The server publishes a base atomically: `<path>.tmp`, then a rename over
+// the target, which drops the deltas of the previous base in the same
+// step. It appends a delta to the file in place. A file of another version
+// is not read: it fails closed with a warning naming its version, and
+// recovery replays the journal.
+//
+// Two encoders write base bytes. The server writes each frame straight
+// from its live state (encode_live_checkpoint): no Snapshot copy, one
+// reused buffer, the CRC patched in place. encode_checkpoint writes a base
+// from a ServerCheckpoint without validating it; it is what
 // save_checkpoint writes and the reference the live encoder is tested
-// against. The decoder validates: keys strictly ascending, buckets in
-// [0, buckets), counts within the bytes left. Writing goes to
-// `<path>.tmp` and renames over the target, so a crash mid-checkpoint
-// leaves the previous checkpoint intact — the file at `path` is always
-// either absent or a complete previous snapshot. Loading never throws on
-// corrupt content: damage fails closed with a structured warning and
-// recovery falls back to replaying the journal from scratch.
+// against. The decoder validates every frame: keys strictly ascending,
+// buckets in [0, buckets), counts within the bytes left. Loading never
+// throws on corrupt content. A damaged base fails closed with a structured
+// warning, and recovery falls back to replaying the journal from scratch.
+// After the base, the first torn, damaged or out-of-shape frame ends the
+// chain: the frames before it are applied and the rest is reported as a
+// torn tail, as the journal's is. Recovery truncates the journal after its
+// post-recovery base, so from then on the checkpoint file is the only copy
+// of the earlier state; rejecting a good base over a torn append would
+// lose it.
 #pragma once
 
 #include <cstdint>
@@ -74,23 +91,25 @@ struct ServerCheckpoint {
   StreamingDetector::Snapshot detector;
 };
 
-/// Serialize a checkpoint exactly as save_checkpoint writes it (header +
-/// length + CRC + payload). Exposed so tests can corrupt real bytes. The
+/// Serialize a checkpoint exactly as save_checkpoint writes it: the header
+/// and one base frame. Exposed so tests can corrupt real bytes. The
 /// detector snapshot must be one restore() accepts (every cell under its
 /// rank standard, every rank standard under its standard); it is written
 /// as given, not checked.
 std::string encode_checkpoint(const ServerCheckpoint& ckpt);
 
-/// Encode a running server's checkpoint into `out` straight from live
-/// state: the same bytes encode_checkpoint writes for
-/// ServerCheckpoint{shape and buckets of `detector`, collector, watermarks,
-/// detector.snapshot()}. `out` is overwritten and keeps its capacity, so a
-/// server that reuses it grows the buffer once. The caller must keep the
-/// detector from folding meanwhile (the server holds its lock).
-void encode_live_checkpoint(std::string& out,
+/// Encode a running server's checkpoint frame into `out` straight from
+/// live state, clearing the detector's marks. A base is a whole file: the
+/// same bytes encode_checkpoint writes for ServerCheckpoint{shape and
+/// buckets of `detector`, collector, watermarks, detector.snapshot()}. A
+/// delta is one frame, to append after the file's last frame. `out` is
+/// overwritten and keeps its capacity, so a server that reuses it grows the
+/// buffer once. The caller must keep the detector from folding meanwhile
+/// (the server holds its lock).
+void encode_live_checkpoint(std::string& out, CheckpointFrame frame,
                             const Collector::Counters& collector,
                             const std::vector<SeqTracker>& watermarks,
-                            const StreamingDetector& detector);
+                            StreamingDetector& detector);
 
 /// Outcome of a non-throwing checkpoint publish attempt.
 struct CheckpointSaveResult {
@@ -110,21 +129,36 @@ CheckpointSaveResult try_publish_checkpoint(const std::string& path,
                                             std::string_view bytes,
                                             io::Vfs* vfs = nullptr);
 
+/// Append one encoded delta frame to the checkpoint at `path` through
+/// `vfs`: open for append, append, flush, no rename. A failure can leave a
+/// torn frame at the end of the file, which the loader drops; the caller
+/// must then write a base before any further delta.
+CheckpointSaveResult try_append_checkpoint(const std::string& path,
+                                           std::string_view frame,
+                                           io::Vfs* vfs = nullptr);
+
 /// Encode `ckpt` and publish it on the real filesystem; throws on failure.
 void save_checkpoint(const std::string& path, const ServerCheckpoint& ckpt);
 
 /// Result of reading a checkpoint back. Never throws on corrupt content.
 struct CheckpointLoad {
   bool ok = false;
+  /// The base with every applied delta.
   ServerCheckpoint ckpt;
   uint64_t total_bytes = 0;
-  /// Why the load failed ("" on success).
+  /// Delta frames applied after the base.
+  uint64_t deltas = 0;
+  /// Bytes after the last applied frame, dropped as a torn tail.
+  uint64_t torn_bytes = 0;
+  /// Why the load failed, or what tail it dropped ("" for a clean load).
   std::string warning;
 };
 
-/// Load `path`. A missing, truncated, CRC-damaged, or structurally
-/// malformed file yields ok = false with a warning — the caller recovers
-/// from the journal alone.
+/// Load `path`. A missing file, or a truncated, CRC-damaged or
+/// structurally malformed base, yields ok = false with a warning — the
+/// caller recovers from the journal alone. Damage after the base ends the
+/// delta chain: ok stays true, and `torn_bytes` and `warning` describe the
+/// dropped tail.
 CheckpointLoad load_checkpoint(const std::string& path);
 
 /// Parse checkpoint bytes already in memory (the file-format body,

@@ -1,8 +1,6 @@
 #include "runtime/journal.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -241,14 +239,11 @@ void JournalWriter::add_lost(size_t bytes) {
 
 JournalLoad load_journal(const std::string& path) {
   JournalLoad load;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string bytes;
+  if (!io::read_file(path, &bytes)) {
     load.warning = "journal missing or unreadable: " + path;
     return load;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string bytes = ss.str();
   load.total_bytes = bytes.size();
 
   const size_t header_len = std::strlen(kHeader);

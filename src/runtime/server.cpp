@@ -112,7 +112,7 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
   maybe_rearm_locked();
   if (!degraded_ && cfg_.checkpoint_every_batches > 0 &&
       batches_since_checkpoint_ >= cfg_.checkpoint_every_batches) {
-    checkpoint_locked();
+    checkpoint_locked(/*allow_delta=*/true);
   }
 }
 
@@ -220,7 +220,7 @@ void AnalysisServer::maybe_rearm_locked() {
   // Durability only re-arms once a fresh checkpoint (covering everything
   // folded so far, dropped frames included) actually lands — only then may
   // the journal be truncated without widening the loss window.
-  const auto saved = save_checkpoint_locked();
+  const auto saved = save_checkpoint_locked(/*allow_delta=*/false);
   if (!saved.ok) {
     ++checkpoint_failures_;
     if (hooks_) {
@@ -254,13 +254,32 @@ void AnalysisServer::maybe_rearm_locked() {
   }
 }
 
-CheckpointSaveResult AnalysisServer::save_checkpoint_locked() {
-  encode_live_checkpoint(ckpt_buf_, collector_->counters(), watermarks_,
-                         *detector_);
-  return try_publish_checkpoint(cfg_.checkpoint_path, ckpt_buf_, cfg_.vfs);
+CheckpointSaveResult AnalysisServer::save_checkpoint_locked(bool allow_delta) {
+  // Deltas follow the base until they add up to its size; then a new base
+  // drops them, which keeps the file, and recovery's read, near twice the
+  // base.
+  const bool delta =
+      allow_delta && base_bytes_ > 0 && delta_bytes_ < base_bytes_;
+  encode_live_checkpoint(
+      ckpt_buf_, delta ? CheckpointFrame::Delta : CheckpointFrame::Base,
+      collector_->counters(), watermarks_, *detector_);
+  const auto saved =
+      delta ? try_append_checkpoint(cfg_.checkpoint_path, ckpt_buf_, cfg_.vfs)
+            : try_publish_checkpoint(cfg_.checkpoint_path, ckpt_buf_, cfg_.vfs);
+  if (!saved.ok) {
+    // The file may now end in a torn delta, and it lacks what this encode
+    // cleared the marks of: only a new base makes the chain whole again.
+    base_bytes_ = 0;
+  } else if (delta) {
+    delta_bytes_ += ckpt_buf_.size();
+  } else {
+    base_bytes_ = ckpt_buf_.size();
+    delta_bytes_ = 0;
+  }
+  return saved;
 }
 
-void AnalysisServer::checkpoint_locked() {
+void AnalysisServer::checkpoint_locked(bool allow_delta) {
   obs::ScopedSpan span("server:checkpoint", "durability");
   span.set_shard(hooks_.shard);
   span.set_path(cfg_.checkpoint_path);
@@ -271,7 +290,7 @@ void AnalysisServer::checkpoint_locked() {
   // the publish).
   open_journal_locked();
   if (journal_ != nullptr) journal_->commit();
-  const auto saved = save_checkpoint_locked();
+  const auto saved = save_checkpoint_locked(allow_delta);
   // Success or failure, the interval restarts: a failed publish keeps the
   // previous checkpoint and retries at the next boundary, not every batch.
   batches_since_checkpoint_ = 0;
@@ -300,7 +319,7 @@ void AnalysisServer::checkpoint_locked() {
 
 void AnalysisServer::checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  checkpoint_locked();
+  checkpoint_locked(/*allow_delta=*/false);
 }
 
 void AnalysisServer::crash_locked() {
@@ -357,6 +376,7 @@ void AnalysisServer::crash_locked() {
   detector_->reset();
   for (auto& wm : watermarks_) wm = SeqTracker{};
   batches_since_checkpoint_ = 0;
+  base_bytes_ = 0;
 
   // Post-mortem: the flight ring (last N events + health snapshots)
   // survives the simulated process death because the recorder models the
@@ -401,30 +421,35 @@ RecoveryReport AnalysisServer::recover_locked() {
     ++orphan_tmps_removed_;
   }
 
-  const CheckpointLoad ckpt = load_checkpoint(cfg_.checkpoint_path);
-  report.checkpoint_warning = ckpt.warning;
-  if (ckpt.ok) {
-    const auto& c = ckpt.ckpt;
-    if (c.sensor_count == detector_->sensor_count() &&
-        c.ranks == detector_->ranks() &&
-        c.run_time == detector_->run_time() &&
-        c.buckets == static_cast<uint32_t>(detector_->buckets()) &&
-        c.watermarks.size() == watermarks_.size()) {
-      try {
-        detector_->restore(c.detector);
-        collector_->restore_counters(c.collector);
-        watermarks_ = c.watermarks;
-        report.checkpoint_loaded = true;
-      } catch (const Error& e) {
-        // CRC-valid but out of shape (a rank or bucket this server does
-        // not have): fail closed like any other damaged checkpoint.
+  {
+    // The parsed checkpoint, ordered maps of every cell, is dropped once
+    // restored: the journal load below is the larger read.
+    CheckpointLoad ckpt = load_checkpoint(cfg_.checkpoint_path);
+    report.checkpoint_warning = ckpt.warning;
+    if (ckpt.ok) {
+      auto& c = ckpt.ckpt;
+      if (c.sensor_count == detector_->sensor_count() &&
+          c.ranks == detector_->ranks() &&
+          c.run_time == detector_->run_time() &&
+          c.buckets == static_cast<uint32_t>(detector_->buckets()) &&
+          c.watermarks.size() == watermarks_.size()) {
+        try {
+          detector_->restore(c.detector);
+          collector_->restore_counters(c.collector);
+          watermarks_ = std::move(c.watermarks);
+          report.checkpoint_loaded = true;
+          report.checkpoint_deltas = ckpt.deltas;
+        } catch (const Error& e) {
+          // CRC-valid but out of shape (a rank or bucket this server does
+          // not have): fail closed like any other damaged checkpoint.
+          report.checkpoint_warning =
+              std::string("checkpoint state does not fit this server: ") +
+              e.what();
+        }
+      } else {
         report.checkpoint_warning =
-            std::string("checkpoint state does not fit this server: ") +
-            e.what();
+            "checkpoint shape does not match this server; ignored";
       }
-    } else {
-      report.checkpoint_warning =
-          "checkpoint shape does not match this server; ignored";
     }
   }
   if (!report.checkpoint_loaded) {
@@ -494,7 +519,7 @@ RecoveryReport AnalysisServer::recover_locked() {
   // the on-disk journal must be preserved as the redo source — a fresh
   // writer would truncate it — so the server comes back degraded
   // (journal-less) and the re-arm probe retries the whole sequence.
-  const auto saved = save_checkpoint_locked();
+  const auto saved = save_checkpoint_locked(/*allow_delta=*/false);
   if (saved.ok) {
     batches_since_checkpoint_ = 0;
     checkpoint_t_ = last_now_;

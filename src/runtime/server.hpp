@@ -8,14 +8,22 @@
 //    journal (runtime/journal.hpp) *before* it folds into streaming state,
 //    under the same lock, so the journal's frame order IS the fold order;
 //  * periodic checkpoints — every `checkpoint_every_batches` deliveries,
-//    the complete detector state + collector counters + per-rank delivery
-//    watermarks are saved atomically, encoded straight from the live state
-//    into one reused buffer (runtime/checkpoint.hpp);
-//  * recovery — load the newest valid checkpoint (or start from zero state
-//    if it is missing/corrupt), salvage the valid prefix of the journal,
-//    and replay the suffix through the normal ingest path. Frames already
-//    covered by the checkpoint are skipped by the watermark dedup, so
-//    replay is idempotent — no batch is ever double-counted. After replay
+//    the detector state + collector counters + per-rank delivery
+//    watermarks are encoded straight from the live state into one reused
+//    buffer (runtime/checkpoint.hpp). The checkpoint file holds a full base,
+//    published atomically (tmp + rename), then delta frames appended in
+//    place: a periodic checkpoint writes only what the fold changed since
+//    the previous one. Once the deltas add up to the base's own size, the
+//    next periodic checkpoint writes a new base, so the file stays under
+//    about twice the base. The explicit, post-recovery and re-arm
+//    checkpoints are always bases, and so is the first checkpoint after
+//    any failed checkpoint write or crash;
+//  * recovery — load the newest valid checkpoint, its base plus the deltas
+//    that apply (or start from zero state if the base is missing/corrupt),
+//    salvage the valid prefix of the journal, and replay the suffix
+//    through the normal ingest path. Frames already covered by the
+//    checkpoint are skipped by the watermark dedup, so replay is
+//    idempotent — no batch is ever double-counted. After replay
 //    the server checkpoints the recovered state and truncates the journal
 //    (truncation is lazy: deferred to recovery, so between recoveries the
 //    journal is a pure append-only redo log and checkpoints bound replay
@@ -87,7 +95,9 @@ struct ServerConfig {
 /// What one recovery pass did, for reporting and tests.
 struct RecoveryReport {
   bool checkpoint_loaded = false;
-  std::string checkpoint_warning;  ///< why the checkpoint was rejected ("")
+  /// Why the checkpoint was rejected, or which delta tail it dropped ("").
+  std::string checkpoint_warning;
+  uint64_t checkpoint_deltas = 0;  ///< delta frames applied to the base
   std::string journal_warning;     ///< salvage description ("" = clean)
   uint64_t frames_replayed = 0;    ///< frames folded into recovered state
   uint64_t frames_skipped = 0;     ///< frames dropped by watermark dedup
@@ -149,7 +159,8 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// interleaving of batches and peer updates that produced the flags.
   void apply_standard(int sensor_id, int group, double value);
 
-  /// Snapshot the complete server state to the checkpoint file (atomic).
+  /// Publish the complete server state as a new base checkpoint (tmp +
+  /// rename), so the file holds no delta.
   void checkpoint();
 
   /// Restore from the newest valid checkpoint + journal suffix replay.
@@ -219,9 +230,11 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
  private:
   void crash_locked();
   RecoveryReport recover_locked();
-  void checkpoint_locked();
-  /// Encode the live state into ckpt_buf_ and publish it atomically.
-  CheckpointSaveResult save_checkpoint_locked();
+  void checkpoint_locked(bool allow_delta);
+  /// Encode the live state into ckpt_buf_ and write it: a delta appended to
+  /// the file when `allow_delta` and the rebase rule permit, else a base
+  /// published atomically. Only periodic checkpoints allow a delta.
+  CheckpointSaveResult save_checkpoint_locked(bool allow_delta);
   /// Open (truncate) the journal if this server has not written yet.
   void open_journal_locked();
   void append_frame_locked(const JournalFrame& frame);
@@ -246,6 +259,12 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// Checkpoint bytes, reused so each checkpoint writes into a buffer that
   /// already has the capacity of the last one.
   std::string ckpt_buf_;
+  /// Size of the base this server published into the checkpoint file; 0
+  /// when none is known good (none written yet, or a write failed or a
+  /// crash came since), which makes the next checkpoint a base.
+  uint64_t base_bytes_ = 0;
+  /// Delta bytes appended after that base.
+  uint64_t delta_bytes_ = 0;
   std::vector<SeqTracker> watermarks_;  ///< per-rank replay dedup state
   std::vector<double> crash_times_;     ///< ascending virtual-time points
   size_t next_crash_ = 0;

@@ -74,7 +74,7 @@ StreamingDetector::State::Sizes StreamingDetector::State::sizes() const {
   Sizes n;
   for (const Slot& slot : slots) {
     n.standards += slot.has_standard ? 1 : 0;
-    for (const auto& row : slot.rows) n.rank_standards += row ? 1 : 0;
+    for (const Row& row : slot.rows) n.rank_standards += row.cells ? 1 : 0;
   }
   for (const auto& slice : last) n.last += slice ? 1 : 0;
   for (const uint8_t flag : stale) n.stale += flag;
@@ -118,7 +118,6 @@ uint32_t StreamingDetector::slot_of(State& st, int sensor, int group) const {
   Slot slot;
   slot.sensor = sensor;
   slot.group = group;
-  slot.rank_standard.assign(static_cast<size_t>(ranks_), 0.0);
   slot.rows.resize(static_cast<size_t>(ranks_));
   const auto index = static_cast<uint32_t>(st.slots.size());
   st.slots.push_back(std::move(slot));
@@ -134,12 +133,11 @@ const StreamingDetector::Slot* StreamingDetector::find_slot(int sensor,
   return slot.sensor == sensor && slot.group == group ? &slot : nullptr;
 }
 
-StreamingDetector::CellSums* StreamingDetector::add_row(Slot& slot,
-                                                        size_t rank) const {
-  auto& row = slot.rows[rank];
-  row.reset(new CellSums[static_cast<size_t>(buckets_)]);
-  std::fill_n(row.get(), buckets_, CellSums{0.0, kEmptyCell});
-  return row.get();
+StreamingDetector::CellSums* StreamingDetector::add_row(Row& row) const {
+  row.cells.reset(new CellSums[static_cast<size_t>(buckets_)]);
+  std::fill_n(row.cells.get(), buckets_, CellSums{0.0, kEmptyCell});
+  row.mark = static_cast<uint32_t>(buckets_);
+  return row.cells.get();
 }
 
 void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
@@ -193,17 +191,17 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
         lowered_.push_back(hint.second);
       }
     }
-    double& rank_standard = slot.rank_standard[rank];
-    CellSums* row = slot.rows[rank].get();
-    if (row == nullptr) {
-      row = add_row(slot, rank);
-      rank_standard = avg;
+    Row& row = slot.rows[rank];
+    CellSums* cells = row.cells.get();
+    if (cells == nullptr) {
+      cells = add_row(row);
+      row.standard = avg;
     } else {
-      rank_standard = std::min(rank_standard, avg);
+      row.standard = std::min(row.standard, avg);
     }
 
     const double inter_norm = slot.standard / avg;
-    const double intra_norm = rank_standard / avg;
+    const double intra_norm = row.standard / avg;
     if (inter_norm < cfg_.variance_threshold) {
       ++st.inter_flags;
       VS_OBS_ONLY(
@@ -219,7 +217,7 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
           if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
       if (hooks_) {
         emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, intra_norm,
-                  rank_standard, "intra");
+                  row.standard, "intra");
       }
     }
 
@@ -230,10 +228,15 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     stats.mean += delta / static_cast<double>(stats.count);
     stats.m2 += delta * (inter_norm - stats.mean);
 
+    // The last slice changes with the row, so the row's mark also tells the
+    // next delta checkpoint to write it.
     st.last[sensor * static_cast<size_t>(ranks_) + rank] =
         LastSlice{rec.t_end, avg, inter_norm};
 
-    CellSums& cell = row[bucket_of(0.5 * (rec.t_begin + rec.t_end))];
+    const auto bucket =
+        static_cast<uint32_t>(bucket_of(0.5 * (rec.t_begin + rec.t_end)));
+    row.mark = std::min(row.mark, bucket);
+    CellSums& cell = cells[bucket];
     if (cell.weight == kEmptyCell) {
       cell = CellSums{};
       ++st.cells;
@@ -412,15 +415,16 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
                                  slot.standard);
     }
     for (int r = 0; r < ranks_; ++r) {
-      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
-      if (row == nullptr) continue;
-      snap.rank_standard.emplace_hint(
-          snap.rank_standard.end(), std::tuple(slot.sensor, slot.group, r),
-          slot.rank_standard[static_cast<size_t>(r)]);
+      const Row& row = slot.rows[static_cast<size_t>(r)];
+      if (row.cells == nullptr) continue;
+      snap.rank_standard.emplace_hint(snap.rank_standard.end(),
+                                      std::tuple(slot.sensor, slot.group, r),
+                                      row.standard);
       for (int b = 0; b < buckets_; ++b) {
-        if (row[b].weight == kEmptyCell) continue;
+        if (row.cells[b].weight == kEmptyCell) continue;
         snap.cells.emplace_hint(snap.cells.end(),
-                                CellKey{slot.sensor, slot.group, r, b}, row[b]);
+                                CellKey{slot.sensor, slot.group, r, b},
+                                row.cells[b]);
       }
     }
   }
@@ -473,18 +477,18 @@ void StreamingDetector::restore(const Snapshot& snap) {
     Slot& slot = st.slots[slot_of(st, sensor, group)];
     VS_CHECK_MSG(known_sensor(sensor) && slot.has_standard,
                  "snapshot rank standard without a known sensor's standard");
-    const size_t r = rank_index(rank);
-    add_row(slot, r);
-    slot.rank_standard[r] = value;
+    Row& row = slot.rows[rank_index(rank)];
+    add_row(row);
+    row.standard = value;
   }
   for (const auto& [key, cell] : snap.cells) {
     const auto& [sensor, group, rank, bucket] = key;
     Slot& slot = st.slots[slot_of(st, sensor, group)];
-    CellSums* row = slot.rows[rank_index(rank)].get();
-    VS_CHECK_MSG(row != nullptr && bucket >= 0 && bucket < buckets_ &&
+    CellSums* cells = slot.rows[rank_index(rank)].cells.get();
+    VS_CHECK_MSG(cells != nullptr && bucket >= 0 && bucket < buckets_ &&
                      !(cell.weight < 0.0),
                  "snapshot cell does not fit this detector");
-    row[bucket] = cell;
+    cells[bucket] = cell;
     ++st.cells;
   }
   st.stats = snap.stats;
@@ -512,15 +516,42 @@ void StreamingDetector::reset() {
   lowered_.clear();
 }
 
-void StreamingDetector::encode_checkpoint_state(std::string& out) const {
+void StreamingDetector::encode_checkpoint_state(std::string& out,
+                                                CheckpointFrame frame) {
   std::lock_guard<std::mutex> lock(mu_);
-  const State::Sizes n = st_.sizes();
+  const bool delta = frame == CheckpointFrame::Delta;
+  const auto clean = static_cast<uint32_t>(buckets_);
+  const auto ranks = static_cast<size_t>(ranks_);
   const uint64_t sensors = sensors_.size();
+  State::Sizes n = st_.sizes();
+  uint64_t cells = st_.cells;
+  // A delta writes only the marked rows, each from its mark up, and the
+  // last slices of their (sensor, rank) pairs (`moved`); count those first.
+  std::vector<uint8_t> moved;
+  if (delta) {
+    n.rank_standards = n.last = cells = 0;
+    moved.assign(st_.last.size(), 0);
+    for (const Slot& slot : st_.slots) {
+      if (!slot.has_standard) continue;
+      for (size_t r = 0; r < ranks; ++r) {
+        const Row& row = slot.rows[r];
+        if (row.cells == nullptr || row.mark >= clean) continue;
+        ++n.rank_standards;
+        for (uint32_t b = row.mark; b < clean; ++b) {
+          cells += row.cells[b].weight != kEmptyCell ? 1 : 0;
+        }
+        moved[static_cast<size_t>(slot.sensor) * ranks + r] = 1;
+      }
+    }
+    for (size_t i = 0; i < moved.size(); ++i) {
+      n.last += moved[i] != 0 && st_.last[i] ? 1 : 0;
+    }
+  }
   // Section layout (runtime/checkpoint.hpp): slots with their rows and
   // cells in Snapshot's key order, then the u64-counted fixed-width
   // containers.
   const uint64_t bytes = 8 + n.standards * 24 + n.rank_standards * 16 +
-                         st_.cells * 20 + 8 + sensors * 24 + 8 + sensors * 8 +
+                         cells * 20 + 8 + sensors * 24 + 8 + sensors * 8 +
                          8 + n.last * 32 + 8 + n.stale * 4 + 5 * 8;
   const size_t at = out.size();
   out.resize(at + bytes);
@@ -528,7 +559,7 @@ void StreamingDetector::encode_checkpoint_state(std::string& out) const {
 
   w.put(n.standards);
   for (const uint32_t i : st_.order) {
-    const Slot& slot = st_.slots[i];
+    Slot& slot = st_.slots[i];
     if (!slot.has_standard) continue;
     w.put(static_cast<int32_t>(slot.sensor));
     w.put(static_cast<int32_t>(slot.group));
@@ -537,23 +568,27 @@ void StreamingDetector::encode_checkpoint_state(std::string& out) const {
     char* const rows_at = w.p;
     w.put(uint64_t{0});
     uint64_t rows = 0;
-    for (int r = 0; r < ranks_; ++r) {
-      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
-      if (row == nullptr) continue;
+    for (size_t r = 0; r < ranks; ++r) {
+      Row& row = slot.rows[r];
+      // Every encode clears the marks: the next delta starts from here.
+      const uint32_t first = delta ? row.mark : 0;
+      row.mark = clean;
+      if (row.cells == nullptr || first >= clean) continue;
       ++rows;
       w.put(static_cast<int32_t>(r));
-      w.put(slot.rank_standard[static_cast<size_t>(r)]);
+      w.put(row.standard);
       char* const cells_at = w.p;
       w.put(uint32_t{0});
-      uint32_t cells = 0;
-      for (int b = 0; b < buckets_; ++b) {
-        if (row[b].weight == kEmptyCell) continue;
-        ++cells;
-        w.put(static_cast<uint32_t>(b));
-        w.put(row[b].weight_over_avg);
-        w.put(row[b].weight);
+      uint32_t written = 0;
+      for (uint32_t b = first; b < clean; ++b) {
+        const CellSums& cell = row.cells[b];
+        if (cell.weight == kEmptyCell) continue;
+        ++written;
+        w.put(b);
+        w.put(cell.weight_over_avg);
+        w.put(cell.weight);
       }
-      std::memcpy(cells_at, &cells, sizeof cells);
+      std::memcpy(cells_at, &written, sizeof written);
     }
     std::memcpy(rows_at, &rows, sizeof rows);
   }
@@ -566,17 +601,14 @@ void StreamingDetector::encode_checkpoint_state(std::string& out) const {
   w.put(sensors);
   for (const uint64_t count : st_.sensor_records) w.put(count);
   w.put(n.last);
-  for (size_t s = 0; s < sensors_.size(); ++s) {
-    for (int r = 0; r < ranks_; ++r) {
-      const auto& slice =
-          st_.last[s * static_cast<size_t>(ranks_) + static_cast<size_t>(r)];
-      if (!slice) continue;
-      w.put(static_cast<int32_t>(s));
-      w.put(static_cast<int32_t>(r));
-      w.put(slice->t_end);
-      w.put(slice->avg_duration);
-      w.put(slice->normalized);
-    }
+  for (size_t i = 0; i < st_.last.size(); ++i) {
+    const auto& slice = st_.last[i];
+    if (!slice || (delta && moved[i] == 0)) continue;
+    w.put(static_cast<int32_t>(i / ranks));
+    w.put(static_cast<int32_t>(i % ranks));
+    w.put(slice->t_end);
+    w.put(slice->avg_duration);
+    w.put(slice->normalized);
   }
   w.put(n.stale);
   for (int r = 0; r < ranks_; ++r) {
@@ -694,13 +726,13 @@ AnalysisResult StreamingDetector::finalize() const {
     const double std_time = std::max(slot.standard, kMinStandardTime);
     auto& matrix = result.matrices[static_cast<size_t>(sensors_[sensor].type)];
     for (int r = 0; r < ranks_; ++r) {
-      const CellSums* row = slot.rows[static_cast<size_t>(r)].get();
-      if (row == nullptr) continue;
+      const CellSums* cells = slot.rows[static_cast<size_t>(r)].cells.get();
+      if (cells == nullptr) continue;
       for (int b = 0; b < buckets_; ++b) {
         // Also skips empty cells, whose weight is kEmptyCell.
-        const double weight = row[b].weight;
+        const double weight = cells[b].weight;
         if (weight <= 0.0) continue;
-        const double value_sum = std_time * row[b].weight_over_avg;
+        const double value_sum = std_time * cells[b].weight_over_avg;
         matrix.accumulate(r, b, value_sum / weight, weight);
       }
     }

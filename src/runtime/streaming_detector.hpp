@@ -21,22 +21,31 @@
 // State layout. The running state is dense, so a record folds by index
 // arithmetic rather than tree lookups:
 //  * one slot per (sensor, dynamic-rule group) seen, holding the group's
-//    standard, a per-rank standard array, and one row of bucket cells per
-//    rank. A row is allocated the first time a record of its rank folds
-//    into the slot, so a tier shard pays only for the ranks routed to it;
+//    standard and one row per rank: the rank's standard, its bucket cells
+//    and its checkpoint mark. A row's cells are allocated the first time a
+//    record of its rank folds into the slot, so a tier shard pays only for
+//    the ranks routed to it;
 //  * a sensors x ranks array of last slices and a per-rank stale flag.
 // Memory is bounded by slots x touched-rank rows x buckets cells (16 bytes
-// each) plus slots x ranks x 16 bytes of per-rank standards and row
-// pointers, plus sensors x ranks last slices (32 bytes each). Records must
-// name a known sensor and a rank in [0, ranks); anything else throws.
+// each) plus slots x ranks x 24 bytes of rows, plus sensors x ranks last
+// slices (32 bytes each). Records must name a known sensor and a rank in
+// [0, ranks); anything else throws.
 //
 // Snapshot is the export form of that state — ordered maps, as merges,
 // tests and tools consume it. The server's checkpoints are written
-// straight from the dense state (encode_checkpoint_state), in the same
-// `vsensor-checkpoint 2` bytes encode_checkpoint produces from snapshot():
-// each slot once, each touched row once under it, and each non-empty
-// cell as its bucket and two sums (20 bytes). A checkpoint also records
-// buckets(), so recovery refuses one taken at another matrix resolution.
+// straight from the dense state (encode_checkpoint_state) in the
+// `vsensor-checkpoint 3` payload layout: each slot once, each written row
+// once under it, and each non-empty cell as its bucket and two sums (20
+// bytes). A base frame holds the whole state, the bytes encode_checkpoint
+// produces from snapshot(). A delta frame holds what the fold changed
+// since the previous frame. For that, each row keeps the lowest bucket
+// folded into it since the last encode (its mark), one min-store per
+// folded record. Between two encodes a fold only adds or changes entries,
+// never removes one, so the marked rows from their mark up, with the last
+// slices of their (sensor, rank), carry every change. Only reset() and
+// restore() remove entries, and the server writes a base after both. A
+// checkpoint also records buckets(), so recovery refuses one taken at
+// another matrix resolution.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +77,11 @@ struct StandardUpdate {
   int32_t group = 0;
   double value = 0.0;
 };
+
+/// The two kinds of checkpoint frame (runtime/checkpoint.hpp): a base holds
+/// the whole detector state, a delta what the fold changed since the
+/// previous frame of either kind.
+enum class CheckpointFrame : uint8_t { Base, Delta };
 
 class StreamingDetector final : public BatchSink, public obs::HealthSource {
  public:
@@ -202,8 +216,8 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
 
   /// The complete mutable state of the detector, as plain data: the export
   /// and merge form (the tier's reduction, encode_checkpoint, tools and
-  /// tests). The server's checkpoints hold the same bytes, encoded from the
-  /// live state by encode_checkpoint_state. Restoring a
+  /// tests). The server's base checkpoints hold the same bytes, encoded
+  /// from the live state by encode_checkpoint_state. Restoring a
   /// snapshot and re-folding the same suffix of batches reproduces the
   /// uninterrupted detector bit for bit — every field here is either an
   /// exact integer or a double carried through byte-exact serialization.
@@ -241,16 +255,32 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// detector; recovery then restores a snapshot and replays the journal).
   void reset();
 
-  /// Append this detector's section of a `vsensor-checkpoint 2` payload to
-  /// `out`: byte for byte what encode_checkpoint writes for snapshot(),
-  /// written straight from the dense rows under the detector lock, with no
-  /// Snapshot copy. `out` grows once, by the section's exact size.
-  void encode_checkpoint_state(std::string& out) const;
+  /// Append this detector's section of a `vsensor-checkpoint 3` frame
+  /// payload to `out`, straight from the dense rows under the detector
+  /// lock, with no Snapshot copy. A base is byte for byte what
+  /// encode_checkpoint writes for snapshot(). A delta lists every standard,
+  /// only the rows marked since the previous encode, each from its mark up,
+  /// and only the last slices of the (sensor, rank) pairs of those rows;
+  /// its other sections are whole. Either kind clears the marks. `out`
+  /// grows once, by the section's exact size.
+  void encode_checkpoint_state(std::string& out, CheckpointFrame frame);
 
  private:
   /// A CellSums::weight no fold can produce: the cell holds no record.
   static constexpr double kEmptyCell = -1.0;
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// One rank's row of a slot.
+  struct Row {
+    /// buckets() cells, null until a record of the rank folds here.
+    /// Untouched cells carry weight kEmptyCell.
+    std::unique_ptr<CellSums[]> cells;
+    /// The rank's fastest slice; meaningful once cells exist.
+    double standard = 0.0;
+    /// Lowest bucket folded into the row since the last checkpoint encode;
+    /// buckets() when none was.
+    uint32_t mark = 0;
+  };
 
   /// Dense state of one (sensor, dynamic-rule group).
   struct Slot {
@@ -260,11 +290,7 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
     double standard = 0.0;
     /// Queued for publication (enable_standard_publication).
     bool queued = false;
-    /// Per-rank fastest slice; meaningful where the rank's row exists.
-    std::vector<double> rank_standard;
-    /// Per-rank row of buckets cells, null until a record of the rank
-    /// folds here. Untouched cells carry weight kEmptyCell.
-    std::vector<std::unique_ptr<CellSums[]>> rows;
+    std::vector<Row> rows;  ///< per rank
   };
 
   /// The complete running state; reset() and restore() replace it whole.
@@ -305,7 +331,8 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// Slot of (sensor, group) in `st`, created (standard unset) if absent.
   uint32_t slot_of(State& st, int sensor, int group) const;
   const Slot* find_slot(int sensor, int group) const;
-  CellSums* add_row(Slot& slot, size_t rank) const;
+  /// Allocate the cells of `row`, all empty, and leave it clean.
+  CellSums* add_row(Row& row) const;
 
   DetectorConfig cfg_;
   std::vector<SensorInfo> sensors_;

@@ -15,6 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "io/fault_fs.hpp"
+#include "io/vfs.hpp"
+#include "obs/health.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
@@ -333,8 +336,14 @@ TEST(Checkpoint, FuzzTruncationsAndBitFlipsFailClosed) {
     const auto load = parse_checkpoint(mutated);
     EXPECT_FALSE(load.ok) << "flip at byte " << i;
   }
-  // Trailing garbage after a complete payload is corruption, not slack.
-  EXPECT_FALSE(parse_checkpoint(bytes + "x").ok);
+  // Bytes after the base start a delta frame; one that is torn is dropped
+  // as a tail, and the base loads as it was written.
+  const auto tail = parse_checkpoint(bytes + "x");
+  EXPECT_TRUE(tail.ok) << tail.warning;
+  EXPECT_EQ(tail.deltas, 0u);
+  EXPECT_EQ(tail.torn_bytes, 1u);
+  EXPECT_FALSE(tail.warning.empty());
+  EXPECT_TRUE(encode_checkpoint(tail.ckpt) == bytes);
 }
 
 TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
@@ -1046,6 +1055,410 @@ TEST(Checkpoint, LiveEncoderMatchesReferenceEncoder) {
     EXPECT_TRUE(snapshot_bytes(restored.snapshot()) == snapshot_bytes(snap))
         << "restore(snapshot()) does not round-trip";
   }
+}
+
+// ---------------------------------------------------- Delta checkpoints
+
+/// encode_checkpoint of the ServerCheckpoint built from a server's live
+/// state: what its checkpoint file must decode to right after it wrote one.
+std::string reference_checkpoint(const StreamingDetector& detector,
+                                 const Collector& collector,
+                                 const std::vector<SeqTracker>& watermarks) {
+  ServerCheckpoint ckpt;
+  ckpt.sensor_count = static_cast<uint32_t>(detector.sensor_count());
+  ckpt.ranks = detector.ranks();
+  ckpt.run_time = detector.run_time();
+  ckpt.buckets = static_cast<uint32_t>(detector.buckets());
+  ckpt.collector = collector.counters();
+  ckpt.watermarks = watermarks;
+  ckpt.detector = detector.snapshot();
+  return encode_checkpoint(ckpt);
+}
+
+/// Whether `server` wrote a checkpoint since `*saved` checkpoints and has
+/// folded no delivery after it, so its file holds the live state. Updates
+/// `*saved`.
+bool wrote_current_checkpoint(const AnalysisServer& server, double* saved) {
+  obs::HealthRecorder rec;
+  server.sample_health(0.0, rec);
+  const double now = rec.gauges().at("checkpoints_saved");
+  const bool wrote = now > *saved;
+  *saved = now;
+  return wrote && rec.gauges().at("batches_since_checkpoint") == 0.0;
+}
+
+/// Start offsets of a checkpoint file's frames by the documented layout (a
+/// header line, then u64 payload_len | u32 crc32 | payload per frame),
+/// ending with the offset after the last whole frame header's payload.
+std::vector<size_t> frame_offsets(const std::string& bytes) {
+  std::vector<size_t> at{bytes.find('\n') + 1};
+  while (at.back() + 12 <= bytes.size()) {
+    uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + at.back(), sizeof len);
+    at.push_back(at.back() + 12 + len);
+  }
+  return at;
+}
+
+TEST(Checkpoint, DeltaChainMatchesReferenceEncoder) {
+  // LiveEncoderMatchesReferenceEncoder's runs at cadence 4, with the peer
+  // standard, stale mark and revival mid-run: after every delivery that
+  // wrote a checkpoint, the file's base and the deltas after it must
+  // decode to the live state.
+  const int ranks = 8;
+  workloads::RunOptions opts;
+  opts.params.iterations = 4;
+  opts.params.scale = 0.05;
+  opts.runtime.batch_records = 8;
+  auto apps = workloads::make_all_workloads();
+  apps.push_back(workloads::make_workload("CAPACITY"));
+
+  uint64_t longest_chain = 0;
+  uint64_t rebases = 0;
+  for (const auto& app : apps) {
+    SCOPED_TRACE(app->name());
+    Collector collected;
+    const auto run = workloads::run_workload(
+        *app, workloads::baseline_config(ranks), opts, &collected);
+    const auto stream = deal_batches(collected.records(), ranks);
+    ASSERT_FALSE(stream.empty());
+
+    DetectorConfig dcfg;
+    dcfg.matrix_resolution = run.makespan / 20.0;
+    dcfg.metric_bucket_width = 0.1;  // grouping on
+    dcfg.min_records = 1;
+    Collector collector;
+    collector.set_sensors(app->sensors());
+    StreamingDetector detector(dcfg, app->sensors(), ranks, run.makespan);
+    collector.attach_sink(&detector);
+    auto cfg = ServerRig::make_server_cfg("delta_" + app->name(), 4);
+    AnalysisServer server(cfg, &collector, &detector);
+    server.set_crash_plan({stream[stream.size() / 2].now}, 0x11FE);
+
+    std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
+    double saved = 0.0;
+    uint64_t chain = 0;  // deltas in the file at the previous check
+    for (size_t i = 0; i < stream.size(); ++i) {
+      // A peer's standard on a key no record of this run touches.
+      if (i == stream.size() / 4) server.apply_standard(0, 1000, 1e-3);
+      if (i == stream.size() * 3 / 4) server.mark_stale(ranks - 1);
+      if (i == stream.size() * 7 / 8) server.mark_live(ranks - 1);
+      const auto& d = stream[i];
+      const size_t recoveries = server.recoveries().size();
+      server.on_delivery(d.rank, d.seq, d.records, d.now);
+      watermarks[static_cast<size_t>(d.rank)].insert(d.seq);
+      if (!wrote_current_checkpoint(server, &saved)) continue;
+      const auto load = load_checkpoint(cfg.checkpoint_path);
+      ASSERT_TRUE(load.ok) << load.warning;
+      EXPECT_EQ(load.torn_bytes, 0u);
+      ASSERT_TRUE(encode_checkpoint(load.ckpt) ==
+                  reference_checkpoint(detector, collector, watermarks))
+          << "delivery " << i << ": the base and " << load.deltas
+          << " deltas differ from the live state";
+      // A periodic base after a chain, not the base a recovery writes.
+      if (load.deltas == 0 && chain > 0 &&
+          server.recoveries().size() == recoveries) {
+        ++rebases;
+      }
+      chain = load.deltas;
+      longest_chain = std::max(longest_chain, chain);
+    }
+    ASSERT_EQ(server.crashes(), 1u);
+  }
+  EXPECT_GE(longest_chain, 2u) << "no file held two deltas";
+  EXPECT_GE(rebases, 2u) << "the deltas never grew to a rebase";
+}
+
+TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
+  // A server-written file with a base and two deltas, and the live state
+  // as each of its frames was written. One delivery per checkpoint over 16
+  // ranks keeps each delta small next to the base.
+  const int ranks = 16;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/3, ranks, T);
+  ServerRig rig("delta_tail", ranks, T, /*checkpoint_every=*/1);
+  std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
+  std::vector<std::string> states;  // after the base, then each delta
+  std::string bytes;
+  double saved = 0.0;
+  for (const auto& d : stream) {
+    rig.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    watermarks[static_cast<size_t>(d.rank)].insert(d.seq);
+    if (!wrote_current_checkpoint(rig.server, &saved)) continue;
+    bytes = read_file(rig.server.config().checkpoint_path);
+    const auto load = parse_checkpoint(bytes);
+    ASSERT_TRUE(load.ok) << load.warning;
+    if (load.deltas == 0) states.clear();
+    states.push_back(
+        reference_checkpoint(rig.detector, rig.collector, watermarks));
+    ASSERT_EQ(load.deltas + 1, states.size());
+    if (load.deltas == 2) break;
+  }
+  ASSERT_EQ(states.size(), 3u) << "no base came with two deltas";
+
+  // Frames by the documented layout: three, each CRC over its payload.
+  const auto at = frame_offsets(bytes);
+  ASSERT_EQ(at.size(), 4u);
+  ASSERT_EQ(at.back(), bytes.size());
+  for (size_t f = 0; f < 3; ++f) {
+    uint32_t crc = 0;
+    std::memcpy(&crc, bytes.data() + at[f] + 8, sizeof crc);
+    ASSERT_EQ(crc, crc32(bytes.data() + at[f] + 12, at[f + 1] - at[f] - 12))
+        << "frame " << f;
+  }
+
+  // Every cut inside the base fails closed, and so does the previous
+  // format version, whose bytes after the base were corruption.
+  for (size_t cut = 0; cut < at[1]; ++cut) {
+    EXPECT_FALSE(parse_checkpoint(bytes.substr(0, cut)).ok) << "cut at " << cut;
+  }
+  std::string v2 = bytes;
+  v2[at[0] - 2] = '2';
+  const auto old_version = parse_checkpoint(v2);
+  EXPECT_FALSE(old_version.ok);
+  EXPECT_NE(old_version.warning.find("version 2"), std::string::npos)
+      << old_version.warning;
+  // A cut inside delta k (frame k + 1) keeps the base and k deltas, and
+  // drops exactly the bytes of delta k it holds.
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t cut = at[k + 1]; cut < at[k + 2]; ++cut) {
+      const auto load = parse_checkpoint(bytes.substr(0, cut));
+      ASSERT_TRUE(load.ok) << "cut at " << cut << ": " << load.warning;
+      EXPECT_EQ(load.deltas, k) << "cut at " << cut;
+      EXPECT_EQ(load.torn_bytes, cut - at[k + 1]) << "cut at " << cut;
+      EXPECT_EQ(load.warning.empty(), cut == at[k + 1]) << load.warning;
+      EXPECT_TRUE(encode_checkpoint(load.ckpt) == states[k])
+          << "cut at " << cut;
+    }
+  }
+  const auto whole = parse_checkpoint(bytes);
+  EXPECT_EQ(whole.deltas, 2u);
+  EXPECT_EQ(whole.torn_bytes, 0u);
+  EXPECT_TRUE(whole.warning.empty()) << whole.warning;
+  EXPECT_TRUE(encode_checkpoint(whole.ckpt) == states[2]);
+
+  // A tail that does not apply leaves the chain before delta k.
+  const auto expect_chain_ends_at = [&](const std::string& mutated, size_t k,
+                                        const std::string& what) {
+    const auto load = parse_checkpoint(mutated);
+    ASSERT_TRUE(load.ok) << what << ": " << load.warning;
+    EXPECT_EQ(load.deltas, k) << what;
+    EXPECT_EQ(load.torn_bytes, mutated.size() - at[k + 1]) << what;
+    EXPECT_NE(load.warning.find("byte " + std::to_string(at[k + 1])),
+              std::string::npos)
+        << what << ": " << load.warning;
+    EXPECT_TRUE(encode_checkpoint(load.ckpt) == states[k]) << what;
+  };
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t i = at[k + 1]; i < at[k + 2]; ++i) {
+      std::string mutated = bytes;
+      mutated[i] = static_cast<char>(mutated[i] ^ 0x41);
+      expect_chain_ends_at(mutated, k, "flip at byte " + std::to_string(i));
+    }
+  }
+
+  // Delta 1 re-framed under a fresh CRC: decodable, yet out of range or of
+  // another shape than the base.
+  const size_t payload = at[2] + 12;
+  const auto reframed = [&](size_t field, auto value) {
+    std::string mutated = bytes;
+    std::memcpy(mutated.data() + field, &value, sizeof value);
+    const uint32_t crc =
+        crc32(mutated.data() + payload, mutated.size() - payload);
+    std::memcpy(mutated.data() + at[2] + 8, &crc, sizeof crc);
+    return mutated;
+  };
+  const auto u32_at = [&](size_t where) {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + where, sizeof v);
+    return v;
+  };
+  const auto u64_at = [&](size_t where) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + where, sizeof v);
+    return v;
+  };
+  const size_t buckets_at = payload + 4 + 4 + 8;
+  const uint32_t buckets = u32_at(buckets_at);
+  ASSERT_EQ(buckets, static_cast<uint32_t>(rig.detector.buckets()));
+  // The delta's first cell, walking watermarks, slots and rows.
+  size_t pos = buckets_at + 4 + 5 * 8;
+  const uint64_t watermark_count = u64_at(pos);
+  pos += 8;
+  for (uint64_t i = 0; i < watermark_count; ++i) pos += 16 + 8 * u64_at(pos + 8);
+  const uint64_t slots = u64_at(pos);
+  pos += 8;
+  size_t first_cell = 0;
+  for (uint64_t i = 0; i < slots && first_cell == 0; ++i) {
+    const uint64_t rows = u64_at(pos + 16);
+    pos += 24;
+    for (uint64_t j = 0; j < rows && first_cell == 0; ++j) {
+      const uint32_t cells = u32_at(pos + 12);
+      pos += 16;
+      if (cells > 0) first_cell = pos;
+      pos += 20 * cells;
+    }
+  }
+  ASSERT_NE(first_cell, 0u) << "delta 1 lists no cell";
+  ASSERT_LT(u32_at(first_cell), buckets);
+  expect_chain_ends_at(reframed(first_cell, buckets), 1, "bucket >= buckets");
+  expect_chain_ends_at(reframed(buckets_at, buckets + 1), 1,
+                       "another bucket count");
+  expect_chain_ends_at(reframed(payload + 4, int32_t{ranks + 1}), 1,
+                       "another rank count");
+}
+
+/// Routes every operation to `target`, which a test may swap mid-run.
+struct SwitchFs final : io::Vfs {
+  io::Vfs* target = &io::real_fs();
+
+  std::unique_ptr<io::File> open_truncate(const std::string& path,
+                                          std::string* error) override {
+    return target->open_truncate(path, error);
+  }
+  std::unique_ptr<io::File> open_append(const std::string& path,
+                                        std::string* error) override {
+    return target->open_append(path, error);
+  }
+  io::IoResult rename_file(const std::string& from,
+                           const std::string& to) override {
+    return target->rename_file(from, to);
+  }
+  io::IoResult truncate_file(const std::string& path, uint64_t size) override {
+    return target->truncate_file(path, size);
+  }
+  io::IoResult remove_file(const std::string& path) override {
+    return target->remove_file(path);
+  }
+};
+
+TEST(Checkpoint, FailedDeltaAppendMakesNextCheckpointABase) {
+  const int ranks = 16;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/3, ranks, T);
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "short_write" : "enospc");
+    io::FaultFsConfig fc;
+    (torn ? fc.short_write : fc.enospc) = 1.0;
+    io::FaultFs faults(fc);
+    SwitchFs fs;
+    Collector collector;
+    collector.set_sensors(two_sensors());
+    StreamingDetector detector(ServerRig::make_cfg(), two_sensors(), ranks, T);
+    collector.attach_sink(&detector);
+    auto cfg = ServerRig::make_server_cfg(torn ? "delta_torn" : "delta_enospc",
+                                          /*checkpoint_every=*/1);
+    cfg.vfs = &fs;
+    AnalysisServer server(cfg, &collector, &detector);
+    std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
+    size_t i = 0;
+    const auto deliver = [&] {
+      const auto& d = stream[i++];
+      server.on_delivery(d.rank, d.seq, d.records, d.now);
+      watermarks[static_cast<size_t>(d.rank)].insert(d.seq);
+    };
+
+    // Until a rebase follows a chain of deltas: the next periodic
+    // checkpoint after a base is always a delta.
+    double saved = 0.0;
+    std::string before;
+    uint64_t chain = 0;
+    while (i < stream.size()) {
+      deliver();
+      if (!wrote_current_checkpoint(server, &saved)) continue;
+      before = read_file(cfg.checkpoint_path);
+      const uint64_t deltas = parse_checkpoint(before).deltas;
+      if (deltas == 0 && chain > 0) break;
+      chain = deltas;
+    }
+    ASSERT_GT(chain, 0u) << "no rebase after a delta chain";
+    ASSERT_EQ(parse_checkpoint(before).deltas, 0u);
+    // The journal's file is already open, so only the delta append meets
+    // the faults.
+    fs.target = &faults;
+    while (i < stream.size() && server.checkpoint_failures() == 0) deliver();
+    ASSERT_EQ(server.checkpoint_failures(), 1u);
+    fs.target = &io::real_fs();
+    const std::string after = read_file(cfg.checkpoint_path);
+    const auto failed = parse_checkpoint(after);
+    ASSERT_TRUE(failed.ok) << failed.warning;
+    EXPECT_EQ(failed.deltas, 0u);
+    if (torn) {
+      ASSERT_GT(after.size(), before.size());
+      EXPECT_EQ(failed.torn_bytes, after.size() - before.size());
+    } else {
+      EXPECT_TRUE(after == before);
+    }
+
+    // The next checkpoint is a base that replaces the damaged chain.
+    while (i < stream.size() && !wrote_current_checkpoint(server, &saved)) {
+      deliver();
+    }
+    const auto next = load_checkpoint(cfg.checkpoint_path);
+    ASSERT_TRUE(next.ok) << next.warning;
+    EXPECT_EQ(next.deltas, 0u);
+    EXPECT_EQ(next.torn_bytes, 0u);
+    EXPECT_TRUE(encode_checkpoint(next.ckpt) ==
+                reference_checkpoint(detector, collector, watermarks));
+  }
+}
+
+TEST(RecoveryEquivalence, TornDeltaAfterJournalResetRecoversExactly) {
+  // Recovery truncates the journal after its post-recovery base, so from
+  // then on the checkpoint file is the only copy of the state before the
+  // reset. A torn delta at its end must cost only that delta: recovery
+  // applies the base and the deltas before it, then replays the journal.
+  const int ranks = 16;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/11, ranks, T);
+  ServerRig uninterrupted("torn_delta_u", ranks, T, /*checkpoint_every=*/1);
+  ServerRig crashed("torn_delta_c", ranks, T, /*checkpoint_every=*/1);
+  const std::string& path = crashed.server.config().checkpoint_path;
+  size_t i = 0;
+  const auto deliver = [&] {
+    const auto& d = stream[i++];
+    uninterrupted.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    crashed.server.on_delivery(d.rank, d.seq, d.records, d.now);
+  };
+  const auto expect_same_state = [&] {
+    EXPECT_TRUE(snapshot_bytes(crashed.detector.snapshot()) ==
+                snapshot_bytes(uninterrupted.detector.snapshot()))
+        << "recovered state differs from the uninterrupted server's";
+    expect_bit_identical(uninterrupted.detector.finalize(),
+                         crashed.detector.finalize());
+    EXPECT_EQ(uninterrupted.collector.counters().ingested,
+              crashed.collector.counters().ingested);
+    EXPECT_EQ(uninterrupted.collector.counters().batches,
+              crashed.collector.counters().batches);
+  };
+
+  while (i < stream.size() / 3) deliver();
+  crashed.server.crash();
+  ASSERT_TRUE(crashed.server.recover().checkpoint_loaded);
+  uint64_t written = 0;
+  while (i < stream.size() && written < 2) {
+    deliver();
+    written = load_checkpoint(path).deltas;
+  }
+  ASSERT_EQ(written, 2u) << "no delta chain after the journal reset";
+
+  crashed.server.crash();
+  const std::string bytes = read_file(path);
+  const auto at = frame_offsets(bytes);
+  ASSERT_EQ(at.size(), written + 2);
+  ASSERT_EQ(at.back(), bytes.size());
+  const size_t last = at[at.size() - 2];
+  write_file(path, bytes.substr(0, last + (bytes.size() - last) / 2));
+  const auto report = crashed.server.recover();
+  EXPECT_TRUE(report.checkpoint_loaded) << report.checkpoint_warning;
+  EXPECT_EQ(report.checkpoint_deltas, written - 1);
+  EXPECT_NE(report.checkpoint_warning.find("byte " + std::to_string(last)),
+            std::string::npos)
+      << report.checkpoint_warning;
+  expect_same_state();
+
+  while (i < stream.size()) deliver();
+  expect_same_state();
 }
 
 // --------------------------------------------- Satellite regression pins

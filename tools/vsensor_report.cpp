@@ -166,7 +166,8 @@ int inspect_journal(const std::string& path) {
   return load.clean() ? 0 : 4;
 }
 
-/// Inspect/verify a checkpoint. Exit 0 when valid, 4 when rejected.
+/// Inspect/verify a checkpoint. Exit 0 when valid, 4 when rejected or
+/// when a torn delta tail was dropped (as --journal does on salvage).
 int inspect_checkpoint(const std::string& path) {
   const auto load = rt::load_checkpoint(path);
   std::printf("checkpoint: %s\n", path.c_str());
@@ -175,6 +176,11 @@ int inspect_checkpoint(const std::string& path) {
   if (!load.ok) {
     std::printf("  INVALID: %s\n", load.warning.c_str());
     return 4;
+  }
+  std::printf("  frames: base + %llu deltas\n",
+              static_cast<unsigned long long>(load.deltas));
+  if (load.torn_bytes > 0) {
+    std::printf("  torn tail: %s\n", load.warning.c_str());
   }
   const auto& c = load.ckpt;
   std::printf("  shape: %u sensors, %d ranks, run_time %.6f s, %u buckets\n",
@@ -196,7 +202,7 @@ int inspect_checkpoint(const std::string& path) {
       static_cast<unsigned long long>(c.detector.inter_flags),
       static_cast<unsigned long long>(c.detector.intra_flags),
       c.detector.stale.size());
-  return 0;
+  return load.torn_bytes > 0 ? 4 : 0;
 }
 
 rt::SensorType parse_series(const std::string& s) {
