@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "bench_json.hpp"
@@ -58,6 +59,8 @@ obs::RunIdentity identity() {
 struct PipelineOutcome {
   workloads::WorkloadRun run;
   std::string matrices_csv;  ///< all three finalized matrices, concatenated
+  /// The run's collector, every record it kept (no sink attached).
+  std::unique_ptr<rt::Collector> collector;
 };
 
 // One full collection-and-detection pass: CG through the batch transport
@@ -71,7 +74,9 @@ PipelineOutcome run_pipeline(const workloads::Workload& w,
   auto cfg = workloads::baseline_config(kRanks);
   cfg.ranks_per_node = 4;
 
-  rt::Collector collector;
+  PipelineOutcome out;
+  out.collector = std::make_unique<rt::Collector>();
+  rt::Collector& collector = *out.collector;
   collector.set_sensors(w.sensors());
 
   // The horizon only shapes matrix bucketing; any fixed value keeps the
@@ -93,8 +98,8 @@ PipelineOutcome run_pipeline(const workloads::Workload& w,
 
   auto opts = options();
   opts.health = health;
-  PipelineOutcome out;
   out.run = workloads::run_workload(w, cfg, opts, &collector);
+  collector.attach_sink(nullptr);  // `streaming` dies with this scope
   if (health != nullptr) {
     health->remove_source("collector");
     health->remove_source("detector");
@@ -242,20 +247,30 @@ int main(int argc, char** argv) {
   VS_CHECK_MSG(health.snapshot_count() > 0,
                "health sampler took no snapshots on the delivery path");
 
-  // Session v2 round-trip with transport counters, as the offline report
-  // tool consumes it.
+  // The run's session (every record, transport counters, stale ranks)
+  // round-trips as the offline report tool consumes it.
   const std::string session_path = "metrics_smoke.session.vsr";
   {
-    rt::Collector replay;
-    replay.set_sensors(cg->sensors());
-    rt::save_session_file(session_path, replay, kRanks,
-                          with_obs.run.makespan, with_obs.run.transport,
-                          with_obs.run.stale_ranks);
+    const auto& run = with_obs.run;
+    rt::save_session_file(session_path, *with_obs.collector, kRanks,
+                          run.makespan, run.transport, run.stale_ranks);
     const auto session = rt::load_session_file(session_path);
+    VS_CHECK_MSG(session.clean(), "session did not load clean");
+    VS_CHECK_MSG(session.records.size() == with_obs.collector->record_count() &&
+                     !session.records.empty(),
+                 "session record count mismatch");
     VS_CHECK_MSG(session.has_transport() &&
                      session.transport_totals.batches_delivered ==
-                         with_obs.run.transport_totals.batches_delivered,
-                 "session v2 transport round-trip mismatch");
+                         run.transport_totals.batches_delivered &&
+                     session.transport_totals.records_delivered ==
+                         run.transport_totals.records_delivered &&
+                     session.transport_totals.wire_bytes ==
+                         run.transport_totals.wire_bytes,
+                 "session transport totals mismatch");
+    VS_CHECK_MSG(session.stale_ranks == run.stale_ranks,
+                 "session stale ranks mismatch");
+    std::printf("session: %s (%zu records, clean)\n", session_path.c_str(),
+                session.records.size());
   }
 
   // --- telemetry-off rerun: detection must be byte-identical ------------

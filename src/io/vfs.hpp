@@ -13,7 +13,7 @@
 //  * Operations never throw. Every failure is an IoResult the caller must
 //    translate into its own degradation policy (retry, degrade, warn).
 //  * The interface is write-side only. Loaders (load_journal,
-//    load_checkpoint, load_session) already fail closed on damaged bytes;
+//    load_checkpoint, load_session_file) already fail closed on damaged bytes;
 //    injecting read faults would only re-test that salvage logic. They
 //    read through the plain read_file below.
 //  * Passing a null Vfs* anywhere means "the real filesystem" — existing
@@ -107,8 +107,8 @@ inline Vfs& resolve(Vfs* vfs) {
   return vfs != nullptr ? *vfs : real_fs();
 }
 
-/// std::streambuf over an io::File, so the JSONL exporters (session,
-/// events, health, metrics) can keep their ostream-shaped renderers while
+/// std::streambuf over an io::File, so the JSONL exporters (events,
+/// health, metrics) can keep their ostream-shaped renderers while
 /// still routing bytes through the vfs. Failures latch: once any append
 /// fails, failed() stays true and further output is dropped.
 class FileStreambuf final : public std::streambuf {

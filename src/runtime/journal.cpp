@@ -1,5 +1,6 @@
 #include "runtime/journal.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -37,13 +38,6 @@ struct JournalInstruments {
 };
 #endif
 
-using vsensor::put_raw;
-
-template <typename T>
-void put(std::string& out, T v) {
-  put_raw(out, v);
-}
-
 /// Parse one frame payload. Returns false on any structural mismatch.
 bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
   ByteReader in{data, len};
@@ -72,25 +66,68 @@ bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
 
 }  // namespace
 
-std::string encode_journal_frame(const JournalFrame& frame) {
-  std::string payload;
-  payload.reserve(17 + frame.records.size() * kRecordWireBytes);
-  put(payload, static_cast<uint8_t>(frame.kind));
-  put(payload, frame.rank);
-  put(payload, frame.seq);
-  put(payload, static_cast<uint32_t>(frame.records.size()));
-  // Bulk append: memory layout == wire layout (see parse_payload).
-  if (!frame.records.empty()) {
-    payload.append(reinterpret_cast<const char*>(frame.records.data()),
-                   frame.records.size() * kRecordWireBytes);
-  }
+size_t open_frame(std::string& out) {
+  const size_t at = out.size();
+  out.append(kFrameHeaderBytes, '\0');
+  return at;
+}
 
+void close_frame(std::string& out, size_t at) {
+  const auto payload = std::string_view(out).substr(at + kFrameHeaderBytes);
+  const auto len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = crc32(payload);
+  std::memcpy(out.data() + at, &len, sizeof len);
+  std::memcpy(out.data() + at + sizeof len, &crc, sizeof crc);
+}
+
+void append_journal_frame(std::string& out, JournalFrameKind kind,
+                          int32_t rank, uint64_t seq,
+                          std::span<const SliceRecord> records) {
+  const size_t at = open_frame(out);
+  put_raw(out, static_cast<uint8_t>(kind));
+  put_raw(out, rank);
+  put_raw(out, seq);
+  put_raw(out, static_cast<uint32_t>(records.size()));
+  // Bulk append: memory layout == wire layout (see parse_payload).
+  if (!records.empty()) {
+    out.append(reinterpret_cast<const char*>(records.data()),
+               records.size_bytes());
+  }
+  close_frame(out, at);
+}
+
+std::string encode_journal_frame(const JournalFrame& frame) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  put(out, static_cast<uint32_t>(payload.size()));
-  put(out, crc32(payload));
-  out += payload;
+  out.reserve(kFrameHeaderBytes + 17 + frame.records.size() * kRecordWireBytes);
+  append_journal_frame(out, frame.kind, frame.rank, frame.seq, frame.records);
   return out;
+}
+
+size_t walk_frames(
+    std::string_view bytes, size_t pos,
+    const std::function<const char*(std::string_view payload)>& accept,
+    std::string* warning) {
+  while (pos < bytes.size()) {
+    const std::string_view rest = bytes.substr(pos);
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    if (rest.size() >= kFrameHeaderBytes) {
+      std::memcpy(&len, rest.data(), 4);
+      std::memcpy(&crc, rest.data() + 4, 4);
+    }
+    const std::string_view payload =
+        rest.substr(std::min(rest.size(), kFrameHeaderBytes), len);
+    const char* why = rest.size() < kFrameHeaderBytes ? "torn frame header"
+                      : payload.size() < len          ? "torn frame payload"
+                      : crc32(payload) != crc         ? "frame CRC mismatch"
+                                                      : accept(payload);
+    if (why != nullptr) {
+      *warning = std::string(why) + " at byte " + std::to_string(pos);
+      break;
+    }
+    pos += kFrameHeaderBytes + len;
+  }
+  return pos;
 }
 
 JournalFrame make_standard_frame(int32_t sensor_id, int32_t group,
@@ -155,15 +192,16 @@ bool JournalWriter::open_truncated() {
 
 bool JournalWriter::append(const JournalFrame& frame) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
-  const std::string encoded = encode_journal_frame(frame);
-  buf_ += encoded;
+  const size_t before = buf_.size();
+  append_journal_frame(buf_, frame.kind, frame.rank, frame.seq, frame.records);
+  const size_t encoded = buf_.size() - before;
   ++appended_frames_;
   ++frames_since_commit_;
-  appended_bytes_ += encoded.size();
+  appended_bytes_ += encoded;
   VS_OBS_ONLY(if (obs::enabled()) {
     auto& inst = JournalInstruments::get();
     inst.frames.add();
-    inst.bytes.add(encoded.size());
+    inst.bytes.add(encoded);
   })
   if (buf_.size() >= cfg_.buffer_bytes ||
       frames_since_commit_ >= cfg_.commit_every_frames) {
@@ -246,44 +284,23 @@ JournalLoad load_journal(const std::string& path) {
   }
   load.total_bytes = bytes.size();
 
-  const size_t header_len = std::strlen(kHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kHeader) != 0) {
+  if (!std::string_view(bytes).starts_with(kHeader)) {
     load.torn_bytes = bytes.size();
     load.warning = "journal header invalid; no frames salvaged";
     return load;
   }
   load.header_valid = true;
-  load.valid_bytes = header_len;
-
-  size_t pos = header_len;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < kFrameHeaderBytes) {
-      load.warning = "torn frame header at byte " + std::to_string(pos);
-      break;
-    }
-    uint32_t len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + pos, 4);
-    std::memcpy(&crc, bytes.data() + pos + 4, 4);
-    if (bytes.size() - pos - kFrameHeaderBytes < len) {
-      load.warning = "torn frame payload at byte " + std::to_string(pos);
-      break;
-    }
-    const char* payload = bytes.data() + pos + kFrameHeaderBytes;
-    if (crc32(payload, static_cast<size_t>(len)) != crc) {
-      load.warning = "frame CRC mismatch at byte " + std::to_string(pos);
-      break;
-    }
-    JournalFrame frame;
-    if (!parse_payload(payload, len, &frame)) {
-      load.warning = "malformed frame payload at byte " + std::to_string(pos);
-      break;
-    }
-    load.frames.push_back(std::move(frame));
-    pos += kFrameHeaderBytes + len;
-    load.valid_bytes = pos;
-  }
+  load.valid_bytes = walk_frames(
+      bytes, std::strlen(kHeader),
+      [&](std::string_view payload) -> const char* {
+        JournalFrame frame;
+        if (!parse_payload(payload.data(), payload.size(), &frame)) {
+          return "malformed frame payload";
+        }
+        load.frames.push_back(std::move(frame));
+        return nullptr;
+      },
+      &load.warning);
   load.torn_bytes = load.total_bytes - load.valid_bytes;
   return load;
 }

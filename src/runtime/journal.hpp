@@ -12,7 +12,8 @@
 // budget of the writer is obs-instrumented so the durability cost is a
 // measured quantity, not a guess.
 //
-// Frame layout (little-endian, after the one-line file header):
+// Frame layout (little-endian, after the one-line file header; session
+// files use the same frames and walker under their own header line):
 //   u32 payload_len | u32 crc32(payload) | payload
 //   payload: u8 kind | i32 rank | u64 seq | u32 count | count * record
 //   record:  i32 sensor_id | i32 rank | f32 metric | f32 reserved |
@@ -28,9 +29,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/vfs.hpp"
@@ -54,10 +58,32 @@ struct JournalFrame {
   std::vector<SliceRecord> records;
 };
 
+/// Frame a payload in place: open_frame appends the `u32 len | u32 crc32`
+/// placeholders and returns their offset, the caller appends the payload,
+/// close_frame patches both.
+size_t open_frame(std::string& out);
+void close_frame(std::string& out, size_t at);
+
+/// Append one frame to `out`, its payload straight from `records`. The
+/// journal writer and the session writer's batch frames both use it.
+void append_journal_frame(std::string& out, JournalFrameKind kind,
+                          int32_t rank, uint64_t seq,
+                          std::span<const SliceRecord> records);
+
 /// Serialize one frame exactly as the writer appends it (header + CRC +
 /// payload). Exposed so tests and the crash injector can construct torn
 /// prefixes of a real frame.
 std::string encode_journal_frame(const JournalFrame& frame);
+
+/// The salvage rule of the journal and session loaders: walk the frames of
+/// `bytes` from `pos`, handing each intact payload to `accept`, which
+/// returns null to take it or why it is malformed. The first torn,
+/// CRC-damaged or rejected frame ends the walk and is named, with its
+/// offset, in `warning`. Returns the offset past the last accepted frame.
+size_t walk_frames(
+    std::string_view bytes, size_t pos,
+    const std::function<const char*(std::string_view payload)>& accept,
+    std::string* warning);
 
 /// Build a Standard frame from one broadcast standard minimum (see the
 /// field-reuse note in the header comment).

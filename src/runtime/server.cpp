@@ -32,25 +32,6 @@ struct ServerInstruments {
 }  // namespace
 #endif
 
-namespace {
-
-/// Whether every record of `batch` can fold into `detector`: a known sensor
-/// and a rank in [0, ranks). The server checks before it journals, so the
-/// journal never holds a frame whose replay would throw.
-bool foldable(const StreamingDetector& detector,
-              std::span<const SliceRecord> batch) {
-  for (const auto& rec : batch) {
-    if (rec.sensor_id < 0 ||
-        static_cast<size_t>(rec.sensor_id) >= detector.sensor_count() ||
-        rec.rank < 0 || rec.rank >= detector.ranks()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 AnalysisServer::AnalysisServer(ServerConfig cfg, Collector* collector,
                                StreamingDetector* detector)
     : cfg_(std::move(cfg)),
@@ -79,8 +60,11 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
                                  double now) {
   VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
                "delivery from unknown rank");
-  VS_CHECK_MSG(foldable(*detector_, batch),
-               "delivery carries a record of an unknown sensor or rank");
+  // Checked before journaling, so the journal never holds a frame whose
+  // replay would throw.
+  VS_CHECK_MSG(
+      records_fit(batch, detector_->sensor_count(), detector_->ranks()),
+      "delivery carries a record of an unknown sensor or rank");
   std::lock_guard<std::mutex> lock(mu_);
   last_now_ = now;
   // The crash fires at a delivery boundary, before the triggering delivery
@@ -467,7 +451,8 @@ RecoveryReport AnalysisServer::recover_locked() {
       case JournalFrameKind::Batch: {
         if (frame.rank < 0 ||
             static_cast<size_t>(frame.rank) >= watermarks_.size() ||
-            !foldable(*detector_, frame.records)) {
+            !records_fit(frame.records, detector_->sensor_count(),
+                         detector_->ranks())) {
           ++report.frames_skipped;
           break;
         }

@@ -1,220 +1,172 @@
 #include "runtime/session_io.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <type_traits>
 
 #include "obs/obs.hpp"
-#include "support/crc32.hpp"
+#include "runtime/journal.hpp"
+#include "support/binio.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
 
 namespace {
-constexpr const char* kMagic = "vsensor-session";
-constexpr int kVersion = 3;
-// Version 1 lacked the transport/stale lines; version 2 lacked the
-// per-line CRC suffix. Both still load (with strict error behavior —
-// salvage needs the CRCs to tell damage from data).
-constexpr int kOldestSupported = 1;
+constexpr std::string_view kMagic = "vsensor-session ";
+constexpr int kVersion = 4;
+constexpr auto kBatchKind = static_cast<uint8_t>(JournalFrameKind::Batch);
+constexpr uint8_t kMetaKind = 4;  // the journal never writes kinds 4 and 5
+constexpr uint8_t kTrailerKind = 5;
+constexpr size_t kFrameRecords = 4096;
 
-// ` #xxxxxxxx`: CRC32 of the line content, appended to every line after
-// the magic line in v3 files.
-constexpr size_t kCrcSuffixLen = 10;
+// A field added to RankChannelStats changes the trailer: bump kVersion.
+static_assert(std::is_trivially_copyable_v<RankChannelStats> &&
+                  sizeof(RankChannelStats) == 96,
+              "RankChannelStats is part of the session trailer layout");
 
-/// Write one line with its integrity suffix.
-void emit(std::ostream& out, const std::string& line) {
-  char suffix[kCrcSuffixLen + 1];
-  std::snprintf(suffix, sizeof(suffix), " #%08x", crc32(line));
-  out << line << suffix << '\n';
+/// `u32 n | n raw items`: strings, transport counters and stale ranks.
+template <typename T>
+void put_array(std::string& out, std::span<const T> items) {
+  put_raw(out, static_cast<uint32_t>(items.size()));
+  out.append(reinterpret_cast<const char*>(items.data()), items.size_bytes());
 }
 
-/// Strip and verify the v3 integrity suffix in place. Returns false when
-/// the suffix is missing, malformed, or the CRC does not match.
-bool strip_crc(std::string& line) {
-  if (line.size() < kCrcSuffixLen) return false;
-  const size_t cut = line.size() - kCrcSuffixLen;
-  if (line[cut] != ' ' || line[cut + 1] != '#') return false;
-  uint32_t want = 0;
-  for (size_t i = cut + 2; i < line.size(); ++i) {
-    const char c = line[i];
-    uint32_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<uint32_t>(c - 'a') + 10;
-    else return false;
-    want = (want << 4) | digit;
-  }
-  line.resize(cut);
-  return crc32(line) == want;
-}
-
-template <typename Fn>
-std::string render(Fn&& fn) {
-  std::ostringstream ss;
-  ss.precision(17);
-  fn(ss);
-  return ss.str();
-}
-
-void write_header(std::ostream& out, int ranks, double run_time,
-                  const std::vector<SensorInfo>& sensors) {
-  out << kMagic << ' ' << kVersion << '\n';
-  emit(out, render([&](std::ostream& ss) {
-         ss << "ranks " << ranks << " run_time " << run_time;
-       }));
-  for (size_t i = 0; i < sensors.size(); ++i) {
-    const auto& s = sensors[i];
-    emit(out, render([&](std::ostream& ss) {
-           ss << "sensor " << i << ' ' << static_cast<int>(s.type) << ' '
-              << s.line << ' ' << s.file << ' ' << s.name;
-         }));
-  }
-}
-
-void write_record(std::ostream& out, const SliceRecord& r) {
-  emit(out, render([&](std::ostream& ss) {
-         ss << "record " << r.sensor_id << ' ' << r.rank << ' ' << r.t_begin
-            << ' ' << r.t_end << ' ' << r.avg_duration << ' '
-            << r.min_duration << ' ' << r.count << ' ' << r.metric << ' '
-            << r.flags;
-       }));
-}
-
-void write_transport(std::ostream& out,
-                     std::span<const RankChannelStats> transport,
-                     std::span<const int> stale_ranks) {
-  for (size_t r = 0; r < transport.size(); ++r) {
-    const auto& s = transport[r];
-    emit(out, render([&](std::ostream& ss) {
-           ss << "transport " << r << ' ' << s.batches_sent << ' '
-              << s.batches_delivered << ' ' << s.batches_lost << ' '
-              << s.records_delivered << ' ' << s.records_lost << ' '
-              << s.retries << ' ' << s.duplicates_suppressed << ' '
-              << s.delayed_batches << ' ' << s.wire_bytes << ' '
-              << s.backoff_seconds << ' ' << s.last_delivery_time << ' '
-              << s.next_seq;
-         }));
-  }
-  for (int r : stale_ranks) {
-    emit(out, render([&](std::ostream& ss) { ss << "stale " << r; }));
-  }
-}
-
-void accumulate_totals(RankChannelStats& sum, const RankChannelStats& s) {
-  sum.batches_sent += s.batches_sent;
-  sum.batches_delivered += s.batches_delivered;
-  sum.batches_lost += s.batches_lost;
-  sum.records_delivered += s.records_delivered;
-  sum.records_lost += s.records_lost;
-  sum.retries += s.retries;
-  sum.duplicates_suppressed += s.duplicates_suppressed;
-  sum.delayed_batches += s.delayed_batches;
-  sum.wire_bytes += s.wire_bytes;
-  sum.backoff_seconds += s.backoff_seconds;
-  sum.last_delivery_time = std::max(sum.last_delivery_time, s.last_delivery_time);
-  sum.next_seq += s.next_seq;
-}
-
-/// Parse the metadata line ("ranks <N> run_time <t>"). Returns false
-/// (with *err set) instead of throwing, so the v3 path can salvage.
-bool parse_meta(const std::string& line, Session* session, std::string* err) {
-  std::istringstream meta(line);
-  std::string k1;
-  std::string k2;
-  meta >> k1 >> session->ranks >> k2 >> session->run_time;
-  if (k1 != "ranks" || k2 != "run_time" || session->ranks <= 0) {
-    *err = "malformed session metadata line";
-    return false;
-  }
+/// Append what put_array wrote to a std::string or std::vector.
+template <typename Array>
+bool read_array(ByteReader& in, Array* out) {
+  const size_t item = sizeof(typename Array::value_type);
+  const size_t at = out->size();
+  uint32_t n = 0;
+  if (!in.read(&n) || !in.has(n * item)) return false;
+  out->resize(at + n);
+  if (n > 0) std::memcpy(out->data() + at, in.p + in.pos, n * item);
+  in.pos += n * item;
   return true;
 }
 
-/// Parse one body line into the session. Returns false with *err set on
-/// any structural problem; never throws.
-bool parse_line(const std::string& line, Session* session, std::string* err) {
-  std::istringstream ls(line);
-  std::string kind;
-  ls >> kind;
-  if (kind == "sensor") {
-    size_t id = 0;
-    int type = 0;
+/// The one session encoder: header line and meta frame, batch frames of
+/// kFrameRecords filled across the spans `visit` hands over (so the bytes
+/// depend only on the records and their order), then the trailer frame.
+/// `drain` runs after each frame and may move `out`'s bytes elsewhere.
+template <typename Visit, typename Drain>
+void write_session(std::string& out, int ranks, double run_time,
+                   uint64_t records, const std::vector<SensorInfo>& sensors,
+                   Visit&& visit, std::span<const RankChannelStats> transport,
+                   std::span<const int> stale_ranks, Drain&& drain) {
+  out += std::string(kMagic) + std::to_string(kVersion) + '\n';
+  size_t at = open_frame(out);
+  put_raw(out, kMetaKind);
+  put_raw(out, int32_t{ranks});
+  put_raw(out, run_time);
+  put_raw(out, records);
+  put_raw(out, static_cast<uint32_t>(sensors.size()));
+  for (const auto& s : sensors) {
+    put_raw(out, static_cast<uint8_t>(s.type));
+    put_raw(out, int32_t{s.line});
+    put_array<char>(out, s.file);
+    put_array<char>(out, s.name);
+  }
+  close_frame(out, at);
+  drain();
+
+  uint64_t seq = 0;
+  std::vector<SliceRecord> frame;  // filled across span boundaries
+  const auto emit = [&] {
+    append_journal_frame(out, JournalFrameKind::Batch, -1, seq++, frame);
+    frame.clear();
+    drain();
+  };
+  visit([&](std::span<const SliceRecord> span) {
+    while (!span.empty()) {
+      const size_t take = std::min(span.size(), kFrameRecords - frame.size());
+      frame.insert(frame.end(), span.begin(), span.begin() + take);
+      span = span.subspan(take);
+      if (frame.size() == kFrameRecords) emit();
+    }
+  });
+  if (!frame.empty()) emit();
+
+  at = open_frame(out);
+  put_raw(out, kTrailerKind);
+  put_array(out, transport);
+  put_array(out, stale_ranks);
+  close_frame(out, at);
+  drain();
+}
+
+/// Parse the meta frame into `out`, or leave `out` untouched and say why
+/// not. `left` is the byte count after the frame.
+const char* read_meta(std::string_view payload, size_t left, Session* out,
+                      uint64_t* records) {
+  ByteReader in{payload.data(), payload.size(), 1};  // past the kind byte
+  Session s;
+  uint32_t sensors = 0;
+  if (!in.read(&s.ranks) || !in.read(&s.run_time) ||
+      !in.read(records) || !in.read(&sensors)) {
+    return "meta frame too short";
+  }
+  if (s.ranks <= 0) return "meta frame declares no ranks";
+  for (uint32_t i = 0; i < sensors; ++i) {
     SensorInfo info;
-    ls >> id >> type >> info.line >> info.file;
-    std::getline(ls, info.name);
-    if (!info.name.empty() && info.name.front() == ' ') {
-      info.name.erase(0, 1);
+    uint8_t type = 0;
+    if (!in.read(&type) || !in.read(&info.line) || !read_array(in, &info.file) ||
+        !read_array(in, &info.name)) {
+      return "sensor entry overruns the meta frame";
     }
-    if (!ls || type < 0 || type >= kSensorTypeCount) {
-      *err = "malformed sensor line: " + line;
-      return false;
-    }
-    if (id != session->sensors.size()) {
-      *err = "sensor ids must be dense and in order";
-      return false;
-    }
+    if (type >= kSensorTypeCount) return "sensor type out of range";
     info.type = static_cast<SensorType>(type);
-    session->sensors.push_back(std::move(info));
-  } else if (kind == "record") {
-    SliceRecord r;
-    ls >> r.sensor_id >> r.rank >> r.t_begin >> r.t_end >> r.avg_duration >>
-        r.min_duration >> r.count >> r.metric >> r.flags;
-    if (!ls) {
-      *err = "malformed record line: " + line;
-      return false;
-    }
-    if (r.sensor_id < 0 ||
-        static_cast<size_t>(r.sensor_id) >= session->sensors.size()) {
-      *err = "record references unknown sensor: " + line;
-      return false;
-    }
-    if (r.rank < 0 || r.rank >= session->ranks) {
-      *err = "record from unknown rank: " + line;
-      return false;
-    }
-    session->records.push_back(r);
-  } else if (kind == "transport") {
-    size_t rank = 0;
-    RankChannelStats s;
-    ls >> rank >> s.batches_sent >> s.batches_delivered >> s.batches_lost >>
-        s.records_delivered >> s.records_lost >> s.retries >>
-        s.duplicates_suppressed >> s.delayed_batches >> s.wire_bytes >>
-        s.backoff_seconds >> s.last_delivery_time >> s.next_seq;
-    if (!ls || rank >= static_cast<size_t>(session->ranks)) {
-      *err = "malformed transport line: " + line;
-      return false;
-    }
-    if (rank != session->transport.size()) {
-      *err = "transport ranks must be dense and in order";
-      return false;
-    }
-    session->transport.push_back(s);
-  } else if (kind == "stale") {
-    int rank = -1;
-    ls >> rank;
-    if (!ls || rank < 0 || rank >= session->ranks) {
-      *err = "malformed stale line: " + line;
-      return false;
-    }
-    session->stale_ranks.push_back(rank);
-  } else {
-    *err = "unknown session line kind: " + kind;
-    return false;
+    s.sensors.push_back(std::move(info));
   }
-  return true;
+  if (!in.done()) return "trailing bytes in the meta frame";
+  // Reserve once, capped by the bytes left, so a crafted count cannot
+  // drive a huge allocation.
+  s.records.reserve(std::min<uint64_t>(*records, left / kRecordWireBytes));
+  *out = std::move(s);
+  return nullptr;
+}
+
+/// Append one batch frame's records to `s`, whole or not at all. The
+/// payload is the journal's Batch payload: a header, then the records as
+/// put_array writes them.
+const char* read_batch(std::string_view payload, uint64_t index, Session* s) {
+  ByteReader in{payload.data(), payload.size(), 1};
+  int32_t rank = 0;
+  uint64_t seq = 0;
+  if (!in.read(&rank) || !in.read(&seq) || rank != -1) {
+    return "malformed batch frame";
+  }
+  if (seq != index) return "batch frame out of sequence";
+  const size_t at = s->records.size();
+  const char* why =
+      !read_array(in, &s->records) || !in.done() ? "malformed batch frame"
+      : !records_fit(std::span(s->records).subspan(at), s->sensors.size(),
+                     s->ranks)
+          ? "record names an unknown sensor or rank"
+          : nullptr;
+  if (why != nullptr) s->records.resize(at);
+  return why;
+}
+
+/// Parse the trailer frame into `s`, whole or not at all.
+const char* read_trailer(std::string_view payload, Session* s) {
+  ByteReader in{payload.data(), payload.size(), 1};
+  std::vector<RankChannelStats> transport;
+  std::vector<int> stale;
+  if (!read_array(in, &transport) || !read_array(in, &stale) || !in.done()) {
+    return "malformed trailer frame";
+  }
+  if (transport.size() > static_cast<size_t>(s->ranks)) {
+    return "more transport entries than ranks";
+  }
+  for (int r : stale) {
+    if (r < 0 || r >= s->ranks) return "stale rank outside [0, ranks)";
+  }
+  s->transport = std::move(transport);
+  s->stale_ranks = std::move(stale);
+  return nullptr;
 }
 }  // namespace
-
-void save_session(std::ostream& out, const Session& session) {
-  VS_OBS_SCOPED_STAGE(obs::Stage::Export);
-  write_header(out, session.ranks, session.run_time, session.sensors);
-  for (const auto& r : session.records) write_record(out, r);
-  write_transport(out, session.transport, session.stale_ranks);
-}
-
-void save_session_file(const std::string& path, const Collector& collector,
-                       int ranks, double run_time) {
-  save_session_file(path, collector, ranks, run_time, {}, {});
-}
 
 void save_session_file(const std::string& path, const Collector& collector,
                        int ranks, double run_time,
@@ -227,97 +179,95 @@ void save_session_file(const std::string& path, const Collector& collector,
     throw Error(err.empty() ? "cannot open session file for writing: " + path
                             : err);
   }
-  io::FileStreambuf buf(file.get());
-  std::ostream out(&buf);
+  const auto check = [&path](const io::IoResult& r) {
+    if (!r.ok) throw Error("cannot write session file " + path + ": " + r.error);
+  };
   // Stream the records straight out of the collector's shards (locked
-  // view) instead of copying the full history into a Session first.
-  write_header(out, ranks, run_time, collector.sensors());
-  collector.visit_records([&out](std::span<const SliceRecord> seg) {
-    for (const auto& r : seg) write_record(out, r);
-  });
-  write_transport(out, transport, stale_ranks);
-  out.flush();
-  if (buf.failed() || !out) {
-    throw Error("failed while writing session file: " + path);
-  }
+  // view), one frame at a time, instead of copying the history first.
+  std::string out;
+  write_session(
+      out, ranks, run_time, collector.record_count(), collector.sensors(),
+      [&](const auto& fn) { collector.visit_records(fn); }, transport,
+      stale_ranks, [&] {
+        check(file->append(out));
+        out.clear();
+      });
+  check(file->flush());
 }
 
-Session load_session(std::istream& in) {
-  Session session;
-  std::string line;
+std::string encode_session(const Session& session) {
+  std::string out;
+  write_session(
+      out, session.ranks, session.run_time, session.records.size(),
+      session.sensors,
+      [&](const auto& fn) { fn(std::span<const SliceRecord>(session.records)); },
+      session.transport, session.stale_ranks, [] {});
+  return out;
+}
 
-  if (!std::getline(in, line)) throw Error("empty session file");
+Session parse_session(std::string_view bytes) {
+  const size_t eol = bytes.find('\n');
   int version = 0;
-  {
-    std::istringstream header(line);
-    std::string magic;
-    header >> magic >> version;
-    if (magic != kMagic) throw Error("not a vsensor session file");
-    if (version < kOldestSupported || version > kVersion) {
-      throw Error("unsupported session version: " + std::to_string(version));
-    }
+  if (eol == std::string_view::npos || !bytes.starts_with(kMagic) ||
+      std::from_chars(bytes.data() + kMagic.size(), bytes.data() + eol,
+                      version) !=
+          std::from_chars_result{bytes.data() + eol, std::errc()}) {
+    throw Error("not a vsensor session file");
   }
-  const bool checked = version >= 3;
-
-  // Salvage discipline (v3): the first damaged or malformed line ends the
-  // load — everything before it is intact (CRC-verified), everything from
-  // it on is dropped and counted, and the reason lands in warnings.
-  // Legacy files (v1/v2) keep their original strict throw behavior.
-  size_t line_no = 1;  // the magic line
-  bool body_ok = true;
-  auto fail = [&](std::istream& rest, const std::string& why) {
-    session.warnings.push_back("line " + std::to_string(line_no) + ": " + why +
-                               "; salvaged valid prefix");
-    ++session.salvaged_lines;
-    std::string dropped;
-    while (std::getline(rest, dropped)) ++session.salvaged_lines;
-    body_ok = false;
-  };
-
-  if (!std::getline(in, line)) {
-    if (checked) {
-      session.warnings.push_back("session file truncated before metadata");
-      return session;
-    }
-    throw Error("session file truncated");
-  }
-  ++line_no;
-  std::string err;
-  if (checked && !strip_crc(line)) {
-    fail(in, "metadata line torn or CRC mismatch");
-  } else if (!parse_meta(line, &session, &err)) {
-    if (!checked) throw Error(err);
-    session.ranks = 0;  // drop the partial parse
-    session.run_time = 0.0;
-    fail(in, err);
+  if (version != kVersion) {
+    throw Error("session version " + std::to_string(version) +
+                " is not readable (this build reads version " +
+                std::to_string(kVersion) + ")");
   }
 
-  while (body_ok && std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (checked && !strip_crc(line)) {
-      fail(in, "line torn or CRC mismatch");
-      break;
-    }
-    if (!parse_line(line, &session, &err)) {
-      if (!checked) throw Error(err);
-      fail(in, err);
-      break;
-    }
+  Session session;
+  uint64_t declared = 0;  // records, per the meta frame
+  uint64_t batches = 0;
+  enum class Part { Meta, Body, Done } part = Part::Meta;
+  std::string warning;
+  const size_t valid = walk_frames(
+      bytes, eol + 1,
+      [&](std::string_view payload) -> const char* {
+        const auto kind =
+            static_cast<uint8_t>(payload.empty() ? 0xFF : payload[0]);
+        if (part == Part::Meta) {
+          part = Part::Body;
+          const auto left = static_cast<size_t>(
+              bytes.data() + bytes.size() - (payload.data() + payload.size()));
+          return kind == kMetaKind
+                     ? read_meta(payload, left, &session, &declared)
+                     : "first frame is not the meta frame";
+        }
+        if (part == Part::Done) return "frame after the trailer";
+        if (kind == kTrailerKind) part = Part::Done;
+        return kind == kTrailerKind ? read_trailer(payload, &session)
+               : kind == kBatchKind ? read_batch(payload, batches++, &session)
+               : kind == kMetaKind  ? "second meta frame"
+                                    : "unknown frame kind";
+      },
+      &warning);
+
+  session.torn_bytes = bytes.size() - valid;
+  if (warning.empty() && part != Part::Done) {
+    warning = "session ends at byte " + std::to_string(valid) +
+              " without its trailer frame";
+  } else if (warning.empty() && session.records.size() != declared) {
+    warning = "session holds " + std::to_string(session.records.size()) +
+              " records but its meta frame declares " + std::to_string(declared);
   }
+  if (!warning.empty()) session.warnings.push_back(warning);
   // Totals are derived, never stored: recompute so they can't drift from
-  // the per-rank lines.
-  session.transport_totals = RankChannelStats{};
-  for (const auto& s : session.transport) {
-    accumulate_totals(session.transport_totals, s);
-  }
+  // the per-rank entries.
+  for (const auto& s : session.transport) session.transport_totals.add(s);
   return session;
 }
 
 Session load_session_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open session file: " + path);
-  return load_session(in);
+  std::string bytes;
+  if (!io::read_file(path, &bytes)) {
+    throw Error("cannot open session file: " + path);
+  }
+  return parse_session(bytes);
 }
 
 }  // namespace vsensor::rt

@@ -2,11 +2,29 @@
 // report "by sending messages to analysis-server or by updating shared
 // files"). A session file carries the sensor table and every slice record,
 // so analysis and visualization can run offline (tools/vsensor-report).
+//
+// A session is stored as the journal's frames (`u32 len | u32 crc32 |
+// payload`, journal.hpp) under its own header line, little-endian:
+//
+//   vsensor-session 4\n
+//   meta     (first frame): u8 4 | i32 ranks | f64 run_time | u64 records |
+//                           u32 sensors | per sensor: u8 type | i32 line |
+//                           u32 n | n bytes file | u32 n | n bytes name
+//   batch    (0..k frames): the journal's Batch payload — u8 0 | i32 -1 |
+//                           u64 frame index | u32 count | count records —
+//                           4096 records each, the last one possibly fewer
+//   trailer  (last frame):  u8 5 | u32 n | n x RankChannelStats (rank
+//                           order) | u32 m | m x i32 stale rank
+//
+// Loading follows the journal's salvage rule (walk_frames): the first torn,
+// CRC-damaged or malformed frame ends the load and the frames before it are
+// kept. A session is written whole, so a load with no trailer frame, or
+// with another record count than the meta frame's, is not clean either.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/vfs.hpp"
@@ -21,57 +39,42 @@ struct Session {
   double run_time = 0.0;
   std::vector<SensorInfo> sensors;
   std::vector<SliceRecord> records;
-  /// Per-rank transport channel counters (v2 sessions; empty for v1 or
-  /// runs that bypassed the transport). When present, has `ranks` entries.
+  /// Per-rank transport channel counters, in rank order (empty for runs
+  /// that bypassed the transport). Never more than `ranks` entries.
   std::vector<RankChannelStats> transport;
   /// Field-wise sum over `transport` (recomputed on load).
   RankChannelStats transport_totals;
-  /// Ranks the transport declared stale at end of run (v2 sessions).
+  /// Ranks the transport declared stale at end of run.
   std::vector<int> stale_ranks;
-  /// Structured integrity warnings (v3 sessions): when a damaged file was
-  /// salvaged, each entry describes one reason loading stopped early —
-  /// the data above is the valid prefix. Empty = clean load.
+  /// Integrity warnings: why the load stopped early or found the file
+  /// incomplete. The data above is the valid frame prefix. Empty = clean.
   std::vector<std::string> warnings;
-  /// Lines dropped by salvage (the damaged line and everything after it).
-  uint64_t salvaged_lines = 0;
+  /// Bytes after the last intact frame, dropped by salvage.
+  uint64_t torn_bytes = 0;
 
   bool has_transport() const { return !transport.empty(); }
   bool clean() const { return warnings.empty(); }
 };
 
-/// Text format, line-oriented:
-///   vsensor-session 3
-///   ranks <N> run_time <seconds>
-///   sensor <id> <type> <line> <name> (name may contain spaces; file is
-///                                     URL-free token, stored after line)
-///   record <sensor> <rank> <t_begin> <t_end> <avg> <min> <count> <metric> <flags>
-///   transport <rank> <sent> <delivered> <lost> <rec_delivered> <rec_lost>
-///             <retries> <dups> <delayed> <wire_bytes> <backoff_s>
-///             <last_delivery_t> <next_seq>
-///   stale <rank>
-/// Version 3 appends an integrity suffix ` #xxxxxxxx` (CRC32 of the line
-/// content, 8 hex digits) to every line after the magic line. Loading a
-/// v3 file salvages the valid prefix of a truncated or corrupted file:
-/// the first torn, CRC-damaged, or malformed line stops the load with a
-/// structured warning in Session::warnings instead of an exception.
-/// Version 1 (no transport/stale lines) and version 2 (no CRC suffix)
-/// files still load, with their original strict error behavior.
-void save_session(std::ostream& out, const Session& session);
-void save_session_file(const std::string& path, const Collector& collector,
-                       int ranks, double run_time);
-/// As above, additionally persisting per-rank transport counters and the
-/// stale-rank list (one `transport` line per entry, in rank order). Bytes
-/// route through `vfs` (null = real filesystem); I/O failure still throws
+/// Write the collector's sensors and records, the per-rank transport
+/// counters and the stale-rank list to `path`, streaming frame by frame.
+/// Bytes route through `vfs` (null = real filesystem); I/O failure throws
 /// Error — a session export is an explicit user ask, not a background
 /// durability write the pipeline can degrade around.
 void save_session_file(const std::string& path, const Collector& collector,
                        int ranks, double run_time,
-                       std::span<const RankChannelStats> transport,
-                       std::span<const int> stale_ranks,
+                       std::span<const RankChannelStats> transport = {},
+                       std::span<const int> stale_ranks = {},
                        io::Vfs* vfs = nullptr);
 
-/// Throws vsensor::Error on malformed input.
-Session load_session(std::istream& in);
+/// The bytes save_session_file writes for a collector holding `session`'s
+/// sensors and records.
+std::string encode_session(const Session& session);
+
+/// Parse session bytes already in memory. Throws Error when the header
+/// line is not `vsensor-session 4`; damage after it is salvaged instead.
+Session parse_session(std::string_view bytes);
+/// read_file then parse_session; a missing file throws Error.
 Session load_session_file(const std::string& path);
 
 }  // namespace vsensor::rt

@@ -305,24 +305,25 @@ RankChannelStats BatchTransport::rank_stats(int rank) const {
   return channels_[static_cast<size_t>(rank)].stats;
 }
 
+void RankChannelStats::add(const RankChannelStats& s) {
+  batches_sent += s.batches_sent;
+  batches_delivered += s.batches_delivered;
+  batches_lost += s.batches_lost;
+  records_delivered += s.records_delivered;
+  records_lost += s.records_lost;
+  retries += s.retries;
+  duplicates_suppressed += s.duplicates_suppressed;
+  delayed_batches += s.delayed_batches;
+  wire_bytes += s.wire_bytes;
+  backoff_seconds += s.backoff_seconds;
+  last_delivery_time = std::max(last_delivery_time, s.last_delivery_time);
+  next_seq += s.next_seq;
+}
+
 RankChannelStats BatchTransport::totals() const {
   RankChannelStats sum;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Channel& ch : channels_) {
-    const RankChannelStats& s = ch.stats;
-    sum.batches_sent += s.batches_sent;
-    sum.batches_delivered += s.batches_delivered;
-    sum.batches_lost += s.batches_lost;
-    sum.records_delivered += s.records_delivered;
-    sum.records_lost += s.records_lost;
-    sum.retries += s.retries;
-    sum.duplicates_suppressed += s.duplicates_suppressed;
-    sum.delayed_batches += s.delayed_batches;
-    sum.wire_bytes += s.wire_bytes;
-    sum.backoff_seconds += s.backoff_seconds;
-    sum.last_delivery_time = std::max(sum.last_delivery_time, s.last_delivery_time);
-    sum.next_seq += s.next_seq;
-  }
+  for (const Channel& ch : channels_) sum.add(ch.stats);
   return sum;
 }
 

@@ -128,6 +128,9 @@ struct RankChannelStats {
   double backoff_seconds = 0.0;         ///< total virtual backoff spent
   double last_delivery_time = -1.0;     ///< virtual time of newest delivery
   uint64_t next_seq = 0;                ///< next sequence number to stamp
+
+  /// Field-wise sum (last_delivery_time = max, next_seq = sum).
+  void add(const RankChannelStats& s);
 };
 
 class BatchTransport : public obs::HealthSource {
@@ -204,7 +207,7 @@ class BatchTransport : public obs::HealthSource {
   bool rejoin_rank(int rank, double now);
 
   RankChannelStats rank_stats(int rank) const;
-  /// Field-wise sum over all ranks (last_delivery_time = max, next_seq = sum).
+  /// RankChannelStats::add over all ranks.
   RankChannelStats totals() const;
 
   int ranks() const { return static_cast<int>(channels_.size()); }

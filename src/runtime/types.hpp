@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 
@@ -50,6 +51,19 @@ static_assert(sizeof(SliceRecord) == kRecordWireBytes,
               "SliceRecord layout must match the packed wire layout");
 static_assert(std::is_trivially_copyable_v<SliceRecord>,
               "SliceRecord must be bulk-copyable for the durability layer");
+
+/// The shape rule every layer applies to the records it takes in: each
+/// names a sensor in [0, sensors) and a rank in [0, ranks).
+inline bool records_fit(std::span<const SliceRecord> records, size_t sensors,
+                        int ranks) {
+  for (const auto& r : records) {
+    if (r.sensor_id < 0 || static_cast<size_t>(r.sensor_id) >= sensors ||
+        r.rank < 0 || r.rank >= ranks) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// SliceRecord::flags bit: set by the rank's own probe when the slice fell
 /// below the local variance threshold against that rank's history (§5.3).

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
-// check framing every durable artifact: journal frames, checkpoint
-// payloads, and v3 session lines.
+// check framing every durable artifact: journal and session frames, and
+// checkpoint payloads.
 //
 // Three paths compute it, all returning bit-identical checksums:
 //  * x86-64: carry-less-multiply folding (PCLMULQDQ, Intel's 2009 method)

@@ -145,21 +145,23 @@ int inspect_journal(const std::string& path) {
               static_cast<unsigned long long>(load.total_bytes),
               static_cast<unsigned long long>(load.valid_bytes),
               static_cast<unsigned long long>(load.torn_bytes));
-  uint64_t batches = 0;
-  uint64_t stale = 0;
-  uint64_t records = 0;
+  // Indexed by JournalFrameKind; load_journal rejects any other kind.
+  unsigned long long kinds[4] = {};
+  unsigned long long records = 0;
   for (const auto& f : load.frames) {
-    if (f.kind == rt::JournalFrameKind::Batch) {
-      ++batches;
-      records += f.records.size();
-    } else {
-      ++stale;
-    }
+    ++kinds[static_cast<size_t>(f.kind)];
+    if (f.kind == rt::JournalFrameKind::Batch) records += f.records.size();
   }
-  std::printf("  frames: %zu (%llu batch, %llu stale-mark), %llu records\n",
-              load.frames.size(), static_cast<unsigned long long>(batches),
-              static_cast<unsigned long long>(stale),
-              static_cast<unsigned long long>(records));
+  const auto frames = [&kinds](rt::JournalFrameKind kind) {
+    return kinds[static_cast<size_t>(kind)];
+  };
+  std::printf(
+      "  frames: %zu (%llu batch, %llu stale-mark, %llu rejoin, %llu "
+      "standard), %llu records\n",
+      load.frames.size(), frames(rt::JournalFrameKind::Batch),
+      frames(rt::JournalFrameKind::StaleRank),
+      frames(rt::JournalFrameKind::RankRejoin),
+      frames(rt::JournalFrameKind::Standard), records);
   if (!load.warning.empty()) {
     std::printf("  warning: %s\n", load.warning.c_str());
   }
@@ -248,9 +250,9 @@ int run_tool(const Options& opts) {
               session.ranks, session.run_time, session.sensors.size(),
               session.records.size());
   for (const auto& w : session.warnings) {
-    std::fprintf(stderr, "vsensor-report: warning: %s (%llu lines dropped)\n",
+    std::fprintf(stderr, "vsensor-report: warning: %s (%llu bytes dropped)\n",
                  w.c_str(),
-                 static_cast<unsigned long long>(session.salvaged_lines));
+                 static_cast<unsigned long long>(session.torn_bytes));
   }
   std::printf("\n");
 
