@@ -1,7 +1,8 @@
 // Self-telemetry smoke run: drives a full workload through the collection
-// pipeline with observability enabled, then prints the metrics snapshot,
-// the per-stage overhead attribution, and exports the JSONL metrics,
-// Chrome trace, health snapshot, and event log artifacts CI uploads.
+// pipeline with observability enabled, then prints the per-stage overhead
+// attribution and exports the JSONL metrics (the run's health gauges plus
+// the stage clock), Chrome trace, health snapshot, and event log artifacts
+// CI uploads.
 // Checks the three claims the observability layer makes:
 //  * the paper's §6.2 overhead bound — the instrumented run's virtual
 //    makespan exceeds the plain run's by less than 4%, with the health
@@ -9,7 +10,7 @@
 //  * zero interference — detection matrices are byte-identical with
 //    telemetry (and the health plane) on and off;
 //  * the exports are well-formed and non-empty.
-// Closes with the BENCH_obs.json micro-suite (hook cost enabled vs
+// Closes with the BENCH_obs.json micro-suite (stage-scope cost enabled vs
 // disabled, health snapshot cost) for the bench-trajectory gate.
 #include <cstdio>
 #include <chrono>
@@ -61,6 +62,8 @@ struct PipelineOutcome {
   std::string matrices_csv;  ///< all three finalized matrices, concatenated
   /// The run's collector, every record it kept (no sink attached).
   std::unique_ptr<rt::Collector> collector;
+  /// The collector's and the detector's gauges at the end of the run.
+  obs::HealthRecorder gauges;
 };
 
 // One full collection-and-detection pass: CG through the batch transport
@@ -99,6 +102,14 @@ PipelineOutcome run_pipeline(const workloads::Workload& w,
   auto opts = options();
   opts.health = health;
   out.run = workloads::run_workload(w, cfg, opts, &collector);
+  {
+    obs::HealthRecorder::Prefix scope(out.gauges, "collector");
+    collector.sample_health(out.run.makespan, out.gauges);
+  }
+  {
+    obs::HealthRecorder::Prefix scope(out.gauges, "detector");
+    streaming.sample_health(out.run.makespan, out.gauges);
+  }
   collector.attach_sink(nullptr);  // `streaming` dies with this scope
   if (health != nullptr) {
     health->remove_source("collector");
@@ -118,14 +129,12 @@ void run_obs_bench(const std::string& path) {
   bench::BenchReporter rep("obs");
   constexpr size_t kReps = 7;
   constexpr int kIters = 1 << 16;
-  auto& reg = obs::MetricsRegistry::global();
-  auto& ctr = reg.counter("bench.hook_cost");
 
-  const auto hook_loop = [&ctr]() {
-    return bench::time_seconds([&ctr] {
+  // The one hook the runtime keeps: a stage scope.
+  const auto hook_loop = [] {
+    return bench::time_seconds([] {
       for (int i = 0; i < kIters; ++i) {
         VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
-        ctr.add();
       }
     }) / kIters * 1e9;
   };
@@ -177,9 +186,7 @@ int main(int argc, char** argv) {
   const auto cg = workloads::make_workload("CG");
   const auto id = identity();
 
-  std::printf("metrics smoke: CG x%d ranks, self-telemetry %s at compile "
-              "time\n\n",
-              kRanks, VSENSOR_OBS ? "on" : "off");
+  std::printf("metrics smoke: CG x%d ranks\n\n", kRanks);
 
   // --- plain run: the virtual baseline for the §6.2 overhead claim ------
   workloads::RunOptions plain = options();
@@ -225,7 +232,10 @@ int main(int argc, char** argv) {
   };
   {
     std::ofstream out(metrics_path);
-    if (out) obs::MetricsRegistry::global().write_jsonl(out, &id);
+    if (out) {
+      obs::write_metrics_jsonl(out, id, with_obs.gauges,
+                               obs::StageClock::global());
+    }
     out.flush();
     must_export(static_cast<bool>(out), metrics_path);
   }
@@ -237,15 +247,27 @@ int main(int argc, char** argv) {
   }
   must_export(health.export_file(health_path, &id), health_path);
   must_export(events.export_file(events_path, &id), events_path);
-  std::printf("exports: %s (%zu instruments), %s (%zu spans), %s (%zu "
+  std::printf("exports: %s (%zu gauges), %s (%zu spans), %s (%zu "
               "snapshots), %s (%zu events)\n",
-              metrics_path.c_str(),
-              obs::MetricsRegistry::global().instrument_count(),
+              metrics_path.c_str(), with_obs.gauges.gauges().size(),
               trace_path.c_str(), obs::SpanTracer::global().span_count(),
               health_path.c_str(), health.snapshot_count(),
               events_path.c_str(), events.size());
   VS_CHECK_MSG(health.snapshot_count() > 0,
                "health sampler took no snapshots on the delivery path");
+  {
+    // The metrics file renders the run's own counters.
+    const std::string want =
+        "{\"gauge\":\"collector.ingested_records\",\"value\":" +
+        std::to_string(with_obs.collector->ingested_records()) + "}";
+    std::ifstream in(metrics_path);
+    bool found = false;
+    for (std::string line; !found && std::getline(in, line);) {
+      found = line == want;
+    }
+    VS_CHECK_MSG(found,
+                 "metrics file lacks the collector's ingested_records");
+  }
 
   // The run's session (every record, transport counters, stale ranks)
   // round-trips as the offline report tool consumes it.

@@ -5,42 +5,13 @@
 #include <limits>
 #include <ostream>
 
+#include "obs/health.hpp"
 #include "obs/identity.hpp"
 #include "obs/jsonw.hpp"
+#include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::obs {
-
-size_t thread_stripe() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t stripe =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return stripe;
-}
-
-uint64_t Counter::value() const {
-  uint64_t sum = 0;
-  for (const auto& s : stripes_) sum += s.v.load(std::memory_order_relaxed);
-  return sum;
-}
-
-void Counter::reset() {
-  for (auto& s : stripes_) s.v.store(0, std::memory_order_relaxed);
-}
-
-void Gauge::add(double delta) {
-  double cur = v_.load(std::memory_order_relaxed);
-  while (!v_.compare_exchange_weak(cur, cur + delta,
-                                   std::memory_order_relaxed)) {
-  }
-}
-
-void Gauge::set_max(double v) {
-  double cur = v_.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
 
 LogHistogram::LogHistogram(Config cfg)
     : cfg_(cfg),
@@ -142,156 +113,25 @@ void LogHistogram::reset() {
   n_.store(0, std::memory_order_relaxed);
 }
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-LogHistogram& MetricsRegistry::histogram(std::string_view name,
-                                         LogHistogram::Config cfg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<LogHistogram>(cfg))
-             .first;
-  }
-  return *it->second;
-}
-
-std::vector<MetricPoint> MetricsRegistry::snapshot() const {
-  std::vector<MetricPoint> points;
-  std::lock_guard<std::mutex> lock(mu_);
-  points.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, c] : counters_) {
-    MetricPoint p;
-    p.name = name;
-    p.kind = MetricPoint::Kind::Counter;
-    p.count = c->value();
-    p.value = static_cast<double>(p.count);
-    points.push_back(std::move(p));
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricPoint p;
-    p.name = name;
-    p.kind = MetricPoint::Kind::Gauge;
-    p.value = g->value();
-    points.push_back(std::move(p));
-  }
-  for (const auto& [name, h] : histograms_) {
-    MetricPoint p;
-    p.name = name;
-    p.kind = MetricPoint::Kind::Histogram;
-    p.count = h->total();
-    p.value = h->mean();
-    p.min = h->min_seen();
-    p.max = h->max_seen();
-    p.p50 = h->quantile(50.0);
-    p.p95 = h->quantile(95.0);
-    p.p99 = h->quantile(99.0);
-    points.push_back(std::move(p));
-  }
-  std::sort(points.begin(), points.end(),
-            [](const MetricPoint& a, const MetricPoint& b) {
-              return a.name < b.name;
-            });
-  return points;
-}
-
-namespace {
-
-// Shared writers (obs/jsonw.hpp) keep escaping and number formatting
-// identical across every obs artifact.
-void write_json_string(std::ostream& out, std::string_view s) {
-  jsonw::write_string(out, s);
-}
-
-void write_json_number(std::ostream& out, double v) {
-  jsonw::write_number(out, v);
-}
-
-}  // namespace
-
-void MetricsRegistry::write_jsonl(std::ostream& out,
-                                  const RunIdentity* id) const {
-  if (id != nullptr) write_identity_header(out, "vsensor-metrics/1", *id);
-  for (const auto& p : snapshot()) {
-    out << "{\"metric\":";
-    write_json_string(out, p.name);
-    switch (p.kind) {
-      case MetricPoint::Kind::Counter:
-        out << ",\"type\":\"counter\",\"value\":" << p.count;
-        break;
-      case MetricPoint::Kind::Gauge:
-        out << ",\"type\":\"gauge\",\"value\":";
-        write_json_number(out, p.value);
-        break;
-      case MetricPoint::Kind::Histogram: {
-        out << ",\"type\":\"histogram\",\"count\":" << p.count << ",\"mean\":";
-        write_json_number(out, p.value);
-        out << ",\"min\":";
-        write_json_number(out, p.min);
-        out << ",\"max\":";
-        write_json_number(out, p.max);
-        out << ",\"p50\":";
-        write_json_number(out, p.p50);
-        out << ",\"p95\":";
-        write_json_number(out, p.p95);
-        out << ",\"p99\":";
-        write_json_number(out, p.p99);
-        out << ",\"buckets\":[";
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = histograms_.find(p.name);
-        bool first = true;
-        if (it != histograms_.end()) {
-          const auto& h = *it->second;
-          for (size_t i = 0; i < h.bucket_count(); ++i) {
-            const uint64_t c = h.bucket(i);
-            if (c == 0) continue;
-            if (!first) out << ',';
-            first = false;
-            out << "{\"le\":";
-            write_json_number(out, h.bucket_upper(i));
-            out << ",\"n\":" << c << '}';
-          }
-        }
-        out << ']';
-        break;
-      }
-    }
+void write_metrics_jsonl(std::ostream& out, const RunIdentity& id,
+                         const HealthRecorder& snapshot,
+                         const StageClock& clock) {
+  write_identity_header(out, "vsensor-metrics/2", id);
+  for (const auto& [name, value] : snapshot.gauges()) {
+    out << "{\"gauge\":";
+    jsonw::write_string(out, name);
+    out << ",\"value\":";
+    jsonw::write_number(out, value);
     out << "}\n";
   }
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
-size_t MetricsRegistry::instrument_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  for (size_t i = 0; i < kStageCount; ++i) {
+    const auto stage = static_cast<Stage>(i);
+    const uint64_t n = clock.count(stage);
+    if (n == 0) continue;
+    out << "{\"stage\":";
+    jsonw::write_string(out, stage_name(stage));
+    out << ",\"count\":" << n << ",\"ns\":" << clock.nanos(stage) << "}\n";
+  }
 }
 
 }  // namespace vsensor::obs

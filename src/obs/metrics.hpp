@@ -1,67 +1,25 @@
-// Self-telemetry metrics: sharded counters, gauges, and log-bucketed
-// histograms behind a process-wide registry.
+// Self-telemetry metrics: the log-bucketed histogram the server's health
+// gauges draw quantiles from, and the metrics file.
 //
-// The monitoring layer must be able to measure itself without perturbing
-// what it measures (ScALPEL-style lightweight self-monitoring): every hot
-// instrument is a striped set of cache-line-padded relaxed atomics, so
-// concurrent rank threads never share a write line, and registration (the
-// only locked path) happens once per instrument name, never per update.
-// Nothing in here touches simMPI virtual time — detection output is
-// bit-identical with telemetry on or off.
+// The metrics file is a render, not a store: one HealthRecorder snapshot
+// of the components a run wired (each keeps its own counters once, see
+// obs/health.hpp) plus the process StageClock's per-stage entry counts
+// and exclusive wall nanoseconds (obs/obs.hpp). Nothing in here touches
+// simMPI virtual time — detection output is bit-identical with telemetry
+// on or off.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace vsensor::obs {
 
+class HealthRecorder;
+class StageClock;
 struct RunIdentity;
-
-/// Write stripes per instrument. Each stripe is one cache line; threads
-/// spread round-robin, so even a 24-rank node sees little line sharing.
-inline constexpr size_t kStripes = 16;
-
-/// Stripe index of the calling thread (round-robin assigned, cached).
-size_t thread_stripe();
-
-/// Monotonically increasing sum, striped to avoid write contention.
-class Counter {
- public:
-  void add(uint64_t delta = 1) {
-    stripes_[thread_stripe()].v.fetch_add(delta, std::memory_order_relaxed);
-  }
-  uint64_t value() const;
-  void reset();
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Stripe, kStripes> stripes_{};
-};
-
-/// Last-written / accumulated double. `set` overwrites, `add` accumulates,
-/// `set_max` keeps the running maximum — all lock-free.
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double delta);
-  void set_max(double v);
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { set(0.0); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// Log-bucketed histogram over positive values (seconds, bytes, counts).
 /// Bucket i covers [min_value * growth^i, min_value * growth^(i+1));
@@ -119,53 +77,12 @@ class LogHistogram {
   std::atomic<uint64_t> n_{0};
 };
 
-/// One metric in a snapshot (sorted by name for stable output).
-struct MetricPoint {
-  enum class Kind { Counter, Gauge, Histogram };
-  std::string name;
-  Kind kind = Kind::Counter;
-  double value = 0.0;  ///< counter/gauge value; histogram mean
-  // Histogram-only fields:
-  uint64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Named instrument registry. Lookup takes a mutex; hot paths hold the
-/// returned reference (stable for the registry's lifetime — reset() zeroes
-/// values but never invalidates instruments).
-class MetricsRegistry {
- public:
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  LogHistogram& histogram(std::string_view name, LogHistogram::Config cfg = {});
-
-  /// Point-in-time view of every registered instrument, name-sorted.
-  std::vector<MetricPoint> snapshot() const;
-
-  /// JSON-lines export: one self-contained JSON object per instrument,
-  /// histograms with percentiles and non-empty buckets. Loadable by any
-  /// jsonl consumer; tests validate syntax with a real JSON parser.
-  /// With `id`, a `vsensor-metrics/1` identity header line comes first so
-  /// the artifact carries its provenance (seed, config, record layout).
-  void write_jsonl(std::ostream& out, const RunIdentity* id = nullptr) const;
-
-  /// Zero every instrument, keeping registrations (and references) alive.
-  void reset();
-
-  size_t instrument_count() const;
-
-  /// The process-wide registry all built-in instrumentation reports to.
-  static MetricsRegistry& global();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>> histograms_;
-};
+/// `vsensor-metrics/2` JSONL: the identity header line, then one line per
+/// gauge of `snapshot` in name order ({"gauge":name,"value":v}), then one
+/// line per stage `clock` has entered, in stage order
+/// ({"stage":name,"count":entries,"ns":exclusive wall nanoseconds}).
+void write_metrics_jsonl(std::ostream& out, const RunIdentity& id,
+                         const HealthRecorder& snapshot,
+                         const StageClock& clock);
 
 }  // namespace vsensor::obs

@@ -1,10 +1,8 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/table.hpp"
 
@@ -13,34 +11,14 @@ namespace vsensor::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_env_read{false};
 
 thread_local ScopedStage* tl_current_stage = nullptr;
 
 }  // namespace
 
-bool enabled() {
-  if (!g_env_read.load(std::memory_order_acquire)) {
-    // First call: seed from the environment. Racing threads both read the
-    // same variable, so the outcome is identical either way.
-    const char* env = std::getenv("VSENSOR_OBS");
-    if (env != nullptr && env[0] != '\0' && env[0] != '0') {
-      g_enabled.store(true, std::memory_order_relaxed);
-    }
-    g_env_read.store(true, std::memory_order_release);
-  }
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void set_enabled(bool on) {
-  g_env_read.store(true, std::memory_order_release);
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void reread_env_gate_for_testing() {
-  g_enabled.store(false, std::memory_order_relaxed);
-  g_env_read.store(false, std::memory_order_release);
-}
+void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 const char* stage_name(Stage stage) {
   switch (stage) {
@@ -173,7 +151,6 @@ std::string OverheadReport::to_string() const {
 }
 
 void reset_all() {
-  MetricsRegistry::global().reset();
   StageClock::global().reset();
   SpanTracer::global().clear();
 }

@@ -1,13 +1,12 @@
-// Observability core: enablement toggles, pipeline-stage wall-time
-// attribution, and the instrumentation macros the runtime layers use.
+// Observability core: the run-time switch, pipeline-stage wall-time
+// attribution, and the stage-scope macro the runtime layers use.
 //
-// Two gates, both default-safe:
-//  * compile time — the VSENSOR_OBS definition (CMake option, default ON);
-//    when 0, every VS_OBS_* macro expands to nothing and the hooks cost
-//    literally zero instructions;
-//  * run time — obs::enabled(), default OFF, flipped by obs::set_enabled()
-//    or the VSENSOR_OBS=1 environment variable; when off, every hook is a
-//    single relaxed atomic load and a branch.
+// One switch: obs::enabled(), default OFF, flipped only by
+// obs::set_enabled(). When off, every stage scope and span is a single
+// relaxed atomic load and a branch. Counts are not kept here: each
+// component keeps its own counters once and exposes them through its
+// health gauges (obs/health.hpp); the metrics file renders those gauges
+// plus this StageClock (obs/metrics.hpp).
 //
 // Attribution model: ScopedStage measures *exclusive* wall time via a
 // per-thread scope chain — a nested stage's duration is subtracted from
@@ -26,21 +25,11 @@
 #include <string>
 #include <vector>
 
-#ifndef VSENSOR_OBS
-#define VSENSOR_OBS 1
-#endif
-
 namespace vsensor::obs {
 
-/// Runtime gate. Reads the VSENSOR_OBS environment variable once on first
-/// call; set_enabled() overrides it either way.
+/// The run-time switch (default off).
 bool enabled();
 void set_enabled(bool on);
-
-/// Test-only: forget the cached environment read so the next enabled()
-/// call re-reads VSENSOR_OBS. Exists to let tests pin the read-once
-/// semantics; production code must never call it.
-void reread_env_gate_for_testing();
 
 /// Pipeline stages the monitoring layer attributes its own cost to.
 enum class Stage : uint8_t {
@@ -135,24 +124,13 @@ struct OverheadReport {
 /// to skip the wall-fraction column. Virtual fields are left for the caller.
 OverheadReport attribution(double workload_wall_seconds);
 
-/// Reset all global observability state (metrics, stages, spans). Instrument
-/// references stay valid; values and spans are zeroed.
+/// Reset all global observability state: stage clock and spans.
 void reset_all();
 
 }  // namespace vsensor::obs
 
-// --- instrumentation macros -------------------------------------------------
-// VS_OBS_ONLY(stmt;)        — compile stmt only when observability is built.
-// VS_OBS_SCOPED_STAGE(s)    — exclusive-time RAII stage scope.
-#if VSENSOR_OBS
-#define VS_OBS_ONLY(...) __VA_ARGS__
+// VS_OBS_SCOPED_STAGE(s) — exclusive-time RAII stage scope.
 #define VS_OBS_CONCAT_IMPL(a, b) a##b
 #define VS_OBS_CONCAT(a, b) VS_OBS_CONCAT_IMPL(a, b)
 #define VS_OBS_SCOPED_STAGE(stage) \
   ::vsensor::obs::ScopedStage VS_OBS_CONCAT(vs_obs_stage_, __LINE__)(stage)
-#else
-#define VS_OBS_ONLY(...)
-#define VS_OBS_SCOPED_STAGE(stage) \
-  do {                             \
-  } while (false)
-#endif

@@ -5,12 +5,23 @@
 #include <ostream>
 
 #include "obs/identity.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
 namespace vsensor::obs {
 
 namespace {
+
+/// Span storage stripes; threads spread round-robin over them, so
+/// concurrent rank threads rarely share a stripe's mutex.
+constexpr size_t kStripes = 16;
+
+/// Stripe index of the calling thread (round-robin assigned, cached).
+size_t thread_stripe() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  return stripe;
+}
 
 int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/binio.hpp"
 #include "support/crc32.hpp"
@@ -25,20 +24,6 @@ constexpr std::string_view kMagic = "vsensor-checkpoint ";
 constexpr size_t kSlotBytes = 4 + 4 + 8 + 8;
 constexpr size_t kRowBytes = 4 + 8 + 4;
 constexpr size_t kCellBytes = 4 + 8 + 8;
-
-#if VSENSOR_OBS
-struct CheckpointInstruments {
-  obs::Counter& saves;
-  obs::Counter& bytes;
-
-  static CheckpointInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static CheckpointInstruments inst{reg.counter("checkpoint.saves"),
-                                      reg.counter("checkpoint.bytes_written")};
-    return inst;
-  }
-};
-#endif
 
 template <typename T>
 void put(std::string& out, T v) {
@@ -145,15 +130,6 @@ void put_snapshot(std::string& out, const StreamingDetector::Snapshot& d) {
 io::IoResult append_all(io::File& out, std::string_view bytes) {
   const auto w = out.append(bytes.data(), bytes.size());
   return w.ok ? out.flush() : w;
-}
-
-/// Count one checkpoint frame written, of `bytes`.
-void count_saved([[maybe_unused]] size_t bytes) {
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = CheckpointInstruments::get();
-    inst.saves.add();
-    inst.bytes.add(bytes);
-  })
 }
 
 /// Frame the payload `body` appends to `out`: the file header for a base,
@@ -404,7 +380,6 @@ CheckpointSaveResult try_publish_checkpoint(const std::string& path,
     result.tmp_left = true;
     return result;
   }
-  count_saved(bytes.size());
   result.ok = true;
   return result;
 }
@@ -426,7 +401,6 @@ CheckpointSaveResult try_append_checkpoint(const std::string& path,
     result.error = w.error;
     return result;
   }
-  count_saved(frame.size());
   result.ok = true;
   return result;
 }

@@ -2,33 +2,10 @@
 
 #include <numeric>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
-
-#if VSENSOR_OBS
-namespace {
-struct CollectorInstruments {
-  obs::Counter& batches;
-  obs::Counter& records;
-  obs::Counter& dropped;
-  obs::Gauge& shard_occupancy;
-
-  static CollectorInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static CollectorInstruments inst{
-        reg.counter("collector.batches"), reg.counter("collector.records"),
-        reg.counter("collector.dropped"),
-        // High-water mark of records retained in any single shard — how
-        // close the bounded stores come to overwriting history.
-        reg.gauge("collector.shard_occupancy_peak")};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 Collector::Collector(CollectorConfig cfg) : cfg_(cfg) {
   VS_CHECK_MSG(cfg_.shards > 0, "collector needs at least one shard");
@@ -52,11 +29,6 @@ size_t Collector::shard_of(int32_t sensor_id) const {
 void Collector::ingest(std::span<const SliceRecord> batch) {
   if (batch.empty()) return;
   VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = CollectorInstruments::get();
-    inst.batches.add();
-    inst.records.add(batch.size());
-  })
   bytes_.fetch_add(batch.size() * kRecordWireBytes, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   ingested_.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -77,21 +49,14 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
   if (uniform) {
     Shard& shard = *shards_[first];
     uint64_t dropped = 0;
-    [[maybe_unused]] size_t occupancy = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       for (const auto& rec : batch) {
         if (shard.store.full()) ++dropped;
         shard.store.push(rec);
       }
-      occupancy = shard.store.size();
     }
     if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
-    VS_OBS_ONLY(if (obs::enabled()) {
-      auto& inst = CollectorInstruments::get();
-      if (dropped > 0) inst.dropped.add(dropped);
-      inst.shard_occupancy.set_max(static_cast<double>(occupancy));
-    })
   } else {
     // Scatter record indices by shard (counting sort), then take each
     // shard's mutex exactly once for its contiguous run.
@@ -107,21 +72,14 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
       if (offset[s] == offset[s + 1]) continue;
       Shard& shard = *shards_[s];
       uint64_t dropped = 0;
-      [[maybe_unused]] size_t occupancy = 0;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
         for (uint32_t i = offset[s]; i < offset[s + 1]; ++i) {
           if (shard.store.full()) ++dropped;
           shard.store.push(batch[order[i]]);
         }
-        occupancy = shard.store.size();
       }
       if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
-      VS_OBS_ONLY(if (obs::enabled()) {
-        auto& inst = CollectorInstruments::get();
-        if (dropped > 0) inst.dropped.add(dropped);
-        inst.shard_occupancy.set_max(static_cast<double>(occupancy));
-      })
     }
   }
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <sstream>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runtime/record_batch.hpp"
@@ -109,13 +108,8 @@ AnalysisResult Detector::analyze_batch(const RecordBatch& records,
   VS_CHECK_MSG(ranks > 0, "need at least one rank");
   VS_CHECK_MSG(run_time > 0.0, "run time must be positive");
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectBatch);
-  VS_OBS_ONLY(obs::ScopedSpan vs_obs_span("analyze_records", "detect");
-              if (obs::enabled()) {
-                vs_obs_span.set_virtual(0.0, run_time);
-                auto& reg = obs::MetricsRegistry::global();
-                reg.counter("detect.batch_analyses").add();
-                reg.counter("detect.records_analyzed").add(records.size());
-              })
+  obs::ScopedSpan span("analyze_records", "detect");
+  span.set_virtual(0.0, run_time);
 
   const int buckets =
       std::max(1, static_cast<int>(std::ceil(run_time / cfg_.matrix_resolution)));

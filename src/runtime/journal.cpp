@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/binio.hpp"
 #include "support/crc32.hpp"
@@ -15,28 +14,6 @@ namespace {
 
 constexpr const char* kHeader = "vsensor-journal 1\n";
 constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
-
-#if VSENSOR_OBS
-struct JournalInstruments {
-  obs::Counter& frames;
-  obs::Counter& bytes;
-  obs::Counter& commits;
-  obs::Counter& committed_bytes;
-  obs::Counter& io_errors;
-  obs::Counter& lost_bytes;
-
-  static JournalInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static JournalInstruments inst{reg.counter("journal.frames_appended"),
-                                   reg.counter("journal.bytes_appended"),
-                                   reg.counter("journal.commits"),
-                                   reg.counter("journal.bytes_committed"),
-                                   reg.counter("journal.io_errors"),
-                                   reg.counter("journal.lost_bytes")};
-    return inst;
-  }
-};
-#endif
 
 /// Parse one frame payload. Returns false on any structural mismatch.
 bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
@@ -158,6 +135,15 @@ std::optional<StandardFrameView> decode_standard_frame(
   return view;
 }
 
+void JournalCounters::add(const JournalCounters& c) {
+  appended_frames += c.appended_frames;
+  appended_bytes += c.appended_bytes;
+  commits += c.commits;
+  committed_bytes += c.committed_bytes;
+  io_errors += c.io_errors;
+  lost_bytes += c.lost_bytes;
+}
+
 JournalWriter::JournalWriter(std::string path, JournalWriterConfig cfg,
                              io::Vfs* vfs)
     : path_(std::move(path)), cfg_(cfg), vfs_(vfs) {
@@ -165,11 +151,15 @@ JournalWriter::JournalWriter(std::string path, JournalWriterConfig cfg,
   open_truncated();
 }
 
-JournalWriter::~JournalWriter() {
-  // Best effort: a clean shutdown commits; a simulated crash calls
-  // discard_buffer() first, so this flushes nothing. Anything the final
-  // drain cannot land was acknowledged to a caller and is gone — count it.
-  if (!commit()) add_lost(buf_.size());
+JournalWriter::~JournalWriter() { close(); }
+
+uint64_t JournalWriter::close() {
+  // A simulated crash calls discard_buffer() first, so this drains
+  // nothing. Anything the final drain cannot land was acknowledged to a
+  // caller and is gone.
+  const uint64_t lost = commit() ? 0 : drop_buffer_as_lost();
+  file_.reset();
+  return lost;
 }
 
 bool JournalWriter::open_truncated() {
@@ -186,7 +176,7 @@ bool JournalWriter::open_truncated() {
     file_.reset();
     return false;
   }
-  committed_bytes_ += std::strlen(kHeader);
+  n_.committed_bytes += std::strlen(kHeader);
   return true;
 }
 
@@ -195,14 +185,9 @@ bool JournalWriter::append(const JournalFrame& frame) {
   const size_t before = buf_.size();
   append_journal_frame(buf_, frame.kind, frame.rank, frame.seq, frame.records);
   const size_t encoded = buf_.size() - before;
-  ++appended_frames_;
+  ++n_.appended_frames;
   ++frames_since_commit_;
-  appended_bytes_ += encoded;
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = JournalInstruments::get();
-    inst.frames.add();
-    inst.bytes.add(encoded);
-  })
+  n_.appended_bytes += encoded;
   if (buf_.size() >= cfg_.buffer_bytes ||
       frames_since_commit_ >= cfg_.commit_every_frames) {
     return commit();
@@ -222,10 +207,7 @@ bool JournalWriter::commit() {
   if (r.written > 0) {
     // Partial progress is real progress: the landed prefix leaves the
     // buffer so a retry only re-drives what is still owed.
-    committed_bytes_ += r.written;
-    VS_OBS_ONLY(if (obs::enabled()) {
-      JournalInstruments::get().committed_bytes.add(r.written);
-    })
+    n_.committed_bytes += r.written;
     buf_.erase(0, r.written);
   }
   if (!r.ok) {
@@ -237,8 +219,7 @@ bool JournalWriter::commit() {
     record_error(f.error);
     return false;
   }
-  ++commits_;
-  VS_OBS_ONLY(if (obs::enabled()) { JournalInstruments::get().commits.add(); })
+  ++n_.commits;
   return true;
 }
 
@@ -256,23 +237,15 @@ void JournalWriter::discard_buffer() {
 
 size_t JournalWriter::drop_buffer_as_lost() {
   const size_t dropped = buf_.size();
-  add_lost(dropped);
+  n_.lost_bytes += dropped;
   buf_.clear();
   frames_since_commit_ = 0;
   return dropped;
 }
 
 void JournalWriter::record_error(std::string what) {
-  ++io_errors_;
+  ++n_.io_errors;
   last_error_ = std::move(what);
-  VS_OBS_ONLY(if (obs::enabled()) { JournalInstruments::get().io_errors.add(); })
-}
-
-void JournalWriter::add_lost(size_t bytes) {
-  if (bytes == 0) return;
-  lost_bytes_ += bytes;
-  VS_OBS_ONLY(
-      if (obs::enabled()) { JournalInstruments::get().lost_bytes.add(bytes); })
 }
 
 JournalLoad load_journal(const std::string& path) {

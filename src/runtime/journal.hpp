@@ -8,9 +8,10 @@
 // Durability model: appends buffer in user space and drain to the file in
 // large writes (`commit`), with no fsync anywhere — a process crash keeps
 // everything committed to the OS page cache, a torn in-flight frame at the
-// crash instant is expected and salvaged away on read. The byte/commit
-// budget of the writer is obs-instrumented so the durability cost is a
-// measured quantity, not a guess.
+// crash instant is expected and salvaged away on read. The writer counts
+// its own frames, bytes, commits, failures and losses; the owning server
+// exposes them as health gauges, so the durability cost is a measured
+// quantity, not a guess.
 //
 // Frame layout (little-endian, after the one-line file header; session
 // files use the same frames and walker under their own header line):
@@ -111,6 +112,22 @@ struct JournalWriterConfig {
   uint64_t commit_every_frames = 1;
 };
 
+/// A journal writer's own tallies. The server sums them over the writers
+/// it retires, so its journal gauges cover the whole run.
+struct JournalCounters {
+  uint64_t appended_frames = 0;
+  uint64_t appended_bytes = 0;
+  uint64_t commits = 0;
+  uint64_t committed_bytes = 0;
+  /// Failed vfs operations (open/append/flush).
+  uint64_t io_errors = 0;
+  /// Appended-and-acknowledged bytes that never reached the file: dropped
+  /// at degraded entry or left over by the final drain (close()).
+  uint64_t lost_bytes = 0;
+
+  void add(const JournalCounters& c);
+};
+
 class JournalWriter {
  public:
   /// Opens `path` truncated (through `vfs`; null = the real filesystem)
@@ -145,6 +162,12 @@ class JournalWriter {
   /// models intentional loss and does NOT count toward lost_bytes().
   void discard_buffer();
 
+  /// The final drain: commit what is buffered, then release the file.
+  /// Bytes the drain cannot land were acknowledged and are gone: they
+  /// count in lost_bytes() and are returned. The destructor closes too,
+  /// but an owner that needs the count must close() first.
+  uint64_t close();
+
   /// Drop the buffer *as loss* (degraded-mode entry: the owner stops
   /// journaling and the buffered acked-but-undrained bytes are gone).
   /// Returns the byte count dropped.
@@ -154,23 +177,19 @@ class JournalWriter {
   bool healthy() const { return file_ != nullptr; }
 
   const std::string& path() const { return path_; }
-  uint64_t appended_frames() const { return appended_frames_; }
-  uint64_t appended_bytes() const { return appended_bytes_; }
-  uint64_t commits() const { return commits_; }
-  uint64_t committed_bytes() const { return committed_bytes_; }
+  const JournalCounters& counters() const { return n_; }
+  uint64_t appended_frames() const { return n_.appended_frames; }
+  uint64_t appended_bytes() const { return n_.appended_bytes; }
+  uint64_t commits() const { return n_.commits; }
+  uint64_t committed_bytes() const { return n_.committed_bytes; }
   size_t buffered_bytes() const { return buf_.size(); }
-  /// Failed vfs operations (open/append/flush) this writer observed.
-  uint64_t io_errors() const { return io_errors_; }
-  /// Appended-and-acknowledged bytes that never reached the file: dropped
-  /// at degraded entry or silently un-drained at teardown. Also mirrored
-  /// into the obs counter `journal.lost_bytes`.
-  uint64_t lost_bytes() const { return lost_bytes_; }
+  uint64_t io_errors() const { return n_.io_errors; }
+  uint64_t lost_bytes() const { return n_.lost_bytes; }
   const std::string& last_error() const { return last_error_; }
 
  private:
   bool open_truncated();
   void record_error(std::string what);
-  void add_lost(size_t bytes);
 
   std::string path_;
   JournalWriterConfig cfg_;
@@ -178,12 +197,7 @@ class JournalWriter {
   std::unique_ptr<io::File> file_;
   std::string buf_;
   uint64_t frames_since_commit_ = 0;
-  uint64_t appended_frames_ = 0;
-  uint64_t appended_bytes_ = 0;
-  uint64_t commits_ = 0;
-  uint64_t committed_bytes_ = 0;
-  uint64_t io_errors_ = 0;
-  uint64_t lost_bytes_ = 0;
+  JournalCounters n_;
   std::string last_error_;
 };
 

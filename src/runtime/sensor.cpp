@@ -4,36 +4,11 @@
 #include <limits>
 #include <optional>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 #include "support/ring_buffer.hpp"
 
 namespace vsensor::rt {
-
-#if VSENSOR_OBS
-namespace {
-// Instrument handles resolved once per process; the registry keeps them
-// alive and stable, so the probe hot path is counter adds only.
-struct ProbeInstruments {
-  obs::Counter& ticks;
-  obs::Counter& tocks;
-  obs::Counter& slices;
-  obs::Counter& local_flags;
-  obs::LogHistogram& sense_duration;
-
-  static ProbeInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static ProbeInstruments inst{
-        reg.counter("probe.ticks"), reg.counter("probe.tocks"),
-        reg.counter("slicer.slices_completed"),
-        reg.counter("probe.local_variance_flags"),
-        reg.histogram("probe.sense_duration_seconds")};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 void SenseStats::merge(const SenseStats& other) {
   sense_time += other.sense_time;
@@ -118,7 +93,6 @@ int SensorRuntime::register_sensor(SensorInfo info) {
 
 void SensorRuntime::tick(int id) {
   VS_OBS_SCOPED_STAGE(obs::Stage::ProbeTick);
-  VS_OBS_ONLY(if (obs::enabled()) ProbeInstruments::get().ticks.add();)
   VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < states_.size(),
                "tick on unregistered sensor");
   State& st = states_[static_cast<size_t>(id)];
@@ -158,11 +132,6 @@ void SensorRuntime::tock(int id, double metric) {
     }
   }
   sense_stats_.last_sense_end = end;
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = ProbeInstruments::get();
-    inst.tocks.add();
-    inst.sense_duration.record(duration);
-  })
 
   if (st.disabled) return;
 
@@ -179,10 +148,7 @@ void SensorRuntime::tock(int id, double metric) {
               completed->avg_duration * cfg_.local_variance_threshold) {
         completed->flags |= kRecordFlagLocalVariance;
         ++local_flags_;
-        VS_OBS_ONLY(
-            if (obs::enabled()) ProbeInstruments::get().local_flags.add();)
       }
-      VS_OBS_ONLY(if (obs::enabled()) ProbeInstruments::get().slices.add();)
       emit(*completed);
     }
   }
@@ -205,10 +171,7 @@ void SensorRuntime::flush() {
     VS_OBS_SCOPED_STAGE(obs::Stage::Slicing);
     for (auto& st : states_) {
       if (st.disabled) continue;
-      if (auto rec = st.slices.flush()) {
-        VS_OBS_ONLY(if (obs::enabled()) ProbeInstruments::get().slices.add();)
-        emit(*rec);
-      }
+      if (auto rec = st.slices.flush()) emit(*rec);
     }
   }
   // The run may end long after the last sense (AMG's adaptive solve phase

@@ -4,33 +4,11 @@
 #include <chrono>
 
 #include "io/vfs.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace vsensor::rt {
-
-#if VSENSOR_OBS
-namespace {
-struct ServerInstruments {
-  obs::Counter& crashes;
-  obs::Counter& recoveries;
-  obs::Counter& replayed;
-  obs::Counter& skipped;
-
-  static ServerInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static ServerInstruments inst{reg.counter("server.crashes"),
-                                  reg.counter("server.recoveries"),
-                                  reg.counter("server.frames_replayed"),
-                                  reg.counter("server.frames_skipped")};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 AnalysisServer::AnalysisServer(ServerConfig cfg, Collector* collector,
                                StreamingDetector* detector)
@@ -171,11 +149,12 @@ void AnalysisServer::append_frame_locked(const JournalFrame& frame) {
   }
 }
 
-void AnalysisServer::retire_journal_locked() {
-  if (journal_ == nullptr) return;
-  journal_io_errors_base_ += journal_->io_errors();
-  journal_lost_bytes_base_ += journal_->lost_bytes();
+uint64_t AnalysisServer::retire_journal_locked() {
+  if (journal_ == nullptr) return 0;
+  const uint64_t lost = journal_->close();
+  retired_journal_.add(journal_->counters());
   journal_.reset();
+  return lost;
 }
 
 void AnalysisServer::enter_degraded_locked(std::string why) {
@@ -260,6 +239,7 @@ CheckpointSaveResult AnalysisServer::save_checkpoint_locked(bool allow_delta) {
     base_bytes_ = ckpt_buf_.size();
     delta_bytes_ = 0;
   }
+  if (saved.ok) checkpoint_bytes_ += ckpt_buf_.size();
   return saved;
 }
 
@@ -311,7 +291,6 @@ void AnalysisServer::crash_locked() {
   span.set_shard(hooks_.shard);
   span.set_path(cfg_.journal_path);
   ++crashes_;
-  VS_OBS_ONLY(if (obs::enabled()) ServerInstruments::get().crashes.add();)
   if (hooks_) {
     obs::Event ev;
     ev.kind = obs::EventKind::Crash;
@@ -381,19 +360,18 @@ RecoveryReport AnalysisServer::recover_locked() {
   RecoveryReport report;
 
   // Standalone recover() over a live server: put buffered frames on the
-  // file and release it before reading it back. (The crash path already
-  // destroyed the writer; a fresh server never opened one, so the journal
-  // its predecessor left is read intact.)
+  // file and release it before reading it back; the writer's final drain
+  // retries once. (The crash path already destroyed the writer; a fresh
+  // server never opened one, so the journal its predecessor left is read
+  // intact.)
   journal_unopened_ = false;
-  if (journal_ != nullptr) {
-    journal_->commit();
-    retire_journal_locked();
-  }
+  if (journal_ != nullptr) journal_->commit();
+  const uint64_t undrained = retire_journal_locked();
 
-  // Recovering while degraded means frames dropped in degraded mode are
-  // unrecoverable — no durable artifact ever saw them. Flag it loudly;
-  // the recovered state is the best the artifacts can reconstruct.
-  const bool lossy = degraded_;
+  // Frames the final drain could not land, like frames dropped in degraded
+  // mode, are unrecoverable — no durable artifact ever saw them. Flag it
+  // loudly; the recovered state is the best the artifacts can reconstruct.
+  const bool lossy = degraded_ || undrained > 0;
   if (lossy) ++lossy_recoveries_;
   degraded_ = false;
   degraded_appends_ = 0;
@@ -526,12 +504,6 @@ RecoveryReport AnalysisServer::recover_locked() {
   report.recovery_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = ServerInstruments::get();
-    inst.recoveries.add();
-    inst.replayed.add(report.frames_replayed);
-    inst.skipped.add(report.frames_skipped);
-  })
   if (hooks_) {
     if (report.torn_bytes > 0) {
       obs::Event ev;
@@ -578,15 +550,15 @@ uint64_t AnalysisServer::duplicate_deliveries() const {
   return duplicate_deliveries_;
 }
 
-uint64_t AnalysisServer::io_errors_locked() const {
-  return journal_io_errors_base_ +
-         (journal_ != nullptr ? journal_->io_errors() : 0) +
-         checkpoint_failures_ + flight_dump_failures_;
+JournalCounters AnalysisServer::journal_counters_locked() const {
+  JournalCounters sum = retired_journal_;
+  if (journal_ != nullptr) sum.add(journal_->counters());
+  return sum;
 }
 
-uint64_t AnalysisServer::lost_journal_bytes_locked() const {
-  return journal_lost_bytes_base_ +
-         (journal_ != nullptr ? journal_->lost_bytes() : 0);
+uint64_t AnalysisServer::io_errors_locked() const {
+  return journal_counters_locked().io_errors + checkpoint_failures_ +
+         flight_dump_failures_;
 }
 
 bool AnalysisServer::degraded() const {
@@ -626,7 +598,7 @@ uint64_t AnalysisServer::io_retries() const {
 
 uint64_t AnalysisServer::lost_journal_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lost_journal_bytes_locked();
+  return journal_counters_locked().lost_bytes;
 }
 
 uint64_t AnalysisServer::checkpoint_failures() const {
@@ -673,19 +645,27 @@ void AnalysisServer::sample_health(double now,
   rec.gauge("duplicate_deliveries", duplicate_deliveries_);
   rec.gauge("crashes", crashes_);
   rec.gauge("recoveries", reports_.size());
+  uint64_t replayed = 0, skipped = 0;
+  for (const auto& r : reports_) {
+    replayed += r.frames_replayed;
+    skipped += r.frames_skipped;
+  }
+  rec.gauge("frames_replayed", replayed);
+  rec.gauge("frames_skipped", skipped);
   rec.gauge("checkpoints_saved", checkpoints_saved_);
+  rec.gauge("checkpoint_bytes", checkpoint_bytes_);
   rec.gauge("batches_since_checkpoint", batches_since_checkpoint_);
   // Virtual seconds since the last checkpoint — the replay debt a crash
   // right now would incur. -1 = never checkpointed.
   rec.gauge("checkpoint_age", checkpoint_t_ >= 0.0 && now >= checkpoint_t_
                                   ? now - checkpoint_t_
                                   : -1.0);
-  if (journal_ != nullptr) {
-    rec.gauge("journal.appended_frames", journal_->appended_frames());
-    rec.gauge("journal.appended_bytes", journal_->appended_bytes());
-    rec.gauge("journal.commits", journal_->commits());
-    rec.gauge("journal.committed_bytes", journal_->committed_bytes());
-  }
+  // Every journal writer this server has had, retired ones included.
+  const JournalCounters journal = journal_counters_locked();
+  rec.gauge("journal.appended_frames", journal.appended_frames);
+  rec.gauge("journal.appended_bytes", journal.appended_bytes);
+  rec.gauge("journal.commits", journal.commits);
+  rec.gauge("journal.committed_bytes", journal.committed_bytes);
   rec.gauge("journal.append_bytes_p50", append_bytes_hist_.quantile(0.50));
   rec.gauge("journal.append_bytes_p99", append_bytes_hist_.quantile(0.99));
   // Durability state machine: an operator watching the health stream sees
@@ -697,7 +677,7 @@ void AnalysisServer::sample_health(double now,
   rec.gauge("io_retries", io_retries_);
   rec.gauge("io_backoff_seconds", io_backoff_seconds_);
   rec.gauge("dropped_journal_bytes", dropped_journal_bytes_);
-  rec.gauge("journal.lost_bytes", lost_journal_bytes_locked());
+  rec.gauge("journal.lost_bytes", journal.lost_bytes);
   rec.gauge("lossy_recoveries", lossy_recoveries_);
   rec.gauge("checkpoint_failures", checkpoint_failures_);
   {

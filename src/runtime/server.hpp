@@ -188,7 +188,8 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// unchanged. A fresh checkpoint that lands re-arms durability. The flag
   /// deliberately survives a crash: recovering while degraded means the
   /// dropped frames are unrecoverable — that recovery is counted lossy and
-  /// flagged on its Recovery event, never silent.
+  /// flagged on its Recovery event, never silent. So is a recovery whose
+  /// journal writer's final drain could not land acknowledged frames.
   bool degraded() const;
   uint64_t degraded_entries() const;
   uint64_t rearms() const;
@@ -200,6 +201,8 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// accumulated across journal writer generations.
   uint64_t io_errors() const;
   uint64_t io_retries() const;
+  /// Acknowledged journal bytes a writer dropped (the buffer at degraded
+  /// entry, or what its final drain could not land), over every writer.
   uint64_t lost_journal_bytes() const;
   uint64_t checkpoint_failures() const;
   uint64_t orphan_tmps_removed() const;
@@ -221,10 +224,12 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   const obs::FlightRecorder& flight() const { return flight_; }
   obs::FlightRecorder& flight() { return flight_; }
 
-  /// Health plane: durability gauges (journal bytes/frames/commits, bytes
-  /// per append p50/p99, checkpoint age in virtual seconds, crash/recovery
-  /// counts) plus the collector's and detector's own gauges under
-  /// "collector." / "detector." sub-prefixes.
+  /// Health plane: durability gauges (journal bytes/frames/commits summed
+  /// over every writer the server has had, bytes per append p50/p99,
+  /// checkpoint count, bytes and age in virtual seconds, crash/recovery
+  /// counts and the frames recoveries replayed and skipped) plus the
+  /// collector's and detector's own gauges under "collector." /
+  /// "detector." sub-prefixes.
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
@@ -239,13 +244,15 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   void open_journal_locked();
   void append_frame_locked(const JournalFrame& frame);
   void dump_flight_locked();
-  /// Fold the dying writer's error/loss counters into the server-level
-  /// bases (the counters die with the writer otherwise), then destroy it.
-  void retire_journal_locked();
+  /// Give the writer its final drain, fold its counters into
+  /// retired_journal_ (they die with the writer otherwise), then destroy
+  /// it. Returns the acknowledged bytes the final drain could not land.
+  uint64_t retire_journal_locked();
   void enter_degraded_locked(std::string why);
   void maybe_rearm_locked();
+  /// Counters of every journal writer this server has had.
+  JournalCounters journal_counters_locked() const;
   uint64_t io_errors_locked() const;
-  uint64_t lost_journal_bytes_locked() const;
 
   ServerConfig cfg_;
   Collector* collector_;
@@ -291,8 +298,7 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   uint64_t flight_dump_failures_ = 0;
   /// Counters inherited from retired journal writers (crash/recover cycles
   /// destroy the writer object together with its tallies).
-  uint64_t journal_io_errors_base_ = 0;
-  uint64_t journal_lost_bytes_base_ = 0;
+  JournalCounters retired_journal_;
 
   // Health plane. last_now_ is the virtual time of the newest delivery —
   // the clock crash/checkpoint events are stamped with (a crash fires at a
@@ -306,6 +312,7 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   double last_now_ = -1.0;
   double checkpoint_t_ = -1.0;
   uint64_t checkpoints_saved_ = 0;
+  uint64_t checkpoint_bytes_ = 0;  ///< bases and deltas written
   /// Bytes appended to the journal per append call — a deterministic
   /// stand-in for append latency (wall time would break snapshot
   /// bit-reproducibility).

@@ -4,34 +4,11 @@
 #include <atomic>
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "runtime/transport.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
-
-#if VSENSOR_OBS
-namespace {
-struct StageInstruments {
-  obs::Counter& batches;
-  obs::Counter& records;
-  obs::LogHistogram& batch_records;
-
-  static StageInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static StageInstruments inst{
-        reg.counter("stage.batches_shipped"),
-        reg.counter("stage.records_staged"),
-        // Batch sizes are small integers; a tight base keeps the buckets
-        // meaningful (1, 2, 4, ... records).
-        reg.histogram("stage.batch_records",
-                      {.min_value = 1.0, .growth = 2.0, .buckets = 24})};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 SliceAccumulator::SliceAccumulator(int sensor_id, int rank, double slice_seconds)
     : sensor_id_(sensor_id), rank_(rank), slice_seconds_(slice_seconds) {
@@ -121,18 +98,12 @@ uint64_t BatchStage::unflushed_records() {
 }
 
 void BatchStage::push(const SliceRecord& rec) {
-  VS_OBS_ONLY(if (obs::enabled()) StageInstruments::get().records.add();)
   buf_.push_back(rec);
   if (buf_.size() >= capacity_) flush();
 }
 
 void BatchStage::ship(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Staging);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = StageInstruments::get();
-    inst.batches.add();
-    inst.batch_records.record(static_cast<double>(batch.size()));
-  })
   if (transport_ != nullptr) {
     // The batch ships when its newest record completes (clamped at 0);
     // slices of different sensors need not complete in staging order.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/binio.hpp"
@@ -32,27 +31,6 @@ void emit_flag(const obs::EventHooks& hooks, double t, int rank, int sensor,
 }
 
 }  // namespace
-
-#if VSENSOR_OBS
-namespace {
-struct StreamingInstruments {
-  obs::Counter& batches;
-  obs::Counter& records;
-  obs::Counter& inter_flags;
-  obs::Counter& intra_flags;
-
-  static StreamingInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static StreamingInstruments inst{
-        reg.counter("streaming.batches_folded"),
-        reg.counter("streaming.records_folded"),
-        reg.counter("streaming.inter_rank_flags"),
-        reg.counter("streaming.intra_rank_flags")};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 StreamingDetector::State::State(size_t sensors, int ranks)
     : hint(sensors, {0, kNoSlot}),
@@ -142,11 +120,6 @@ StreamingDetector::CellSums* StreamingDetector::add_row(Row& row) const {
 
 void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
-  VS_OBS_ONLY(if (obs::enabled()) {
-    auto& inst = StreamingInstruments::get();
-    inst.batches.add();
-    inst.records.add(batch.size());
-  })
   std::lock_guard<std::mutex> lock(mu_);
   State& st = st_;
   for (const auto& rec : batch) {
@@ -204,8 +177,6 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     const double intra_norm = row.standard / avg;
     if (inter_norm < cfg_.variance_threshold) {
       ++st.inter_flags;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().inter_flags.add();)
       if (hooks_) {
         emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, inter_norm,
                   slot.standard, "inter");
@@ -213,8 +184,6 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     }
     if (intra_norm < cfg_.variance_threshold) {
       ++st.intra_flags;
-      VS_OBS_ONLY(
-          if (obs::enabled()) StreamingInstruments::get().intra_flags.add();)
       if (hooks_) {
         emit_flag(hooks_, rec.t_end, rec.rank, rec.sensor_id, g, intra_norm,
                   row.standard, "intra");
@@ -690,10 +659,8 @@ StreamingDetector::Snapshot StreamingDetector::merge_snapshots(
 
 AnalysisResult StreamingDetector::finalize() const {
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
-  VS_OBS_ONLY(obs::ScopedSpan vs_obs_span("finalize", "detect");
-              if (obs::enabled()) {
-                vs_obs_span.set_virtual(0.0, run_time_);
-              })
+  obs::ScopedSpan span("finalize", "detect");
+  span.set_virtual(0.0, run_time_);
   std::lock_guard<std::mutex> lock(mu_);
   AnalysisResult result{
       .matrices = {PerformanceMatrix(ranks_, buckets_, cfg_.matrix_resolution),

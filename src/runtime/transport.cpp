@@ -2,38 +2,11 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
-
-#if VSENSOR_OBS
-namespace {
-struct TransportInstruments {
-  obs::Counter& batches;
-  obs::Counter& retries;
-  obs::Counter& lost;
-  obs::Counter& duplicates;
-  obs::Counter& delayed;
-  obs::Counter& stale;
-  obs::Gauge& backoff_seconds;
-
-  static TransportInstruments& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static TransportInstruments inst{reg.counter("transport.batches_shipped"),
-                                     reg.counter("transport.retries"),
-                                     reg.counter("transport.batches_lost"),
-                                     reg.counter("transport.duplicates_suppressed"),
-                                     reg.counter("transport.delayed_batches"),
-                                     reg.counter("transport.stale_ranks_reported"),
-                                     reg.gauge("transport.backoff_seconds")};
-    return inst;
-  }
-};
-}  // namespace
-#endif
 
 bool SeqTracker::insert(uint64_t seq) {
   // Generation floor: the first delivery of a new incarnation advances the
@@ -84,8 +57,6 @@ void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
   ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
   if (!ch.seen.insert(ev.seq)) {
     ch.stats.duplicates_suppressed += 1;
-    VS_OBS_ONLY(
-        if (obs::enabled()) TransportInstruments::get().duplicates.add();)
     return;
   }
   ch.stats.batches_delivered += 1;
@@ -124,11 +95,8 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
                "ship from unknown rank");
   if (batch.empty()) return true;
   VS_OBS_SCOPED_STAGE(obs::Stage::TransportShip);
-  VS_OBS_ONLY(obs::ScopedSpan vs_obs_span("ship", "transport", rank);
-              if (obs::enabled()) {
-                vs_obs_span.set_virtual(batch.front().t_begin, now);
-                TransportInstruments::get().batches.add();
-              })
+  obs::ScopedSpan span("ship", "transport", rank);
+  span.set_virtual(batch.front().t_begin, now);
 
   uint64_t seq = 0;
   {
@@ -152,11 +120,6 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
       Channel& ch = channels_[static_cast<size_t>(rank)];
       ch.stats.retries += 1;
       ch.stats.backoff_seconds += backoff;
-      VS_OBS_ONLY(if (obs::enabled()) {
-        auto& inst = TransportInstruments::get();
-        inst.retries.add();
-        inst.backoff_seconds.add(backoff);
-      })
       t += backoff;
       continue;
     }
@@ -167,8 +130,6 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
       Channel& ch = channels_[static_cast<size_t>(rank)];
       if (d.delay_batches > 0) {
         ch.stats.delayed_batches += 1;
-        VS_OBS_ONLY(
-            if (obs::enabled()) TransportInstruments::get().delayed.add();)
         delayed_.push_back(DelayedBatch{rank, seq, t, d.delay_batches,
                                         {batch.begin(), batch.end()}});
       } else {
@@ -188,7 +149,6 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
   Channel& ch = channels_[static_cast<size_t>(rank)];
   ch.stats.batches_lost += 1;
   ch.stats.records_lost += batch.size();
-  VS_OBS_ONLY(if (obs::enabled()) TransportInstruments::get().lost.add();)
   return false;
 }
 
@@ -258,9 +218,6 @@ size_t BatchTransport::sweep_stale(double now,
   if (on_stale) {
     for (int r : fresh) on_stale(r);
   }
-  VS_OBS_ONLY(if (obs::enabled() && !fresh.empty()) {
-    TransportInstruments::get().stale.add(fresh.size());
-  })
   return fresh.size();
 }
 
@@ -330,7 +287,8 @@ RankChannelStats BatchTransport::totals() const {
 void BatchTransport::sample_health(double now,
                                    obs::HealthRecorder& rec) const {
   uint64_t sent = 0, delivered = 0, lost = 0, records = 0, retries = 0;
-  uint64_t dup = 0, wire = 0;
+  uint64_t dup = 0, delayed = 0, wire = 0;
+  double backoff = 0.0;
   uint64_t never_delivered = 0, stale_reported = 0;
   double lag_max = 0.0, lag_sum = 0.0;
   int lag_max_rank = -1;
@@ -349,7 +307,9 @@ void BatchTransport::sample_health(double now,
       lost += ch.stats.batches_lost;
       records += ch.stats.records_delivered;
       retries += ch.stats.retries;
+      backoff += ch.stats.backoff_seconds;
       dup += ch.stats.duplicates_suppressed;
+      delayed += ch.stats.delayed_batches;
       wire += ch.stats.wire_bytes;
       if (ch.reported_stale) ++stale_reported;
       const double last = ch.stats.last_delivery_time;
@@ -389,7 +349,9 @@ void BatchTransport::sample_health(double now,
   rec.gauge("batches_lost", lost);
   rec.gauge("records_delivered", records);
   rec.gauge("retries", retries);
+  rec.gauge("backoff_seconds", backoff);
   rec.gauge("duplicates_suppressed", dup);
+  rec.gauge("delayed_batches", delayed);
   rec.gauge("wire_bytes", wire);
   rec.gauge("stale_reported", stale_reported);
   rec.gauge("ranks_never_delivered", never_delivered);

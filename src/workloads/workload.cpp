@@ -1,11 +1,8 @@
 #include "workloads/workload.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "workloads/apps.hpp"
@@ -93,9 +90,7 @@ double WorkloadRun::workload_max_error() const {
 
 WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
                          const RunOptions& options, rt::DeliverySink* sink) {
-  VS_OBS_ONLY(
-      obs::ScopedSpan vs_obs_span("run:" + workload.name(), "workload");
-      const auto vs_obs_wall_begin = std::chrono::steady_clock::now();)
+  obs::ScopedSpan span("run:" + workload.name(), "workload");
   const auto sensor_table = workload.sensors();
 
   WorkloadRun run;
@@ -216,20 +211,7 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
       options.health->remove_source("transport");
     }
   }
-  VS_OBS_ONLY(if (obs::enabled()) {
-    vs_obs_span.set_virtual(0.0, run.makespan);
-    double probe_virtual = 0.0;
-    for (const auto& rs : run.mpi.ranks) probe_virtual += rs.overhead_time;
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      vs_obs_wall_begin)
-            .count();
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("workload.runs").add();
-    reg.gauge("workload.wall_seconds").add(wall);
-    reg.gauge("workload.virtual_makespan").set_max(run.makespan);
-    reg.gauge("probe.virtual_overhead_seconds").add(probe_virtual);
-  })
+  span.set_virtual(0.0, run.makespan);
   return run;
 }
 

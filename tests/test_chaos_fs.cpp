@@ -27,7 +27,6 @@
 #include "io/vfs.hpp"
 #include "obs/events.hpp"
 #include "obs/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
@@ -125,9 +124,6 @@ TEST(ChaosFs, JournalCountsDegradedDropsAndTeardownLoss) {
   fc.deny_ops.push_back({2, uint64_t{1} << 40});
   io::FaultFs faults(fc);
 
-  const uint64_t counter_before =
-      obs::MetricsRegistry::global().counter("journal.lost_bytes").value();
-
   const auto path = tmp_path("lostbytes.wal");
   size_t first_drop = 0;
   size_t teardown_loss = 0;
@@ -150,11 +146,9 @@ TEST(ChaosFs, JournalCountsDegradedDropsAndTeardownLoss) {
     EXPECT_FALSE(w.append(batch_frame(0, 1, 1)));
     teardown_loss = w.buffered_bytes();
     EXPECT_GT(teardown_loss, 0u);
-  }
-  if (obs::enabled()) {
-    const uint64_t counter_after =
-        obs::MetricsRegistry::global().counter("journal.lost_bytes").value();
-    EXPECT_EQ(counter_after - counter_before, first_drop + teardown_loss);
+    // The teardown's final drain fails too and counts what it dropped.
+    EXPECT_EQ(w.close(), teardown_loss);
+    EXPECT_EQ(w.lost_bytes(), first_drop + teardown_loss);
   }
 }
 
@@ -453,6 +447,58 @@ TEST(ChaosFs, CrashWhileDegradedIsLossyAndLoudlyFlagged) {
   EXPECT_FALSE(same_result(ref.detector.finalize(), rig.detector.finalize()))
       << "losing journal frames without divergence means the stream never "
          "reached the detector in the first place";
+}
+
+TEST(ChaosFs, RecoveryCountsFramesItsFinalDrainCannotLand) {
+  const int ranks = 4;
+  const double T = 0.05;
+  const auto sensors = two_sensors();
+  // Op 0 opens the journal and op 1 writes its header. With
+  // commit_every_frames = 4 two deliveries stay buffered; recover() drains
+  // them (op 2) and the writer's final drain retries (op 3). Both are
+  // denied, so two acknowledged frames never reach the file.
+  io::FaultFsConfig fc;
+  fc.seed = 5;
+  fc.deny_ops.push_back({2, 3});
+  io::FaultFs faults(fc);
+  ServerConfig cfg = ServerRig::make_cfg("undrained", &faults, 4);
+  cfg.journal.commit_every_frames = 4;
+  Collector collector;
+  StreamingDetector detector(tight_cfg(), sensors, ranks, T);
+  collector.set_sensors(sensors);
+  collector.attach_sink(&detector);
+  AnalysisServer server(cfg, &collector, &detector);
+  obs::EventLog log;
+  server.set_event_hooks(obs::EventHooks{&log, nullptr, 0});
+
+  const auto stream = small_stream(ranks, T);
+  uint64_t acked_bytes = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    const auto& d = stream[i];
+    server.on_delivery(d.rank, d.seq, d.records, d.now);
+    acked_bytes += encode_journal_frame(
+                       {JournalFrameKind::Batch, d.rank, d.seq, d.records})
+                       .size();
+  }
+  const auto report = server.recover();
+
+  EXPECT_EQ(report.frames_replayed, 0u);
+  EXPECT_EQ(server.lost_journal_bytes(), acked_bytes);
+  EXPECT_EQ(server.io_errors(), 2u);
+  EXPECT_EQ(server.lossy_recoveries(), 1u);
+  bool lossy_flagged = false;
+  for (const auto& e : log.events()) {
+    if (e.kind == obs::EventKind::Recovery &&
+        e.detail.find("+lossy") != std::string::npos) {
+      lossy_flagged = true;
+    }
+  }
+  EXPECT_TRUE(lossy_flagged);
+  obs::HealthRecorder rec;
+  server.sample_health(T, rec);
+  EXPECT_EQ(rec.gauges().at("journal.lost_bytes"),
+            static_cast<double>(acked_bytes));
+  EXPECT_EQ(rec.gauges().at("lossy_recoveries"), 1.0);
 }
 
 TEST(ChaosFs, RecoverySweepsOrphanedCheckpointTmp) {

@@ -27,6 +27,7 @@
 #include <fstream>
 #include <string>
 
+#include "obs/health.hpp"
 #include "obs/identity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -238,9 +239,8 @@ int run_tool(const Options& opts) {
     return rc;
   }
 
-  // Exporter flags opt into self-telemetry for this invocation; with
-  // VSENSOR_OBS=0 builds the hooks are compiled out and the exports are
-  // valid-but-empty.
+  // Exporter flags switch self-telemetry on for this invocation, so the
+  // stage clock and the tracer record the reporting pass.
   if (!opts.metrics_out.empty() || !opts.trace_out.empty()) {
     obs::set_enabled(true);
   }
@@ -308,7 +308,12 @@ int run_tool(const Options& opts) {
   if (!opts.metrics_out.empty()) {
     std::ofstream out(opts.metrics_out);
     if (!out) throw Error("cannot open metrics file: " + opts.metrics_out);
-    obs::MetricsRegistry::global().write_jsonl(out, &id);
+    obs::HealthRecorder snapshot;
+    {
+      obs::HealthRecorder::Prefix scope(snapshot, "collector");
+      collector.sample_health(session.run_time, snapshot);
+    }
+    obs::write_metrics_jsonl(out, id, snapshot, obs::StageClock::global());
     out.flush();
     if (!out) throw Error("metrics export failed mid-write (disk full?): " +
                           opts.metrics_out);
