@@ -26,12 +26,24 @@ size_t Collector::shard_of(int32_t sensor_id) const {
   return static_cast<size_t>(id) % shards_.size();
 }
 
+void Collector::count_batch(size_t records) {
+  bytes_.fetch_add(records * kRecordWireBytes, std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  ingested_.fetch_add(records, std::memory_order_relaxed);
+}
+
+void Collector::forward(std::span<const SliceRecord> batch) {
+  if (batch.empty()) return;
+  VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
+  count_batch(batch.size());
+  taken_.fetch_add(batch.size(), std::memory_order_release);
+  if (sink_ != nullptr) sink_->on_batch(batch);
+}
+
 void Collector::ingest(std::span<const SliceRecord> batch) {
   if (batch.empty()) return;
   VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
-  bytes_.fetch_add(batch.size() * kRecordWireBytes, std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  ingested_.fetch_add(batch.size(), std::memory_order_relaxed);
+  count_batch(batch.size());
 
   const size_t n_shards = shards_.size();
   // Uniform batches (every record of one sensor — a rank staging one hot
@@ -56,7 +68,7 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
         shard.store.push(rec);
       }
     }
-    if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
+    if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_release);
   } else {
     // Scatter record indices by shard (counting sort), then take each
     // shard's mutex exactly once for its contiguous run.
@@ -79,7 +91,7 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
           shard.store.push(batch[order[i]]);
         }
       }
-      if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_relaxed);
+      if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_release);
     }
   }
 
@@ -115,7 +127,7 @@ std::vector<SliceRecord> Collector::take_records() {
     all.insert(all.end(), b.begin(), b.end());
     shard->store.clear();
   }
-  taken_.fetch_add(all.size(), std::memory_order_relaxed);
+  taken_.fetch_add(all.size(), std::memory_order_release);
   return all;
 }
 
@@ -144,9 +156,13 @@ void Collector::reset() {
 }
 
 uint64_t Collector::record_count() const {
-  return ingested_.load(std::memory_order_relaxed) -
-         dropped_.load(std::memory_order_relaxed) -
-         taken_.load(std::memory_order_relaxed);
+  // Every record counted as dropped or taken was counted as ingested
+  // first, and the release/acquire pairs make that ingest visible here:
+  // read in this order, the difference never wraps, even while a forward
+  // moves ingested and taken together.
+  const uint64_t taken = taken_.load(std::memory_order_acquire);
+  const uint64_t dropped = dropped_.load(std::memory_order_acquire);
+  return ingested_.load(std::memory_order_relaxed) - dropped - taken;
 }
 
 void Collector::sample_health(double /*now*/,

@@ -1,17 +1,24 @@
-// The analysis server (paper §5.4).
+// The collection point of the paper's analysis server (§5.4).
 //
 // The paper dedicates one extra process to inter-process analysis; ranks
 // buffer slice records locally and periodically push them in batches. Here
-// the server is an in-process thread-safe object ingesting concurrently from
-// all rank threads; the wire volume of every batch is accounted so the
-// trace-volume comparison against tracing tools (§6.4) is faithful.
+// the collector is an in-process thread-safe object receiving concurrently
+// from all rank threads; the wire volume of every batch is accounted so the
+// trace-volume comparison against tracing tools (§6.4) is faithful, and
+// every batch is handed on to the attached streaming sink.
 //
-// Storage is sharded by sensor id: each shard has its own mutex and a
-// bounded ring-buffer store, so concurrent ranks pushing records of
-// different sensors never contend on one global lock and memory stays
-// bounded no matter how long the run is. When a shard overflows, the oldest
-// records are overwritten and counted in dropped_records() — backpressure
-// accounting instead of unbounded growth.
+// A plain collector (ingest) also stores the records, for the readers that
+// need them after the run: session export, the offline Detector and
+// component series. Storage is sharded by sensor id: each shard has its
+// own mutex and a bounded ring-buffer store, so concurrent ranks pushing
+// records of different sensors never contend on one global lock and memory
+// stays bounded no matter how long the run is. When a shard overflows, the
+// oldest records are overwritten and counted in dropped_records() —
+// backpressure accounting instead of unbounded growth.
+//
+// A collector inside an AnalysisServer stores nothing (forward): the
+// server's journal already holds every record, so its memory is the fold
+// state, not the length of the run.
 #pragma once
 
 #include <atomic>
@@ -106,6 +113,12 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// sensor's shard, and each shard mutex is taken at most once per batch.
   void ingest(std::span<const SliceRecord> batch);
 
+  /// Count one batch and hand it to the attached sink exactly as ingest
+  /// does, but store nothing: forwarded records count as taken, so
+  /// record_count() does not move. The path of an owner that keeps the
+  /// records itself — AnalysisServer, whose journal holds them. Thread-safe.
+  void forward(std::span<const SliceRecord> batch);
+
   /// DeliverySink: ingest the batch (the collector keeps no transport
   /// metadata).
   void on_delivery(int /*rank*/, uint64_t /*seq*/,
@@ -114,9 +127,10 @@ class Collector : public DeliverySink, public obs::HealthSource {
     ingest(batch);
   }
 
-  /// Attach a streaming sink; every subsequent batch is forwarded to it
-  /// after being stored. Pass nullptr to detach. Not thread-safe against
-  /// concurrent ingest — attach before the run starts.
+  /// Attach a streaming sink; every subsequent batch is handed to it after
+  /// being stored (ingest) or counted (forward). Pass nullptr to detach.
+  /// Not thread-safe against concurrent ingest — attach before the run
+  /// starts.
   void attach_sink(BatchSink* sink) { sink_ = sink; }
 
   /// Forward a transport stale verdict to the attached sink's
@@ -149,8 +163,10 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// stays continuous across the restart (replayed journal batches then
   /// advance them exactly as the originals did).
   struct Counters {
-    uint64_t ingested = 0;
-    uint64_t dropped = 0;
+    uint64_t ingested = 0;  ///< every record received, stored or forwarded
+    uint64_t dropped = 0;   ///< overwritten by a full shard
+    /// Moved out by take_records or never stored (forward). A server's
+    /// collector therefore reads taken == ingested.
     uint64_t taken = 0;
     uint64_t bytes = 0;
     uint64_t batches = 0;
@@ -163,9 +179,11 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// path then restores checkpointed counters and replays the journal.
   void reset();
 
-  /// Records currently retained (ingested minus dropped minus taken).
+  /// Records currently retained (ingested minus dropped minus taken); 0 on
+  /// a collector that only forwards.
   uint64_t record_count() const;
-  /// Records ever ingested, including any later dropped or taken.
+  /// Records ever ingested or forwarded, including any later dropped or
+  /// taken.
   uint64_t ingested_records() const { return ingested_.load(std::memory_order_relaxed); }
   /// Records overwritten because their shard hit capacity.
   uint64_t dropped_records() const { return dropped_.load(std::memory_order_relaxed); }
@@ -188,6 +206,8 @@ class Collector : public DeliverySink, public obs::HealthSource {
   };
 
   size_t shard_of(int32_t sensor_id) const;
+  /// The wire accounting ingest and forward share.
+  void count_batch(size_t records);
 
   CollectorConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;

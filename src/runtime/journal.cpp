@@ -14,6 +14,7 @@ namespace {
 
 constexpr const char* kHeader = "vsensor-journal 1\n";
 constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
+constexpr size_t kPayloadHeaderBytes = 1 + 4 + 8 + 4;  // kind, rank, seq, count
 
 /// Parse one frame payload. Returns false on any structural mismatch.
 bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
@@ -28,7 +29,7 @@ bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
   frame->kind = static_cast<JournalFrameKind>(kind);
   // The payload length must match the declared record count exactly: a
   // frame with trailing or missing bytes is corrupt, not "close enough".
-  const size_t want = 1 + 4 + 8 + 4 + size_t{count} * kRecordWireBytes;
+  const size_t want = kPayloadHeaderBytes + size_t{count} * kRecordWireBytes;
   if (want != len) return false;
   // SliceRecord's in-memory layout IS the wire layout (static_asserts in
   // runtime/types.hpp pin size and trivial copyability), so the whole
@@ -73,9 +74,13 @@ void append_journal_frame(std::string& out, JournalFrameKind kind,
   close_frame(out, at);
 }
 
+size_t journal_frame_bytes(size_t records) {
+  return kFrameHeaderBytes + kPayloadHeaderBytes + records * kRecordWireBytes;
+}
+
 std::string encode_journal_frame(const JournalFrame& frame) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + 17 + frame.records.size() * kRecordWireBytes);
+  out.reserve(journal_frame_bytes(frame.records.size()));
   append_journal_frame(out, frame.kind, frame.rank, frame.seq, frame.records);
   return out;
 }
@@ -180,10 +185,11 @@ bool JournalWriter::open_truncated() {
   return true;
 }
 
-bool JournalWriter::append(const JournalFrame& frame) {
+bool JournalWriter::append(JournalFrameKind kind, int32_t rank, uint64_t seq,
+                           std::span<const SliceRecord> records) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
   const size_t before = buf_.size();
-  append_journal_frame(buf_, frame.kind, frame.rank, frame.seq, frame.records);
+  append_journal_frame(buf_, kind, rank, seq, records);
   const size_t encoded = buf_.size() - before;
   ++n_.appended_frames;
   ++frames_since_commit_;

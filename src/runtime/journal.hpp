@@ -3,7 +3,10 @@
 // Every batch the server ingests is appended here as a CRC32-framed,
 // length-prefixed binary record *before* it folds into streaming state, so
 // a server crash loses no acknowledged delivery: restart loads the newest
-// checkpoint and replays the journal suffix through the normal ingest path.
+// checkpoint and replays the journal suffix through the normal delivery
+// path. It is the server's only copy of the records (its collector counts
+// and forwards them without storing them), and each frame is encoded
+// straight from the delivered span into the writer's buffer.
 //
 // Durability model: appends buffer in user space and drain to the file in
 // large writes (`commit`), with no fsync anywhere — a process crash keeps
@@ -70,6 +73,10 @@ void close_frame(std::string& out, size_t at);
 void append_journal_frame(std::string& out, JournalFrameKind kind,
                           int32_t rank, uint64_t seq,
                           std::span<const SliceRecord> records);
+
+/// Bytes of one encoded frame carrying `records` records (header + CRC +
+/// payload), without encoding it.
+size_t journal_frame_bytes(size_t records);
 
 /// Serialize one frame exactly as the writer appends it (header + CRC +
 /// payload). Exposed so tests and the crash injector can construct torn
@@ -141,11 +148,17 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Append one frame (buffered; commits per the config). Returns false
-  /// when an auto-commit drain failed — the frame stays buffered, so a
-  /// later commit() retry can still land it. Not thread-safe: the owning
-  /// server serializes appends with its ingest order.
-  bool append(const JournalFrame& frame);
+  /// Append one frame, encoded straight from `records` into the buffer
+  /// (commits per the config). Returns false when an auto-commit drain
+  /// failed — the frame stays buffered, so a later commit() retry can still
+  /// land it. Not thread-safe: the owning server serializes appends with
+  /// its ingest order.
+  bool append(JournalFrameKind kind, int32_t rank, uint64_t seq,
+              std::span<const SliceRecord> records);
+  /// The same append, from a frame value.
+  bool append(const JournalFrame& frame) {
+    return append(frame.kind, frame.rank, frame.seq, frame.records);
+  }
 
   /// Drain the user-space buffer to the file (no fsync). Returns false on
   /// failure; partial progress (a short write) is accounted — the written

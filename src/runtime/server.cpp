@@ -56,8 +56,9 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
 
   // Write-ahead discipline: the frame is on the journal (and, with the
   // default group-commit interval, on the file) before any state folds.
-  append_frame_locked(JournalFrame{JournalFrameKind::Batch, rank, seq,
-                                   {batch.begin(), batch.end()}});
+  // The journal is where the records stay: the collector only counts them
+  // and hands them to the detector.
+  append_frame_locked(JournalFrameKind::Batch, rank, seq, batch);
   if (!watermarks_[static_cast<size_t>(rank)].insert(seq)) {
     // The transport already deduplicates; a duplicate here means an
     // upstream bug. Count it and refuse the double fold.
@@ -65,7 +66,7 @@ void AnalysisServer::on_delivery(int rank, uint64_t seq,
     maybe_rearm_locked();
     return;
   }
-  collector_->ingest(batch);
+  collector_->forward(batch);
   ++delivered_batches_;
   ++batches_since_checkpoint_;
   // While degraded the re-arm probe owns checkpoint cadence. It runs only
@@ -82,7 +83,7 @@ void AnalysisServer::mark_stale(int rank, double now) {
   VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
                "stale mark for unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(JournalFrame{JournalFrameKind::StaleRank, rank, 0, {}});
+  append_frame_locked(JournalFrameKind::StaleRank, rank, 0, {});
   // Sweeps that know the virtual time stamp it onto the StaleRank event;
   // the rest inherit the newest delivery's clock.
   detector_->mark_stale(rank, now >= 0.0 ? now : last_now_);
@@ -93,14 +94,15 @@ void AnalysisServer::mark_live(int rank, double now) {
   VS_CHECK_MSG(rank >= 0 && rank < detector_->ranks(),
                "live mark for unknown rank");
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(JournalFrame{JournalFrameKind::RankRejoin, rank, 0, {}});
+  append_frame_locked(JournalFrameKind::RankRejoin, rank, 0, {});
   detector_->mark_live(rank, now >= 0.0 ? now : last_now_);
   maybe_rearm_locked();
 }
 
 void AnalysisServer::apply_standard(int sensor_id, int group, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  append_frame_locked(make_standard_frame(sensor_id, group, value));
+  const JournalFrame frame = make_standard_frame(sensor_id, group, value);
+  append_frame_locked(frame.kind, frame.rank, frame.seq, frame.records);
   detector_->apply_standard_update(sensor_id, group, value);
   maybe_rearm_locked();
 }
@@ -112,7 +114,9 @@ void AnalysisServer::open_journal_locked() {
       std::make_unique<JournalWriter>(cfg_.journal_path, cfg_.journal, cfg_.vfs);
 }
 
-void AnalysisServer::append_frame_locked(const JournalFrame& frame) {
+void AnalysisServer::append_frame_locked(JournalFrameKind kind, int32_t rank,
+                                         uint64_t seq,
+                                         std::span<const SliceRecord> records) {
   open_journal_locked();
   if (degraded_ || journal_ == nullptr) {
     // Non-durable mode: the frame still folds (the caller continues), but
@@ -120,12 +124,12 @@ void AnalysisServer::append_frame_locked(const JournalFrame& frame) {
     // probe runs at the END of the operation, not here — a checkpoint
     // snapshotted now would predate this frame's fold, and truncating the
     // journal against it would silently lose the frame.
-    dropped_journal_bytes_ += encode_journal_frame(frame).size();
+    dropped_journal_bytes_ += journal_frame_bytes(records.size());
     ++degraded_appends_;
     return;
   }
   const uint64_t before = journal_->appended_bytes();
-  bool ok = journal_->append(frame);
+  bool ok = journal_->append(kind, rank, seq, records);
   // Bytes per append, not wall time: the p50/p99 gauges must be
   // bit-identical across reruns of the same seed.
   append_bytes_hist_.record(
@@ -440,7 +444,7 @@ RecoveryReport AnalysisServer::recover_locked() {
           ++report.frames_skipped;
           break;
         }
-        collector_->ingest(frame.records);
+        collector_->forward(frame.records);
         ++delivered_batches_;
         ++report.frames_replayed;
         report.records_replayed += frame.records.size();
@@ -666,8 +670,8 @@ void AnalysisServer::sample_health(double now,
   rec.gauge("journal.appended_bytes", journal.appended_bytes);
   rec.gauge("journal.commits", journal.commits);
   rec.gauge("journal.committed_bytes", journal.committed_bytes);
-  rec.gauge("journal.append_bytes_p50", append_bytes_hist_.quantile(0.50));
-  rec.gauge("journal.append_bytes_p99", append_bytes_hist_.quantile(0.99));
+  rec.gauge("journal.append_bytes_p50", append_bytes_hist_.quantile(50));
+  rec.gauge("journal.append_bytes_p99", append_bytes_hist_.quantile(99));
   // Durability state machine: an operator watching the health stream sees
   // the shard drop to non-durable mode and come back, with the loss bill.
   rec.gauge("degraded", degraded_ ? 1 : 0);

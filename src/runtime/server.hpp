@@ -1,12 +1,16 @@
 // Crash-tolerant analysis server (paper §5.4, hardened).
 //
 // The paper dedicates one process to inter-process analysis; at cluster
-// scale that process is itself a failure domain. This server wraps the
-// sharded Collector + StreamingDetector with a durability discipline:
+// scale that process is itself a failure domain. This server wraps a
+// Collector + StreamingDetector pair with a durability discipline:
 //
 //  * write-ahead journal — every acknowledged delivery is appended to the
 //    journal (runtime/journal.hpp) *before* it folds into streaming state,
-//    under the same lock, so the journal's frame order IS the fold order;
+//    under the same lock, so the journal's frame order IS the fold order.
+//    The journal is the server's one copy of its records: the collector
+//    only counts each batch and forwards it to the detector
+//    (Collector::forward), so the server's memory is the fold state, not
+//    the length of the run;
 //  * periodic checkpoints — every `checkpoint_every_batches` deliveries,
 //    the detector state + collector counters + per-rank delivery
 //    watermarks are encoded straight from the live state into one reused
@@ -21,7 +25,7 @@
 //  * recovery — load the newest valid checkpoint, its base plus the deltas
 //    that apply (or start from zero state if the base is missing/corrupt),
 //    salvage the valid prefix of the journal, and replay the suffix
-//    through the normal ingest path. Frames already covered by the
+//    through the same forward-and-fold path. Frames already covered by the
 //    checkpoint are skipped by the watermark dedup, so replay is
 //    idempotent — no batch is ever double-counted. After replay
 //    the server checkpoints the recovered state and truncates the journal
@@ -36,7 +40,7 @@
 //
 // Crash injection is deterministic: a crash plan (virtual-time points +
 // seed) makes the server "die" at the first delivery at or after each
-// point — the in-memory state (collector stores, detector state, journal
+// point — the in-memory state (collector counters, detector state, journal
 // user-space buffer) is destroyed, a seed-derived torn frame prefix is
 // appended to the journal file to model a write cut mid-frame, and the
 // server restarts through recover() before processing the triggering
@@ -112,10 +116,13 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   /// simulated crash as objects — crash() resets their state in place, so
   /// external wiring (the collector's attached sink, references held by
   /// the workload) stays valid across crash/recover cycles. The detector
-  /// must be attached as the collector's sink by the caller. Construction
-  /// touches no file: the journal is opened (truncated) at the server's
-  /// first write, or by recover() once it has replayed it, so a server
-  /// built over a predecessor's journal and checkpoint can recover them.
+  /// must be attached as the collector's sink by the caller. The server
+  /// only forwards through the collector, which therefore stores no
+  /// record: its record_count() reads 0 while its counters account every
+  /// delivery. Construction touches no file: the journal is opened
+  /// (truncated) at the server's first write, or by recover() once it has
+  /// replayed it, so a server built over a predecessor's journal and
+  /// checkpoint can recover them.
   AnalysisServer(ServerConfig cfg, Collector* collector,
                  StreamingDetector* detector);
   ~AnalysisServer();
@@ -242,7 +249,8 @@ class AnalysisServer final : public DeliverySink, public obs::HealthSource {
   CheckpointSaveResult save_checkpoint_locked(bool allow_delta);
   /// Open (truncate) the journal if this server has not written yet.
   void open_journal_locked();
-  void append_frame_locked(const JournalFrame& frame);
+  void append_frame_locked(JournalFrameKind kind, int32_t rank, uint64_t seq,
+                           std::span<const SliceRecord> records);
   void dump_flight_locked();
   /// Give the writer its final drain, fold its counters into
   /// retired_journal_ (they die with the writer otherwise), then destroy

@@ -17,7 +17,7 @@ ShardedAnalysisTier::ShardedAnalysisTier(ShardedTierConfig cfg,
   shards_.reserve(static_cast<size_t>(cfg_.shards));
   for (int k = 0; k < cfg_.shards; ++k) {
     auto shard = std::make_unique<Shard>();
-    shard->collector = std::make_unique<Collector>(cfg_.collector);
+    shard->collector = std::make_unique<Collector>();
     shard->collector->set_sensors(sensors_);
     shard->detector = std::make_unique<StreamingDetector>(
         cfg_.detector, sensors_, ranks_, run_time_);

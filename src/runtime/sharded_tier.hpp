@@ -6,7 +6,10 @@
 // N independent shards (rank % N), each owning its own Collector,
 // StreamingDetector, and AnalysisServer with per-shard journal/checkpoint
 // files (paths suffixed ".shard<k>"). Deliveries route to the owning shard
-// and never contend with other shards' locks.
+// and never contend with other shards' locks. Like any server, a shard
+// keeps its records only in its journal (its collector forwards without
+// storing), so shard memory is bounded by sensors x ranks x buckets, not
+// by run length.
 //
 // Global detection semantics are preserved by two mechanisms:
 //
@@ -64,7 +67,6 @@ struct ShardedTierConfig {
   uint64_t checkpoint_every_batches = 0;
   JournalWriterConfig journal;
   DetectorConfig detector;
-  CollectorConfig collector;
   /// Flight recorder base path; shard k dumps "<base>.shard<k>" on crash
   /// or torn-journal salvage ("" derives "<journal_path>.flight").
   std::string flight_path;
@@ -147,6 +149,8 @@ class ShardedAnalysisTier final : public DeliverySink,
   const StreamingDetector& detector(int shard) const {
     return *shards_[checked(shard)]->detector;
   }
+  /// The shard's collector: it counts and forwards every routed batch but
+  /// stores none (record_count() reads 0).
   Collector& collector(int shard) { return *shards_[checked(shard)]->collector; }
 
   const ShardedTierConfig& config() const { return cfg_; }

@@ -163,6 +163,34 @@ TEST(ShardedCollector, AttachedSinkSeesEveryBatch) {
   EXPECT_EQ(sink.batches, 2u);
 }
 
+TEST(ShardedCollector, ForwardCountsAndFoldsButStoresNothing) {
+  Collector c;
+  CountingSink sink;
+  c.attach_sink(&sink);
+  std::vector<SliceRecord> batch;
+  for (int sensor = 0; sensor < 10; ++sensor) {
+    batch.push_back(make_record(sensor, 1, 0.0, 100e-6));
+  }
+  c.forward(batch);
+  c.forward(std::span<const SliceRecord>(batch.data(), 3));
+  c.forward({});  // an empty batch counts nothing, like ingest's
+  // The sink saw both batches; the wire accounting advanced as for ingest.
+  EXPECT_EQ(sink.batches, 2u);
+  EXPECT_EQ(sink.records, 13u);
+  EXPECT_EQ(c.ingested_records(), 13u);
+  EXPECT_EQ(c.batch_count(), 2u);
+  EXPECT_EQ(c.bytes_received(), 13 * kRecordWireBytes);
+  // Nothing was stored: forwarded records count as taken.
+  EXPECT_EQ(c.record_count(), 0u);
+  EXPECT_TRUE(c.records().empty());
+  EXPECT_EQ(c.counters().taken, 13u);
+  EXPECT_EQ(c.dropped_records(), 0u);
+  // The same collector still stores what it ingests.
+  c.ingest(batch);
+  EXPECT_EQ(c.record_count(), 10u);
+  EXPECT_EQ(c.records().size(), 10u);
+}
+
 TEST(ShardedCollector, NegativeSensorIdGoesToShardZero) {
   Collector c(CollectorConfig{.shards = 4, .shard_capacity = 16});
   std::vector<SliceRecord> batch{make_record(-1, 0, 0.0, 1e-6)};

@@ -11,8 +11,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/fault_fs.hpp"
@@ -957,6 +959,173 @@ TEST(RecoveryEquivalence, OutOfShapeDeliveryThrowsBeforeJournaling) {
   EXPECT_EQ(rig.server.delivered_batches(), 1u);
   EXPECT_EQ(rig.detector.observed_records(), 1u);
   EXPECT_EQ(rig.detector.standard_time(0, 0.0F), 1e-4);
+}
+
+// ------------------------------------ Records live only in the journal
+
+/// Fold the unique (rank, seq) deliveries of `stream` into `plain`, in
+/// order — what a server folds once its watermarks refuse the
+/// re-deliveries — and return their record count.
+uint64_t fold_unique(const std::vector<Delivery>& stream,
+                     StreamingDetector& plain) {
+  std::set<std::pair<int, uint64_t>> seen;
+  uint64_t records = 0;
+  for (const auto& d : stream) {
+    if (!seen.insert({d.rank, d.seq}).second) continue;
+    plain.on_batch(d.records);
+    records += d.records.size();
+  }
+  return records;
+}
+
+TEST(RecordRetention, ServerKeepsRecordsOnlyInItsJournal) {
+  // Through deliveries, a crash, recovery and more deliveries, a server's
+  // collector stores no record, yet accounts every one exactly as an
+  // uninterrupted server does, and the fold matches a plain one.
+  const int ranks = 3;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/7, ranks, T);
+  ServerRig uninterrupted("retain_u", ranks, T, /*checkpoint_every=*/4);
+  ServerRig crashed("retain_c", ranks, T, /*checkpoint_every=*/4);
+  const size_t crash_at = stream.size() / 2 + 1;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == crash_at) {
+      crashed.server.crash();
+      crashed.server.recover();
+    }
+    const auto& d = stream[i];
+    uninterrupted.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    crashed.server.on_delivery(d.rank, d.seq, d.records, d.now);
+  }
+  ASSERT_EQ(crashed.server.recoveries().size(), 1u);
+  const auto& report = crashed.server.recoveries().front();
+  EXPECT_TRUE(report.checkpoint_loaded);
+  EXPECT_GT(report.records_replayed, 0u);
+
+  StreamingDetector plain(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  const uint64_t records = fold_unique(stream, plain);
+  for (const ServerRig* rig : {&uninterrupted, &crashed}) {
+    EXPECT_EQ(rig->collector.record_count(), 0u);
+    EXPECT_TRUE(rig->collector.records().empty());
+    EXPECT_EQ(rig->collector.ingested_records(), records);
+  }
+  // Counters stay continuous across the crash: the restored checkpoint
+  // plus the replayed and later batches add up to the uninterrupted ones.
+  const auto cu = uninterrupted.collector.counters();
+  const auto cc = crashed.collector.counters();
+  EXPECT_EQ(cu.ingested, cc.ingested);
+  EXPECT_EQ(cu.dropped, cc.dropped);
+  EXPECT_EQ(cu.taken, cc.taken);
+  EXPECT_EQ(cu.bytes, cc.bytes);
+  EXPECT_EQ(cu.batches, cc.batches);
+  expect_bit_identical(plain.finalize(), uninterrupted.detector.finalize());
+  expect_bit_identical(plain.finalize(), crashed.detector.finalize());
+}
+
+TEST(RecordRetention, TierShardsKeepRecordsOnlyInTheirJournals) {
+  const int ranks = 4;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/11, ranks, T);
+  ShardedTierConfig cfg;
+  cfg.shards = 2;
+  cfg.journal_path = tmp_path("retain_tier.wal");
+  cfg.checkpoint_path = tmp_path("retain_tier.ckpt");
+  cfg.checkpoint_every_batches = 4;
+  cfg.detector = ServerRig::make_cfg();
+  for (int k = 0; k < cfg.shards; ++k) {
+    std::remove((cfg.checkpoint_path + ".shard" + std::to_string(k)).c_str());
+  }
+  ShardedAnalysisTier tier(cfg, two_sensors(), ranks, T);
+  tier.set_crash_plan(0, {T * 0.5}, 0x5EED);
+
+  uint64_t routed = 0;
+  for (const auto& d : stream) {
+    tier.on_delivery(d.rank, d.seq, d.records, d.now);
+    routed += d.records.size();
+  }
+  EXPECT_EQ(tier.server(0).crashes(), 1u);
+  EXPECT_EQ(tier.total_routed_records(), routed);
+  StreamingDetector plain(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  uint64_t ingested = 0;
+  for (int k = 0; k < tier.shard_count(); ++k) {
+    EXPECT_EQ(tier.collector(k).record_count(), 0u) << "shard " << k;
+    ingested += tier.collector(k).ingested_records();
+  }
+  EXPECT_EQ(ingested, fold_unique(stream, plain));
+  expect_bit_identical(plain.finalize(), tier.finalize());
+}
+
+TEST(RecordRetention, DegradedServerCountsEachDroppedFrameAtItsEncodedSize) {
+  // Every storage op fails, so the server degrades at its first append and
+  // drops every frame after it: the drop count must equal the encoded
+  // size of every frame, of every kind, that it did not journal.
+  io::FaultFsConfig fc;
+  fc.deny_ops.push_back({0, UINT64_MAX});
+  io::FaultFs faults(fc);
+  const int ranks = 3;
+  const double T = 10e-3;
+  ServerConfig scfg = ServerRig::make_server_cfg("degraded_bytes", 4);
+  scfg.vfs = &faults;
+  scfg.io_retry_attempts = 1;
+  scfg.rearm_every_appends = 0;
+  Collector collector;
+  collector.set_sensors(two_sensors());
+  StreamingDetector detector(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  collector.attach_sink(&detector);
+  AnalysisServer server(scfg, &collector, &detector);
+
+  uint64_t want = 0;
+  for (const auto& d : make_stream(/*seed=*/5, ranks, T)) {
+    server.on_delivery(d.rank, d.seq, d.records, d.now);
+    want += encode_journal_frame(
+                JournalFrame{JournalFrameKind::Batch, d.rank, d.seq, d.records})
+                .size();
+  }
+  server.mark_stale(1);
+  want += encode_journal_frame(
+              JournalFrame{JournalFrameKind::StaleRank, 1, 0, {}})
+              .size();
+  server.mark_live(1);
+  want += encode_journal_frame(
+              JournalFrame{JournalFrameKind::RankRejoin, 1, 0, {}})
+              .size();
+  server.apply_standard(0, 0, 5e-5);
+  want += encode_journal_frame(make_standard_frame(0, 0, 5e-5)).size();
+
+  EXPECT_TRUE(server.degraded());
+  EXPECT_EQ(server.degraded_entries(), 1u);
+  EXPECT_EQ(server.dropped_journal_bytes(), want);
+  for (const size_t n : {0u, 1u, 64u}) {
+    JournalFrame frame{JournalFrameKind::Batch, 0, 0, {}};
+    frame.records.resize(n);
+    EXPECT_EQ(journal_frame_bytes(n), encode_journal_frame(frame).size());
+  }
+}
+
+TEST(RecordRetention, AppendSizeGaugesReadTheirPercentiles) {
+  // 90 one-record and 10 64-record deliveries: frames of 81 and 3,609
+  // bytes. p50 is a one-record frame and p99 a 64-record one, each within
+  // the histogram's bucket resolution (a factor of 2).
+  const double T = 10e-3;
+  ServerRig rig("append_gauges", /*ranks=*/1, T, /*checkpoint_every=*/0);
+  const uint64_t small = journal_frame_bytes(1);
+  const uint64_t large = journal_frame_bytes(64);
+  ASSERT_EQ(small, 81u);
+  ASSERT_EQ(large, 3609u);
+  for (uint64_t seq = 0; seq < 100; ++seq) {
+    const double t = static_cast<double>(seq) * 1e-5;
+    const std::vector<SliceRecord> batch(seq % 10 == 9 ? 64 : 1,
+                                         make_record(0, 0, t, 1e-4));
+    rig.server.on_delivery(0, seq, batch, t);
+  }
+  obs::HealthRecorder rec;
+  rig.server.sample_health(T, rec);
+  const double p50 = rec.gauges().at("journal.append_bytes_p50");
+  const double p99 = rec.gauges().at("journal.append_bytes_p99");
+  EXPECT_GE(p50, static_cast<double>(small) / 2.0);
+  EXPECT_LE(p50, static_cast<double>(small) * 2.0);
+  EXPECT_GE(p99, static_cast<double>(large) / 2.0);
+  EXPECT_LE(p99, static_cast<double>(large) * 2.0);
 }
 
 /// Per-rank batches of 4, dealt round-robin in time order: a deterministic
