@@ -1,4 +1,4 @@
-// Checkpoint/restore of the analysis server (crash tolerance layer).
+// Checkpoints of the analysis server (crash tolerance layer).
 //
 // A checkpoint is one versioned file of CRC-protected binary frames that
 // together hold everything the server must remember to continue a run
@@ -12,55 +12,59 @@
 //    journal suffix that overlaps the checkpoint idempotent — a batch at
 //    or below its rank's watermark is skipped, never double-counted;
 //  * shape fields (sensor count, ranks, run time, matrix buckets) so a
-//    checkpoint is never restored into a differently-shaped server.
+//    checkpoint is never decoded into a differently-shaped server.
 //
-// File layout (`vsensor-checkpoint 3`): a one-line header, then frames,
-// each u64 payload_len | u32 crc32(payload) | payload. Every payload is
+// File layout (`vsensor-checkpoint 4`): a one-line header, then frames in
+// the journal's framing (runtime/journal.hpp), u32 payload_len |
+// u32 crc32(payload) | payload, written by open_frame/close_frame and read
+// by walk_frames, as journals and sessions are. Every payload is
 //
 //   u32 sensor_count | i32 ranks | f64 run_time | u32 buckets
 //   collector counters, watermarks
-//   u64 slots; per slot, (sensor, group) ascending:
-//     i32 sensor | i32 group | f64 standard | u64 rows
-//     per row, rank ascending: i32 rank | f64 rank_standard | u32 cells
-//     per cell, bucket ascending: u32 bucket | f64 weight_over_avg
-//                                 | f64 weight
-//   Welford stats, per-sensor record counts, last slices, stale ranks,
-//   flag counters
+//   detector section:
+//     u64 slots; per slot, (sensor, group) ascending:
+//       i32 sensor | i32 group | f64 standard | u64 rows
+//       per row, rank ascending: i32 rank | f64 rank_standard | u32 cells
+//       per cell, bucket ascending: u32 bucket | f64 weight_over_avg
+//                                   | f64 weight
+//     Welford stats, per-sensor record counts, last slices, stale ranks,
+//     flag counters
 //
 // A row carries its key once for all its cells, so a cell costs 20 bytes.
 // Each other container is a u64 count then fixed-width entries in
-// ascending key order.
+// ascending key order. This file handles the leading fields; the detector
+// section is StreamingDetector's, encoded from its dense state and decoded
+// straight back into it, with no map form in between.
 //
 // The first frame is the base: the whole state. Each later frame is a
 // delta: every standard, the rows the fold changed since the previous
 // frame (each with its rank standard and its cells from the lowest changed
 // bucket up), the last slices of those rows' (sensor, rank) pairs, and
-// every other section whole. Loading applies a delta by assigning its
-// entries over the state so far and replacing the whole sections. That is
-// exact because between two frames a fold only adds or changes entries;
-// the stale set can shrink, which is why it is written whole.
+// every other section whole. Decoding a delta assigns its entries over the
+// state so far and replaces the whole sections. That is exact because
+// between two frames a fold only adds or changes entries; the stale set
+// can shrink, which is why it is written whole.
 //
 // The server publishes a base atomically: `<path>.tmp`, then a rename over
 // the target, which drops the deltas of the previous base in the same
 // step. It appends a delta to the file in place. A file of another version
-// is not read: it fails closed with a warning naming its version, and
-// recovery replays the journal.
+// (3 and older included) is not read: it fails closed with a warning
+// naming its version, and recovery replays the journal.
 //
-// Two encoders write base bytes. The server writes each frame straight
-// from its live state (encode_live_checkpoint): no Snapshot copy, one
-// reused buffer, the CRC patched in place. encode_checkpoint writes a base
-// from a ServerCheckpoint without validating it; it is what
-// save_checkpoint writes and the reference the live encoder is tested
-// against. The decoder validates every frame: keys strictly ascending,
-// buckets in [0, buckets), counts within the bytes left. Loading never
-// throws on corrupt content. A damaged base fails closed with a structured
-// warning, and recovery falls back to replaying the journal from scratch.
-// After the base, the first torn, damaged or out-of-shape frame ends the
-// chain: the frames before it are applied and the rest is reported as a
-// torn tail, as the journal's is. Recovery truncates the journal after its
-// post-recovery base, so from then on the checkpoint file is the only copy
-// of the earlier state; rejecting a good base over a torn append would
-// lose it.
+// Loading never throws on corrupt content. Every frame is checked in full
+// (CRC, then one decode routine run once to check) before it is applied
+// (the same routine run again). The check: the shape (sensor count, ranks,
+// run time, buckets, one watermark per rank) matches the detector decoded
+// into; counts fit the bytes left; keys strictly ascend; buckets lie in
+// [0, buckets) and ranks in [0, ranks); rows and last slices name known
+// sensors; no cell weight is negative; statistics cover exactly the sensor
+// table; no bytes trail. A base that fails fails closed with a warning, and
+// recovery replays the journal from scratch. After the base, the first
+// frame that fails ends the chain: the frames before it stay applied and
+// the rest is a torn tail, as the journal's is. Recovery truncates the
+// journal after its post-recovery base, so from then on the checkpoint
+// file is the only copy of the earlier state; rejecting a good base over a
+// torn append would lose it.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +79,10 @@
 
 namespace vsensor::rt {
 
+/// The leading fields of a checkpoint frame: everything but the detector
+/// section.
 struct ServerCheckpoint {
-  // Shape sanity: restoring into a server with a different sensor table,
+  // Shape sanity: decoding into a detector with a different sensor table,
   // rank count, analysis horizon, or matrix resolution is refused.
   uint32_t sensor_count = 0;
   int32_t ranks = 0;
@@ -86,26 +92,17 @@ struct ServerCheckpoint {
   uint32_t buckets = 0;
 
   Collector::Counters collector;
-  /// Per-rank delivery watermarks at checkpoint time (journal-replay dedup).
+  /// Per-rank delivery watermarks at checkpoint time (journal-replay dedup);
+  /// one per rank.
   std::vector<SeqTracker> watermarks;
-  StreamingDetector::Snapshot detector;
 };
-
-/// Serialize a checkpoint exactly as save_checkpoint writes it: the header
-/// and one base frame. Exposed so tests can corrupt real bytes. The
-/// detector snapshot must be one restore() accepts (every cell under its
-/// rank standard, every rank standard under its standard); it is written
-/// as given, not checked.
-std::string encode_checkpoint(const ServerCheckpoint& ckpt);
 
 /// Encode a running server's checkpoint frame into `out` straight from
 /// live state, clearing the detector's marks. A base is a whole file: the
-/// same bytes encode_checkpoint writes for ServerCheckpoint{shape and
-/// buckets of `detector`, collector, watermarks, detector.snapshot()}. A
-/// delta is one frame, to append after the file's last frame. `out` is
-/// overwritten and keeps its capacity, so a server that reuses it grows the
-/// buffer once. The caller must keep the detector from folding meanwhile
-/// (the server holds its lock).
+/// header line and one frame. A delta is one frame, to append after the
+/// file's last frame. `out` is overwritten and keeps its capacity, so a
+/// server that reuses it grows the buffer once. The caller must keep the
+/// detector from folding meanwhile (the server holds its lock).
 void encode_live_checkpoint(std::string& out, CheckpointFrame frame,
                             const Collector::Counters& collector,
                             const std::vector<SeqTracker>& watermarks,
@@ -137,14 +134,15 @@ CheckpointSaveResult try_append_checkpoint(const std::string& path,
                                            std::string_view frame,
                                            io::Vfs* vfs = nullptr);
 
-/// Encode `ckpt` and publish it on the real filesystem; throws on failure.
-void save_checkpoint(const std::string& path, const ServerCheckpoint& ckpt);
-
 /// Result of reading a checkpoint back. Never throws on corrupt content.
 struct CheckpointLoad {
   bool ok = false;
-  /// The base with every applied delta.
+  /// The leading fields of the last applied frame: the shape, and the
+  /// collector counters and watermarks as of that frame.
   ServerCheckpoint ckpt;
+  /// The detector section of the last applied frame, as its decoder
+  /// counted it.
+  StreamingDetector::CheckpointCounts detector;
   uint64_t total_bytes = 0;
   /// Delta frames applied after the base.
   uint64_t deltas = 0;
@@ -154,15 +152,21 @@ struct CheckpointLoad {
   std::string warning;
 };
 
-/// Load `path`. A missing file, or a truncated, CRC-damaged or
-/// structurally malformed base, yields ok = false with a warning — the
-/// caller recovers from the journal alone. Damage after the base ends the
-/// delta chain: ok stays true, and `torn_bytes` and `warning` describe the
-/// dropped tail.
-CheckpointLoad load_checkpoint(const std::string& path);
+/// Load `path` and decode its frames straight into `into`: the base
+/// replaces its state, then each delta is applied over it. A missing file,
+/// another format version, or a truncated, CRC-damaged, malformed or
+/// out-of-shape base yields ok = false with a warning and leaves `into`
+/// untouched; the caller recovers from the journal alone. Damage after the
+/// base ends the delta chain: ok stays true, the deltas before it stay
+/// applied, and `torn_bytes` and `warning` describe the dropped tail.
+/// With no detector, every frame is only checked, against the shape its
+/// base declares (vsensor-report's inspection).
+CheckpointLoad load_checkpoint(const std::string& path,
+                               StreamingDetector* into = nullptr);
 
-/// Parse checkpoint bytes already in memory (the file-format body,
-/// including header). Shared by load_checkpoint and fuzz tests.
-CheckpointLoad parse_checkpoint(const std::string& bytes);
+/// The same, over checkpoint bytes already in memory (the whole file,
+/// header line included).
+CheckpointLoad parse_checkpoint(std::string_view bytes,
+                                StreamingDetector* into = nullptr);
 
 }  // namespace vsensor::rt

@@ -52,6 +52,8 @@ size_t open_frame(std::string& out) {
 
 void close_frame(std::string& out, size_t at) {
   const auto payload = std::string_view(out).substr(at + kFrameHeaderBytes);
+  VS_CHECK_MSG(payload.size() <= UINT32_MAX,
+               "frame payload does not fit its u32 length");
   const auto len = static_cast<uint32_t>(payload.size());
   const uint32_t crc = crc32(payload);
   std::memcpy(out.data() + at, &len, sizeof len);

@@ -17,7 +17,8 @@
 // quantity, not a guess.
 //
 // Frame layout (little-endian, after the one-line file header; session
-// files use the same frames and walker under their own header line):
+// and checkpoint files use the same frames and walker under their own
+// header lines):
 //   u32 payload_len | u32 crc32(payload) | payload
 //   payload: u8 kind | i32 rank | u64 seq | u32 count | count * record
 //   record:  i32 sensor_id | i32 rank | f32 metric | f32 reserved |
@@ -64,7 +65,9 @@ struct JournalFrame {
 
 /// Frame a payload in place: open_frame appends the `u32 len | u32 crc32`
 /// placeholders and returns their offset, the caller appends the payload,
-/// close_frame patches both.
+/// close_frame patches both. Journals, sessions and checkpoints all frame
+/// this way. close_frame throws vsensor::Error for a payload longer than
+/// UINT32_MAX bytes rather than write a wrapped length.
 size_t open_frame(std::string& out);
 void close_frame(std::string& out, size_t at);
 
@@ -83,11 +86,12 @@ size_t journal_frame_bytes(size_t records);
 /// prefixes of a real frame.
 std::string encode_journal_frame(const JournalFrame& frame);
 
-/// The salvage rule of the journal and session loaders: walk the frames of
-/// `bytes` from `pos`, handing each intact payload to `accept`, which
-/// returns null to take it or why it is malformed. The first torn,
-/// CRC-damaged or rejected frame ends the walk and is named, with its
-/// offset, in `warning`. Returns the offset past the last accepted frame.
+/// The salvage rule of the journal, session and checkpoint loaders: walk
+/// the frames of `bytes` from `pos`, handing each intact payload to
+/// `accept`, which returns null to take it or why it is malformed. The
+/// first torn, CRC-damaged or rejected frame ends the walk and is named,
+/// with its offset, in `warning`. Returns the offset past the last
+/// accepted frame.
 size_t walk_frames(
     std::string_view bytes, size_t pos,
     const std::function<const char*(std::string_view payload)>& accept,

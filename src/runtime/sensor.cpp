@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
-#include "support/ring_buffer.hpp"
 
 namespace vsensor::rt {
 
@@ -39,23 +37,12 @@ struct SensorRuntime::State {
   /// Fastest slice average so far — the history the paper compares against
   /// ("only a scalar value of standard time needs to be saved", §5.3).
   double standard_time = 0.0;
-  /// Recent slice averages when a history window is configured.
-  std::optional<RingBuffer<double>> recent;
 
-  State(int sensor_id, int rank, double slice_seconds, size_t history_window)
-      : slices(sensor_id, rank, slice_seconds) {
-    if (history_window > 0) recent.emplace(history_window);
-  }
+  State(int sensor_id, int rank, double slice_seconds)
+      : slices(sensor_id, rank, slice_seconds) {}
 
   void observe_slice(double avg) {
-    if (!recent) {
-      if (standard_time == 0.0 || avg < standard_time) standard_time = avg;
-      return;
-    }
-    recent->push(avg);
-    double best = (*recent)[0];
-    for (size_t i = 1; i < recent->size(); ++i) best = std::min(best, (*recent)[i]);
-    standard_time = best;
+    if (standard_time == 0.0 || avg < standard_time) standard_time = avg;
   }
 };
 
@@ -87,7 +74,7 @@ SensorRuntime::~SensorRuntime() = default;
 int SensorRuntime::register_sensor(SensorInfo info) {
   const int id = static_cast<int>(infos_.size());
   infos_.push_back(std::move(info));
-  states_.emplace_back(id, rank_, cfg_.slice_seconds, cfg_.history_window);
+  states_.emplace_back(id, rank_, cfg_.slice_seconds);
   return id;
 }
 

@@ -387,38 +387,17 @@ RecoveryReport AnalysisServer::recover_locked() {
     ++orphan_tmps_removed_;
   }
 
-  {
-    // The parsed checkpoint, ordered maps of every cell, is dropped once
-    // restored: the journal load below is the larger read.
-    CheckpointLoad ckpt = load_checkpoint(cfg_.checkpoint_path);
-    report.checkpoint_warning = ckpt.warning;
-    if (ckpt.ok) {
-      auto& c = ckpt.ckpt;
-      if (c.sensor_count == detector_->sensor_count() &&
-          c.ranks == detector_->ranks() &&
-          c.run_time == detector_->run_time() &&
-          c.buckets == static_cast<uint32_t>(detector_->buckets()) &&
-          c.watermarks.size() == watermarks_.size()) {
-        try {
-          detector_->restore(c.detector);
-          collector_->restore_counters(c.collector);
-          watermarks_ = std::move(c.watermarks);
-          report.checkpoint_loaded = true;
-          report.checkpoint_deltas = ckpt.deltas;
-        } catch (const Error& e) {
-          // CRC-valid but out of shape (a rank or bucket this server does
-          // not have): fail closed like any other damaged checkpoint.
-          report.checkpoint_warning =
-              std::string("checkpoint state does not fit this server: ") +
-              e.what();
-        }
-      } else {
-        report.checkpoint_warning =
-            "checkpoint shape does not match this server; ignored";
-      }
-    }
-  }
-  if (!report.checkpoint_loaded) {
+  // The checkpoint decodes straight into the detector: the base replaces
+  // its state and each delta that applies goes over it. A base that fails
+  // (damaged, malformed, or of another shape) leaves the state alone.
+  CheckpointLoad ckpt = load_checkpoint(cfg_.checkpoint_path, detector_);
+  report.checkpoint_warning = std::move(ckpt.warning);
+  if (ckpt.ok) {
+    collector_->restore_counters(ckpt.ckpt.collector);
+    watermarks_ = std::move(ckpt.ckpt.watermarks);
+    report.checkpoint_loaded = true;
+    report.checkpoint_deltas = ckpt.deltas;
+  } else {
     // No usable checkpoint: recover from the journal alone, from zero.
     collector_->reset();
     detector_->reset();

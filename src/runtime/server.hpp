@@ -22,8 +22,9 @@
 //    about twice the base. The explicit, post-recovery and re-arm
 //    checkpoints are always bases, and so is the first checkpoint after
 //    any failed checkpoint write or crash;
-//  * recovery — load the newest valid checkpoint, its base plus the deltas
-//    that apply (or start from zero state if the base is missing/corrupt),
+//  * recovery — decode the newest valid checkpoint straight into the
+//    detector, its base plus the deltas that apply (or start from zero
+//    state if the base is missing, corrupt or of another shape),
 //    salvage the valid prefix of the journal, and replay the suffix
 //    through the same forward-and-fold path. Frames already covered by the
 //    checkpoint are skipped by the watermark dedup, so replay is

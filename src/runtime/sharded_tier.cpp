@@ -118,27 +118,19 @@ void ShardedAnalysisTier::set_crash_plan(std::vector<double> times,
   }
 }
 
+std::unique_ptr<StreamingDetector> ShardedAnalysisTier::merged() const {
+  auto out = std::make_unique<StreamingDetector>(cfg_.detector, sensors_,
+                                                 ranks_, run_time_);
+  for (const auto& shard : shards_) out->merge_from(*shard->detector);
+  return out;
+}
+
 StreamingDetector::Snapshot ShardedAnalysisTier::merged_snapshot() const {
-  std::vector<StreamingDetector::Snapshot> level;
-  level.reserve(shards_.size());
-  for (const auto& shard : shards_) level.push_back(shard->detector->snapshot());
-  // Binary tree reduction: pairwise merge each level until one remains.
-  while (level.size() > 1) {
-    std::vector<StreamingDetector::Snapshot> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(StreamingDetector::merge_snapshots(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 != 0) next.push_back(std::move(level.back()));
-    level = std::move(next);
-  }
-  return std::move(level.front());
+  return merged()->snapshot();
 }
 
 AnalysisResult ShardedAnalysisTier::finalize() const {
-  StreamingDetector merged(cfg_.detector, sensors_, ranks_, run_time_);
-  merged.restore(merged_snapshot());
-  return merged.finalize();
+  return merged()->finalize();
 }
 
 uint64_t ShardedAnalysisTier::routed_batches(int shard) const {

@@ -25,14 +25,15 @@
 //    deliveries relax this to the same eventual board; flags are then
 //    timing-dependent exactly as a single server's arrival order is.)
 //
-//  * Hierarchical merge — the final result is a binary tree reduction of
-//    per-shard StreamingDetector snapshots (min for standards, disjoint
-//    union for rank-keyed cells/last-slices/stale sets, sums for counters,
-//    Chan's formula for Welford state; see
-//    StreamingDetector::merge_snapshots). Because ranks partition the
-//    record stream, every merged field except Welford statistics is exact,
-//    and finalize() over the merged snapshot reproduces the single-server
-//    matrices and variance events bit for bit.
+//  * Merge — the final result folds every shard's detector into a fresh
+//    one, dense state into dense state (StreamingDetector::merge_from):
+//    rank-keyed rows, cells and last slices move across, standards fold
+//    by min, counters sum, stale sets union and Welford state combines by
+//    Chan's formula. Because ranks partition the record stream, no two
+//    shards hold a row of one rank, every merged field except Welford
+//    statistics is exact, and finalize() over the merged detector
+//    reproduces the single-server matrices and variance events bit for
+//    bit.
 //
 // Crash tolerance composes per shard: each shard's journal interleaves its
 // batches, stale marks, and received Standard frames in fold order, so a
@@ -117,7 +118,8 @@ class ShardedAnalysisTier final : public DeliverySink,
   void set_crash_plan(int shard, std::vector<double> times, uint64_t seed);
   void set_crash_plan(std::vector<double> times, uint64_t seed) override;
 
-  /// Binary tree reduction of the per-shard detector snapshots.
+  /// The merged global state as a Snapshot: a read-only export for tests
+  /// and benchmarks (the dense merge, then StreamingDetector::snapshot()).
   StreamingDetector::Snapshot merged_snapshot() const;
 
   /// Matrices + variance events of the merged global state — bit-identical
@@ -185,6 +187,8 @@ class ShardedAnalysisTier final : public DeliverySink,
   };
 
   size_t checked(int shard) const;
+  /// A fresh detector with every shard's state merged into it.
+  std::unique_ptr<StreamingDetector> merged() const;
   /// Drain `from`'s lowered standards and broadcast them to every peer.
   void exchange_from(size_t from, double now);
 

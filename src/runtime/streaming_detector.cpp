@@ -13,6 +13,12 @@ namespace vsensor::rt {
 
 namespace {
 
+// Fixed bytes of a slot, row, cell, statistics and last-slice entry of a
+// checkpoint section (the layout in runtime/checkpoint.hpp); the encoder
+// sizes its output by them and the decoder checks counts against them.
+constexpr size_t kSlotBytes = 24, kRowBytes = 16, kCellBytes = 20,
+                 kStatsBytes = 24, kLastBytes = 32;
+
 // One online variance flag as a structured event: virtual time, rank,
 // sensor, group, and the score vs. the standard it lost against.
 void emit_flag(const obs::EventHooks& hooks, double t, int rank, int sensor,
@@ -48,14 +54,18 @@ std::vector<uint32_t>::const_iterator StreamingDetector::State::lower_bound(
       });
 }
 
-StreamingDetector::State::Sizes StreamingDetector::State::sizes() const {
-  Sizes n;
+StreamingDetector::CheckpointCounts StreamingDetector::State::sizes() const {
+  CheckpointCounts n;
+  n.cells = cells;
+  n.observed = observed;
+  n.intra_flags = intra_flags;
+  n.inter_flags = inter_flags;
   for (const Slot& slot : slots) {
     n.standards += slot.has_standard ? 1 : 0;
-    for (const Row& row : slot.rows) n.rank_standards += row.cells ? 1 : 0;
+    for (const Row& row : slot.rows) n.rows += row.cells ? 1 : 0;
   }
   for (const auto& slice : last) n.last += slice ? 1 : 0;
-  for (const uint8_t flag : stale) n.stale += flag;
+  for (const uint8_t flag : stale) n.stale_ranks += flag;
   return n;
 }
 
@@ -87,7 +97,8 @@ int StreamingDetector::bucket_of(double time) const {
   return std::clamp(b, 0, buckets_ - 1);
 }
 
-uint32_t StreamingDetector::slot_of(State& st, int sensor, int group) const {
+uint32_t StreamingDetector::slot_of(State& st, int sensor, int group,
+                                    int ranks) {
   const auto at = st.lower_bound(sensor, group);
   if (at != st.order.end() && st.slots[*at].sensor == sensor &&
       st.slots[*at].group == group) {
@@ -96,7 +107,7 @@ uint32_t StreamingDetector::slot_of(State& st, int sensor, int group) const {
   Slot slot;
   slot.sensor = sensor;
   slot.group = group;
-  slot.rows.resize(static_cast<size_t>(ranks_));
+  slot.rows.resize(static_cast<size_t>(ranks));
   const auto index = static_cast<uint32_t>(st.slots.size());
   st.slots.push_back(std::move(slot));
   st.order.insert(at, index);
@@ -111,10 +122,11 @@ const StreamingDetector::Slot* StreamingDetector::find_slot(int sensor,
   return slot.sensor == sensor && slot.group == group ? &slot : nullptr;
 }
 
-StreamingDetector::CellSums* StreamingDetector::add_row(Row& row) const {
-  row.cells.reset(new CellSums[static_cast<size_t>(buckets_)]);
-  std::fill_n(row.cells.get(), buckets_, CellSums{0.0, kEmptyCell});
-  row.mark = static_cast<uint32_t>(buckets_);
+StreamingDetector::CellSums* StreamingDetector::add_row(Row& row,
+                                                       int buckets) {
+  row.cells.reset(new CellSums[static_cast<size_t>(buckets)]);
+  std::fill_n(row.cells.get(), buckets, CellSums{0.0, kEmptyCell});
+  row.mark = static_cast<uint32_t>(buckets);
   return row.cells.get();
 }
 
@@ -149,7 +161,7 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     st.sensor_records[sensor] += 1;
     auto& hint = st.hint[sensor];
     if (hint.second == kNoSlot || hint.first != g) {
-      hint = {g, slot_of(st, rec.sensor_id, g)};
+      hint = {g, slot_of(st, rec.sensor_id, g, ranks_)};
     }
     Slot& slot = st.slots[hint.second];
 
@@ -167,7 +179,7 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     Row& row = slot.rows[rank];
     CellSums* cells = row.cells.get();
     if (cells == nullptr) {
-      cells = add_row(row);
+      cells = add_row(row, buckets_);
       row.standard = avg;
     } else {
       row.standard = std::min(row.standard, avg);
@@ -299,7 +311,7 @@ std::vector<StandardUpdate> StreamingDetector::take_lowered_standards() {
 void StreamingDetector::apply_standard_update(int sensor_id, int group,
                                               double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  Slot& slot = st_.slots[slot_of(st_, sensor_id, group)];
+  Slot& slot = st_.slots[slot_of(st_, sensor_id, group, ranks_)];
   if (!slot.has_standard || value < slot.standard) {
     slot.has_standard = true;
     slot.standard = value;
@@ -354,16 +366,16 @@ uint64_t StreamingDetector::intra_flags() const {
 void StreamingDetector::sample_health(double /*now*/,
                                       obs::HealthRecorder& rec) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const State::Sizes n = st_.sizes();
+  const CheckpointCounts n = st_.sizes();
   rec.gauge("observed_records", st_.observed);
   rec.gauge("stale_records", st_.stale_records);
   rec.gauge("degenerate_records", st_.degenerate_records);
   rec.gauge("intra_flags", st_.intra_flags);
   rec.gauge("inter_flags", st_.inter_flags);
   rec.gauge("standards", n.standards);
-  rec.gauge("rank_standards", n.rank_standards);
+  rec.gauge("rank_standards", n.rows);
   rec.gauge("matrix_cells", st_.cells);
-  rec.gauge("stale_ranks", n.stale);
+  rec.gauge("stale_ranks", n.stale_ranks);
 }
 
 uint64_t StreamingDetector::inter_flags() const {
@@ -422,63 +434,6 @@ StreamingDetector::Snapshot StreamingDetector::snapshot() const {
   return snap;
 }
 
-void StreamingDetector::restore(const Snapshot& snap) {
-  VS_CHECK_MSG(snap.stats.size() == sensors_.size() &&
-                   snap.sensor_records.size() == sensors_.size(),
-               "snapshot sensor table does not match this detector");
-  const auto known_sensor = [this](int sensor) {
-    return sensor >= 0 && static_cast<size_t>(sensor) < sensors_.size();
-  };
-  const auto rank_index = [this](int rank) {
-    VS_CHECK_MSG(rank >= 0 && rank < ranks_, "snapshot names an unknown rank");
-    return static_cast<size_t>(rank);
-  };
-  // Build aside and swap in, so a snapshot that does not fit leaves the
-  // running state untouched.
-  State st(sensors_.size(), ranks_);
-  for (const auto& [key, value] : snap.standard) {
-    Slot& slot = st.slots[slot_of(st, key.first, key.second)];
-    slot.has_standard = true;
-    slot.standard = value;
-  }
-  for (const auto& [key, value] : snap.rank_standard) {
-    const auto& [sensor, group, rank] = key;
-    Slot& slot = st.slots[slot_of(st, sensor, group)];
-    VS_CHECK_MSG(known_sensor(sensor) && slot.has_standard,
-                 "snapshot rank standard without a known sensor's standard");
-    Row& row = slot.rows[rank_index(rank)];
-    add_row(row);
-    row.standard = value;
-  }
-  for (const auto& [key, cell] : snap.cells) {
-    const auto& [sensor, group, rank, bucket] = key;
-    Slot& slot = st.slots[slot_of(st, sensor, group)];
-    CellSums* cells = slot.rows[rank_index(rank)].cells.get();
-    VS_CHECK_MSG(cells != nullptr && bucket >= 0 && bucket < buckets_ &&
-                     !(cell.weight < 0.0),
-                 "snapshot cell does not fit this detector");
-    cells[bucket] = cell;
-    ++st.cells;
-  }
-  st.stats = snap.stats;
-  st.sensor_records = snap.sensor_records;
-  for (const auto& [key, slice] : snap.last) {
-    VS_CHECK_MSG(known_sensor(key.first), "snapshot names an unknown sensor");
-    st.last[static_cast<size_t>(key.first) * static_cast<size_t>(ranks_) +
-            rank_index(key.second)] = slice;
-  }
-  for (const int rank : snap.stale) st.stale[rank_index(rank)] = 1;
-  st.observed = snap.observed;
-  st.stale_records = snap.stale_records;
-  st.degenerate_records = snap.degenerate_records;
-  st.intra_flags = snap.intra_flags;
-  st.inter_flags = snap.inter_flags;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  st_ = std::move(st);
-  lowered_.clear();
-}
-
 void StreamingDetector::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   st_ = State(sensors_.size(), ranks_);
@@ -492,22 +447,21 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
   const auto clean = static_cast<uint32_t>(buckets_);
   const auto ranks = static_cast<size_t>(ranks_);
   const uint64_t sensors = sensors_.size();
-  State::Sizes n = st_.sizes();
-  uint64_t cells = st_.cells;
+  CheckpointCounts n = st_.sizes();
   // A delta writes only the marked rows, each from its mark up, and the
   // last slices of their (sensor, rank) pairs (`moved`); count those first.
   std::vector<uint8_t> moved;
   if (delta) {
-    n.rank_standards = n.last = cells = 0;
+    n.rows = n.last = n.cells = 0;
     moved.assign(st_.last.size(), 0);
     for (const Slot& slot : st_.slots) {
       if (!slot.has_standard) continue;
       for (size_t r = 0; r < ranks; ++r) {
         const Row& row = slot.rows[r];
         if (row.cells == nullptr || row.mark >= clean) continue;
-        ++n.rank_standards;
+        ++n.rows;
         for (uint32_t b = row.mark; b < clean; ++b) {
-          cells += row.cells[b].weight != kEmptyCell ? 1 : 0;
+          n.cells += row.cells[b].weight != kEmptyCell ? 1 : 0;
         }
         moved[static_cast<size_t>(slot.sensor) * ranks + r] = 1;
       }
@@ -517,11 +471,12 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
     }
   }
   // Section layout (runtime/checkpoint.hpp): slots with their rows and
-  // cells in Snapshot's key order, then the u64-counted fixed-width
+  // cells in ascending key order, then the u64-counted fixed-width
   // containers.
-  const uint64_t bytes = 8 + n.standards * 24 + n.rank_standards * 16 +
-                         cells * 20 + 8 + sensors * 24 + 8 + sensors * 8 +
-                         8 + n.last * 32 + 8 + n.stale * 4 + 5 * 8;
+  const uint64_t bytes = 8 + n.standards * kSlotBytes + n.rows * kRowBytes +
+                         n.cells * kCellBytes + 8 + sensors * kStatsBytes +
+                         8 + sensors * 8 + 8 + n.last * kLastBytes + 8 +
+                         n.stale_ranks * 4 + 5 * 8;
   const size_t at = out.size();
   out.resize(at + bytes);
   ByteCursor w{out.data() + at};
@@ -579,7 +534,7 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
     w.put(slice->avg_duration);
     w.put(slice->normalized);
   }
-  w.put(n.stale);
+  w.put(n.stale_ranks);
   for (int r = 0; r < ranks_; ++r) {
     if (st_.stale[static_cast<size_t>(r)] != 0) w.put(static_cast<int32_t>(r));
   }
@@ -592,69 +547,249 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
                "checkpoint state size does not match its layout");
 }
 
-StreamingDetector::Snapshot StreamingDetector::merge_snapshots(
-    const Snapshot& a, const Snapshot& b) {
-  VS_CHECK_MSG(a.stats.size() == b.stats.size() &&
-                   a.sensor_records.size() == b.sensor_records.size(),
-               "cannot merge snapshots over different sensor tables");
-  Snapshot out = a;
+bool StreamingDetector::decode_section(std::string_view section,
+                                       const CheckpointShape& shape,
+                                       State* into, CheckpointCounts* counts) {
+  ByteReader in{section.data(), section.size()};
+  const auto ranks = static_cast<size_t>(shape.ranks);
+  const auto known_sensor = [&](int32_t sensor) {
+    return sensor >= 0 && static_cast<size_t>(sensor) < shape.sensors;
+  };
+  const auto known_rank = [&](int32_t rank) {
+    return rank >= 0 && rank < shape.ranks;
+  };
+  CheckpointCounts n;
 
-  // Standards are running minima, so the merged board is the pointwise min
-  // over the union of keys — order-independent.
-  for (const auto& [key, value] : b.standard) {
-    auto [it, inserted] = out.standard.try_emplace(key, value);
-    if (!inserted) it->second = std::min(it->second, value);
+  // Slots, each with its rows, each with its cells: keys strictly
+  // ascending at every level.
+  if (!in.read(&n.standards) || !in.holds(n.standards, kSlotBytes)) {
+    return false;
   }
-  for (const auto& [key, value] : b.rank_standard) {
-    auto [it, inserted] = out.rank_standard.try_emplace(key, value);
-    if (!inserted) it->second = std::min(it->second, value);
-  }
-
-  // Cells are additive contributions; under a rank partition the key sets
-  // are disjoint and this reduces to a union.
-  for (const auto& [key, cell] : b.cells) {
-    CellSums& dst = out.cells[key];
-    dst.weight_over_avg += cell.weight_over_avg;
-    dst.weight += cell.weight;
-  }
-
-  // Welford state merges by Chan's parallel formula. Exact algebraically;
-  // the one field of the merged snapshot whose floating-point bits can
-  // differ from the sequential fold (not part of finalize()'s output).
-  for (size_t s = 0; s < out.stats.size(); ++s) {
-    const RunningStats& x = a.stats[s];
-    const RunningStats& y = b.stats[s];
-    if (x.count == 0) {
-      out.stats[s] = y;
-    } else if (y.count != 0) {
-      RunningStats m;
-      m.count = x.count + y.count;
-      const double na = static_cast<double>(x.count);
-      const double nb = static_cast<double>(y.count);
-      const double delta = y.mean - x.mean;
-      m.mean = x.mean + delta * nb / (na + nb);
-      m.m2 = x.m2 + y.m2 + delta * delta * na * nb / (na + nb);
-      out.stats[s] = m;
+  std::pair<int32_t, int32_t> prev_slot;
+  for (uint64_t i = 0; i < n.standards; ++i) {
+    int32_t sensor = 0, group = 0;
+    double standard = 0.0;
+    uint64_t rows = 0;
+    if (!in.read(&sensor) || !in.read(&group) || !in.read(&standard) ||
+        !in.read(&rows) || !in.holds(rows, kRowBytes) ||
+        (i > 0 && !(prev_slot < std::pair(sensor, group))) ||
+        (rows > 0 && !known_sensor(sensor))) {
+      return false;
+    }
+    prev_slot = {sensor, group};
+    Slot* slot = nullptr;
+    if (into != nullptr) {
+      slot = &into->slots[slot_of(*into, sensor, group, shape.ranks)];
+      slot->has_standard = true;
+      slot->standard = standard;
+    }
+    n.rows += rows;
+    int32_t prev_rank = -1;
+    for (uint64_t j = 0; j < rows; ++j) {
+      int32_t rank = 0;
+      double rank_standard = 0.0;
+      uint32_t cells = 0;
+      if (!in.read(&rank) || !in.read(&rank_standard) || !in.read(&cells) ||
+          !in.holds(cells, kCellBytes) || rank <= prev_rank ||
+          !known_rank(rank)) {
+        return false;
+      }
+      prev_rank = rank;
+      CellSums* row_cells = nullptr;
+      if (into != nullptr) {
+        Row& row = slot->rows[static_cast<size_t>(rank)];
+        row_cells = row.cells ? row.cells.get()
+                              : add_row(row, static_cast<int>(shape.buckets));
+        row.standard = rank_standard;
+      }
+      n.cells += cells;
+      int64_t prev_bucket = -1;
+      for (uint32_t k = 0; k < cells; ++k) {
+        uint32_t bucket = 0;
+        CellSums cell;
+        if (!in.read(&bucket) || !in.read(&cell.weight_over_avg) ||
+            !in.read(&cell.weight) || bucket <= prev_bucket ||
+            bucket >= shape.buckets || cell.weight < 0.0) {
+          return false;
+        }
+        prev_bucket = bucket;
+        if (into != nullptr) {
+          if (row_cells[bucket].weight == kEmptyCell) ++into->cells;
+          row_cells[bucket] = cell;
+        }
+      }
     }
   }
-  for (size_t s = 0; s < out.sensor_records.size(); ++s) {
-    out.sensor_records[s] += b.sensor_records[s];
+
+  // Per-sensor statistics and record counts, one each per sensor.
+  uint64_t count = 0;
+  if (!in.read(&count) || count != shape.sensors ||
+      !in.holds(count, kStatsBytes)) {
+    return false;
+  }
+  for (uint64_t s = 0; s < count; ++s) {
+    RunningStats stats;
+    if (!in.read(&stats.count) || !in.read(&stats.mean) ||
+        !in.read(&stats.m2)) {
+      return false;
+    }
+    if (into != nullptr) into->stats[s] = stats;
+  }
+  if (!in.read(&count) || count != shape.sensors || !in.holds(count, 8)) {
+    return false;
+  }
+  for (uint64_t s = 0; s < count; ++s) {
+    uint64_t records = 0;
+    if (!in.read(&records)) return false;
+    if (into != nullptr) into->sensor_records[s] = records;
   }
 
-  // Last-slice state is keyed by (sensor, rank) — disjoint under a rank
-  // partition. If both sides carry a key anyway, the newer slice wins.
-  for (const auto& [key, slice] : b.last) {
-    auto [it, inserted] = out.last.try_emplace(key, slice);
-    if (!inserted && slice.t_end > it->second.t_end) it->second = slice;
+  // Last slices, by (sensor, rank) ascending.
+  if (!in.read(&n.last) || !in.holds(n.last, kLastBytes)) return false;
+  std::pair<int32_t, int32_t> prev_last;
+  for (uint64_t i = 0; i < n.last; ++i) {
+    int32_t sensor = 0, rank = 0;
+    LastSlice slice;
+    if (!in.read(&sensor) || !in.read(&rank) || !in.read(&slice.t_end) ||
+        !in.read(&slice.avg_duration) || !in.read(&slice.normalized) ||
+        (i > 0 && !(prev_last < std::pair(sensor, rank))) ||
+        !known_sensor(sensor) || !known_rank(rank)) {
+      return false;
+    }
+    prev_last = {sensor, rank};
+    if (into != nullptr) {
+      into->last[static_cast<size_t>(sensor) * ranks +
+                 static_cast<size_t>(rank)] = slice;
+    }
   }
 
-  out.stale.insert(b.stale.begin(), b.stale.end());
-  out.observed += b.observed;
-  out.stale_records += b.stale_records;
-  out.degenerate_records += b.degenerate_records;
-  out.intra_flags += b.intra_flags;
-  out.inter_flags += b.inter_flags;
-  return out;
+  // The stale set, whole in every frame, so it replaces the state's.
+  if (!in.read(&n.stale_ranks) || !in.holds(n.stale_ranks, 4)) {
+    return false;
+  }
+  if (into != nullptr) std::fill(into->stale.begin(), into->stale.end(), 0);
+  int32_t prev_stale = -1;
+  for (uint64_t i = 0; i < n.stale_ranks; ++i) {
+    int32_t rank = 0;
+    if (!in.read(&rank) || rank <= prev_stale || !known_rank(rank)) {
+      return false;
+    }
+    prev_stale = rank;
+    if (into != nullptr) into->stale[static_cast<size_t>(rank)] = 1;
+  }
+
+  uint64_t stale_records = 0, degenerate_records = 0;
+  if (!in.read(&n.observed) || !in.read(&stale_records) ||
+      !in.read(&degenerate_records) || !in.read(&n.intra_flags) ||
+      !in.read(&n.inter_flags) || !in.done()) {
+    return false;
+  }
+  if (into != nullptr) {
+    into->observed = n.observed;
+    into->stale_records = stale_records;
+    into->degenerate_records = degenerate_records;
+    into->intra_flags = n.intra_flags;
+    into->inter_flags = n.inter_flags;
+  }
+  if (counts != nullptr) *counts = n;
+  return true;
+}
+
+bool StreamingDetector::check_checkpoint_state(std::string_view section,
+                                               const CheckpointShape& shape,
+                                               CheckpointCounts* counts) {
+  return decode_section(section, shape, nullptr, counts);
+}
+
+bool StreamingDetector::decode_checkpoint_state(std::string_view section,
+                                                CheckpointFrame frame,
+                                                CheckpointCounts* counts) {
+  const CheckpointShape shape{sensors_.size(), ranks_,
+                              static_cast<uint32_t>(buckets_)};
+  if (!decode_section(section, shape, nullptr, counts)) return false;
+  if (frame == CheckpointFrame::Base) {
+    // Built aside and swapped in, like any replaced state.
+    State st(sensors_.size(), ranks_);
+    decode_section(section, shape, &st, nullptr);
+    std::lock_guard<std::mutex> lock(mu_);
+    st_ = std::move(st);
+    lowered_.clear();
+  } else {
+    std::lock_guard<std::mutex> lock(mu_);
+    decode_section(section, shape, &st_, nullptr);
+  }
+  return true;
+}
+
+void StreamingDetector::merge_from(const StreamingDetector& other) {
+  VS_CHECK_MSG(&other != this, "a detector cannot merge itself");
+  VS_CHECK_MSG(other.sensors_.size() == sensors_.size() &&
+                   other.ranks_ == ranks_ && other.buckets_ == buckets_,
+               "cannot merge detectors of different shapes");
+  std::scoped_lock lock(mu_, other.mu_);
+  const State& from = other.st_;
+  const auto ranks = static_cast<size_t>(ranks_);
+  // Checked before anything changes, so a merge that throws leaves this
+  // detector as it was.
+  for (const Slot& slot : from.slots) {
+    const Slot* mine = find_slot(slot.sensor, slot.group);
+    if (mine == nullptr) continue;
+    for (size_t r = 0; r < ranks; ++r) {
+      VS_CHECK_MSG(slot.rows[r].cells == nullptr ||
+                       mine->rows[r].cells == nullptr,
+                   "both merged detectors hold a row of one rank");
+    }
+  }
+
+  for (const Slot& slot : from.slots) {
+    Slot& to = st_.slots[slot_of(st_, slot.sensor, slot.group, ranks_)];
+    if (slot.has_standard && (!to.has_standard || slot.standard < to.standard)) {
+      to.has_standard = true;
+      to.standard = slot.standard;
+    }
+    for (size_t r = 0; r < ranks; ++r) {
+      const Row& row = slot.rows[r];
+      if (row.cells == nullptr) continue;
+      Row& dst = to.rows[r];
+      std::copy_n(row.cells.get(), buckets_, add_row(dst, buckets_));
+      dst.standard = row.standard;
+      // New to this detector: the next delta checkpoint writes it whole.
+      dst.mark = 0;
+    }
+  }
+  st_.cells += from.cells;
+
+  // Welford state merges by Chan's parallel formula.
+  for (size_t s = 0; s < st_.stats.size(); ++s) {
+    RunningStats& x = st_.stats[s];
+    const RunningStats& y = from.stats[s];
+    if (y.count == 0) continue;
+    if (x.count == 0) {
+      x = y;
+      continue;
+    }
+    const double na = static_cast<double>(x.count);
+    const double nb = static_cast<double>(y.count);
+    const double delta = y.mean - x.mean;
+    x.mean = x.mean + delta * nb / (na + nb);
+    x.m2 = x.m2 + y.m2 + delta * delta * na * nb / (na + nb);
+    x.count += y.count;
+  }
+  for (size_t s = 0; s < st_.sensor_records.size(); ++s) {
+    st_.sensor_records[s] += from.sensor_records[s];
+  }
+  for (size_t i = 0; i < st_.last.size(); ++i) {
+    const auto& slice = from.last[i];
+    if (slice && (!st_.last[i] || slice->t_end > st_.last[i]->t_end)) {
+      st_.last[i] = slice;
+    }
+  }
+  for (size_t r = 0; r < ranks; ++r) st_.stale[r] |= from.stale[r];
+  st_.observed += from.observed;
+  st_.stale_records += from.stale_records;
+  st_.degenerate_records += from.degenerate_records;
+  st_.intra_flags += from.intra_flags;
+  st_.inter_flags += from.inter_flags;
 }
 
 AnalysisResult StreamingDetector::finalize() const {

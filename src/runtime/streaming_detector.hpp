@@ -31,21 +31,26 @@
 // slices (32 bytes each). Records must name a known sensor and a rank in
 // [0, ranks); anything else throws.
 //
-// Snapshot is the export form of that state — ordered maps, as merges,
-// tests and tools consume it. The server's checkpoints are written
-// straight from the dense state (encode_checkpoint_state) in the
-// `vsensor-checkpoint 3` payload layout: each slot once, each written row
-// once under it, and each non-empty cell as its bucket and two sums (20
-// bytes). A base frame holds the whole state, the bytes encode_checkpoint
-// produces from snapshot(). A delta frame holds what the fold changed
-// since the previous frame. For that, each row keeps the lowest bucket
-// folded into it since the last encode (its mark), one min-store per
-// folded record. Between two encodes a fold only adds or changes entries,
+// The dense state has one serialized form, the detector section of a
+// checkpoint frame (runtime/checkpoint.hpp), and this class alone knows
+// its layout: encode_checkpoint_state writes it straight from the dense
+// rows and decode_checkpoint_state reads it straight back into them. Each
+// slot is written once, each written row once under it, and each
+// non-empty cell as its bucket and two sums (20 bytes). A base frame holds
+// the whole state. A delta frame holds what the fold changed since the
+// previous frame. For that, each row keeps the lowest bucket folded into
+// it since the last encode (its mark), one min-store per folded record.
+// Between two encodes a fold or a merge only adds or changes entries,
 // never removes one, so the marked rows from their mark up, with the last
-// slices of their (sensor, rank), carry every change. Only reset() and
-// restore() remove entries, and the server writes a base after both. A
-// checkpoint also records buckets(), so recovery refuses one taken at
+// slices of their (sensor, rank), carry every change. Only reset() and a
+// decoded base remove entries, and the server writes a base after both.
+// A checkpoint also records buckets(), so recovery refuses one taken at
 // another matrix resolution.
+//
+// The sharded tier combines its shards' detectors with merge_from, dense
+// state into dense state. Snapshot, ordered maps of the same state, is a
+// read-only export for tests and benchmarks: no production path builds or
+// reads one.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +61,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -214,13 +220,10 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   };
   using CellKey = std::tuple<int, int, int, int>;
 
-  /// The complete mutable state of the detector, as plain data: the export
-  /// and merge form (the tier's reduction, encode_checkpoint, tools and
-  /// tests). The server's base checkpoints hold the same bytes, encoded
-  /// from the live state by encode_checkpoint_state. Restoring a
-  /// snapshot and re-folding the same suffix of batches reproduces the
-  /// uninterrupted detector bit for bit — every field here is either an
-  /// exact integer or a double carried through byte-exact serialization.
+  /// The complete mutable state of the detector as ordered maps: a
+  /// read-only export for tests and benchmarks, built on demand by
+  /// snapshot(). Every field is an exact integer or a double copied bit
+  /// for bit, so two snapshots compare the two states exactly.
   struct Snapshot {
     std::map<std::pair<int, int>, double> standard;
     std::map<std::tuple<int, int, int>, double> rank_standard;
@@ -237,33 +240,62 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   };
   Snapshot snapshot() const;
 
-  /// Merge two snapshots taken over disjoint rank partitions of one run
-  /// (the sharded tier's reduction step). Rank-keyed state (cells, rank
-  /// standards, last slices, stale sets) is a disjoint union, standards
-  /// fold by min, integer counters sum, and Welford statistics combine via
-  /// Chan's parallel formula (algebraically exact; the only field whose
-  /// floating-point result can differ from the sequential fold order).
-  static Snapshot merge_snapshots(const Snapshot& a, const Snapshot& b);
-
-  /// Replace the running state with `snap` (recovery). The snapshot must
-  /// come from a detector with the same sensor table, ranks and buckets,
-  /// and every cell must have its rank standard, as every fold leaves it.
-  /// A snapshot that does not fit throws and leaves the state untouched.
-  void restore(const Snapshot& snap);
+  /// Fold `other`'s state into this one (the sharded tier's reduction).
+  /// Both must have the same sensor-table size, ranks and buckets, and no
+  /// (sensor, group, rank) row may be in both, as when each folded its own
+  /// ranks; anything else throws and changes nothing. Rows move across bit
+  /// for bit, standards fold by min, counters sum, last slices (the later
+  /// of two) and stale flags union, and Welford statistics combine by
+  /// Chan's formula, the one field whose bits can differ from a single
+  /// fold. Merged rows are marked for the next delta. Locks both.
+  void merge_from(const StreamingDetector& other);
 
   /// Drop all running state (a server crash destroys the in-memory
-  /// detector; recovery then restores a snapshot and replays the journal).
+  /// detector; recovery then decodes a checkpoint and replays the journal).
   void reset();
 
-  /// Append this detector's section of a `vsensor-checkpoint 3` frame
+  /// Append this detector's section of a `vsensor-checkpoint 4` frame
   /// payload to `out`, straight from the dense rows under the detector
-  /// lock, with no Snapshot copy. A base is byte for byte what
-  /// encode_checkpoint writes for snapshot(). A delta lists every standard,
+  /// lock. A base holds the whole state. A delta lists every standard,
   /// only the rows marked since the previous encode, each from its mark up,
   /// and only the last slices of the (sensor, rank) pairs of those rows;
   /// its other sections are whole. Either kind clears the marks. `out`
   /// grows once, by the section's exact size.
   void encode_checkpoint_state(std::string& out, CheckpointFrame frame);
+
+  /// The shape a checkpoint section must fit.
+  struct CheckpointShape {
+    size_t sensors = 0;  ///< sensor-table size
+    int ranks = 0;
+    uint32_t buckets = 0;
+  };
+  /// What one checkpoint section holds: its entry counts (rows, cells and
+  /// last slices as written, so a delta's are its changes) and counters.
+  struct CheckpointCounts {
+    uint64_t standards = 0;
+    uint64_t rows = 0;
+    uint64_t cells = 0;
+    uint64_t last = 0;
+    uint64_t stale_ranks = 0;
+    uint64_t observed = 0;
+    uint64_t intra_flags = 0;
+    uint64_t inter_flags = 0;
+  };
+
+  /// The decoder of encode_checkpoint_state's section, check only: whether
+  /// `section` is well formed for `shape` (the checks runtime/checkpoint.hpp
+  /// lists). Fills `counts`, if given, only when it is.
+  static bool check_checkpoint_state(std::string_view section,
+                                     const CheckpointShape& shape,
+                                     CheckpointCounts* counts = nullptr);
+
+  /// Decode `section` straight into the running state: check it in full
+  /// against this detector's shape, then apply it. A base replaces the
+  /// state; a delta's entries are assigned over it and its whole sections
+  /// replace the state's. On a failed check it returns false and changes
+  /// nothing.
+  bool decode_checkpoint_state(std::string_view section, CheckpointFrame frame,
+                               CheckpointCounts* counts = nullptr);
 
  private:
   /// A CellSums::weight no fold can produce: the cell holds no record.
@@ -293,21 +325,16 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
     std::vector<Row> rows;  ///< per rank
   };
 
-  /// The complete running state; reset() and restore() replace it whole.
+  /// The complete running state; reset() and a decoded base replace it
+  /// whole.
   struct State {
     State() = default;
     State(size_t sensors, int ranks);
     /// First position in `order` whose slot is not below (sensor, group).
     std::vector<uint32_t>::const_iterator lower_bound(int sensor,
                                                      int group) const;
-    /// Entry counts of the sparse sections of Snapshot.
-    struct Sizes {
-      uint64_t standards = 0;
-      uint64_t rank_standards = 0;
-      uint64_t last = 0;
-      uint64_t stale = 0;
-    };
-    Sizes sizes() const;
+    /// Entry counts of a checkpoint base of this state.
+    CheckpointCounts sizes() const;
 
     std::vector<Slot> slots;       ///< in creation order
     std::vector<uint32_t> order;   ///< slot indices by (sensor, group)
@@ -328,11 +355,18 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
 
   int group_of(float metric) const;
   int bucket_of(double time) const;
-  /// Slot of (sensor, group) in `st`, created (standard unset) if absent.
-  uint32_t slot_of(State& st, int sensor, int group) const;
+  /// Slot of (sensor, group) in `st`, created (standard unset, `ranks`
+  /// empty rows) if absent.
+  static uint32_t slot_of(State& st, int sensor, int group, int ranks);
   const Slot* find_slot(int sensor, int group) const;
-  /// Allocate the cells of `row`, all empty, and leave it clean.
-  CellSums* add_row(Row& row) const;
+  /// Allocate `buckets` cells for `row`, all empty, and leave it clean.
+  static CellSums* add_row(Row& row, int buckets);
+  /// The one decode routine of a checkpoint section: it checks `section`
+  /// against `shape` and, given a state, applies it there. Run once to
+  /// check and, only if that passed, once to apply.
+  static bool decode_section(std::string_view section,
+                             const CheckpointShape& shape, State* into,
+                             CheckpointCounts* counts);
 
   DetectorConfig cfg_;
   std::vector<SensorInfo> sensors_;
@@ -344,7 +378,7 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   State st_;
   /// Publication queue (enable_standard_publication): slots whose standard
   /// a folded record inserted or lowered. Transient routing state — never
-  /// part of Snapshot; a recovering shard repopulates it by replaying its
+  /// checkpointed; a recovering shard repopulates it by replaying its
   /// journal and re-broadcasts (idempotent min-folds).
   bool publish_standards_ = false;
   std::vector<uint32_t> lowered_;

@@ -93,11 +93,6 @@ struct RuntimeConfig {
   /// Intra-process on-line detection: a slice whose normalized performance
   /// (standard / current) falls below this is flagged locally (§5.3).
   double local_variance_threshold = 0.7;
-  /// Local history window in slices: the standard time is the fastest of
-  /// the most recent N slices instead of the all-time fastest (0 = paper
-  /// default, a single scalar that only ratchets down). A window lets the
-  /// baseline re-adapt after a persistent change (e.g. the job migrated).
-  size_t history_window = 0;
 };
 
 }  // namespace vsensor::rt

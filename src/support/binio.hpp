@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -52,6 +53,11 @@ struct ByteReader {
 
   bool has(size_t n) const { return len - pos >= n; }
   bool done() const { return pos == len; }
+  /// Whether `count` entries of `entry_bytes` each fit in the bytes left:
+  /// checked before a declared count drives a loop or an allocation.
+  bool holds(uint64_t count, size_t entry_bytes) const {
+    return count <= (len - pos) / entry_bytes;
+  }
 
   template <typename T>
   bool read(T* v) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -30,6 +31,7 @@
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
 #include "simmpi/faults.hpp"
+#include "support/binio.hpp"
 #include "support/crc32.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -258,18 +260,120 @@ TEST(Journal, FuzzTruncationsAndBitFlipsNeverCrash) {
 
 // ----------------------------------------------------------- Checkpoint
 
-ServerCheckpoint sample_checkpoint() {
+/// A checkpoint as plain data: the leading fields and the detector state as
+/// a Snapshot, the input of the reference encoder.
+struct ReferenceCheckpoint : ServerCheckpoint {
+  StreamingDetector::Snapshot detector;
+};
+
+/// The reference encoder: the detector section written from a Snapshot's
+/// maps, by the layout in runtime/checkpoint.hpp, apart from the live
+/// encoder it checks. The three maps share their key prefixes and order,
+/// so one pass walks them together: a slot's rows are the run of rank
+/// standards under its key, and a row's cells the run of cells under the
+/// row's key. It writes what it is given, unchecked.
+void put_snapshot(std::string& out, const StreamingDetector::Snapshot& d) {
+  auto row = d.rank_standard.begin();
+  auto cell = d.cells.begin();
+  put_raw(out, static_cast<uint64_t>(d.standard.size()));
+  for (const auto& [slot, standard] : d.standard) {
+    const auto rows_end =
+        std::find_if(row, d.rank_standard.end(), [&](const auto& entry) {
+          const auto& [s, g, r] = entry.first;
+          return std::pair(s, g) != slot;
+        });
+    put_raw(out, static_cast<int32_t>(slot.first));
+    put_raw(out, static_cast<int32_t>(slot.second));
+    put_raw(out, standard);
+    put_raw(out, static_cast<uint64_t>(std::distance(row, rows_end)));
+    for (; row != rows_end; ++row) {
+      const auto& [key, rank_standard] = *row;
+      const auto cells_end =
+          std::find_if(cell, d.cells.end(), [&](const auto& entry) {
+            const auto& [s, g, r, b] = entry.first;
+            return std::tuple(s, g, r) != key;
+          });
+      put_raw(out, static_cast<int32_t>(std::get<2>(key)));
+      put_raw(out, rank_standard);
+      put_raw(out, static_cast<uint32_t>(std::distance(cell, cells_end)));
+      for (; cell != cells_end; ++cell) {
+        put_raw(out, static_cast<uint32_t>(std::get<3>(cell->first)));
+        put_raw(out, cell->second.weight_over_avg);
+        put_raw(out, cell->second.weight);
+      }
+    }
+  }
+  put_raw(out, static_cast<uint64_t>(d.stats.size()));
+  for (const auto& st : d.stats) {
+    put_raw(out, st.count);
+    put_raw(out, st.mean);
+    put_raw(out, st.m2);
+  }
+  put_raw(out, static_cast<uint64_t>(d.sensor_records.size()));
+  for (uint64_t n : d.sensor_records) put_raw(out, n);
+  put_raw(out, static_cast<uint64_t>(d.last.size()));
+  for (const auto& [key, slice] : d.last) {
+    put_raw(out, static_cast<int32_t>(key.first));
+    put_raw(out, static_cast<int32_t>(key.second));
+    put_raw(out, slice.t_end);
+    put_raw(out, slice.avg_duration);
+    put_raw(out, slice.normalized);
+  }
+  put_raw(out, static_cast<uint64_t>(d.stale.size()));
+  for (int rank : d.stale) put_raw(out, static_cast<int32_t>(rank));
+  put_raw(out, d.observed);
+  put_raw(out, d.stale_records);
+  put_raw(out, d.degenerate_records);
+  put_raw(out, d.intra_flags);
+  put_raw(out, d.inter_flags);
+}
+
+/// A whole checkpoint file of one base frame: `head`'s leading fields,
+/// then `detector` through put_snapshot.
+std::string encode_checkpoint(const ServerCheckpoint& head,
+                              const StreamingDetector::Snapshot& detector) {
+  std::string out = "vsensor-checkpoint 4\n";
+  const size_t at = open_frame(out);
+  put_raw(out, head.sensor_count);
+  put_raw(out, head.ranks);
+  put_raw(out, head.run_time);
+  put_raw(out, head.buckets);
+  put_raw(out, head.collector.ingested);
+  put_raw(out, head.collector.dropped);
+  put_raw(out, head.collector.taken);
+  put_raw(out, head.collector.bytes);
+  put_raw(out, head.collector.batches);
+  put_raw(out, static_cast<uint64_t>(head.watermarks.size()));
+  for (const auto& wm : head.watermarks) {
+    put_raw(out, wm.contiguous);
+    put_raw(out, static_cast<uint64_t>(wm.ahead.size()));
+    for (uint64_t seq : wm.ahead) put_raw(out, seq);
+  }
+  put_snapshot(out, detector);
+  close_frame(out, at);
+  return out;
+}
+
+std::string encode_checkpoint(const ReferenceCheckpoint& ckpt) {
+  return encode_checkpoint(ckpt, ckpt.detector);
+}
+
+DetectorConfig sample_cfg() {
   DetectorConfig cfg;
   cfg.matrix_resolution = 1e-3;
   cfg.metric_bucket_width = 0.5;
-  StreamingDetector det(cfg, two_sensors(), 3, 10e-3);
+  return cfg;
+}
+
+ReferenceCheckpoint sample_checkpoint() {
+  StreamingDetector det(sample_cfg(), two_sensors(), 3, 10e-3);
   std::vector<SliceRecord> recs{make_record(0, 0, 0.001, 3e-4, 0.1),
                                 make_record(0, 1, 0.002, 7e-4, 0.9),
                                 make_record(1, 2, 0.003, 5e-4, 0.1)};
   det.on_batch(recs);
   det.mark_stale(2);
 
-  ServerCheckpoint ckpt;
+  ReferenceCheckpoint ckpt;
   ckpt.sensor_count = 2;
   ckpt.ranks = 3;
   ckpt.run_time = 10e-3;
@@ -286,9 +390,11 @@ ServerCheckpoint sample_checkpoint() {
 TEST(Checkpoint, RoundTripIsByteExact) {
   const auto path = tmp_path("checkpoint_roundtrip.ckpt");
   const auto ckpt = sample_checkpoint();
-  save_checkpoint(path, ckpt);
-  const auto load = load_checkpoint(path);
+  write_file(path, encode_checkpoint(ckpt));
+  StreamingDetector decoded(sample_cfg(), two_sensors(), 3, 10e-3);
+  const auto load = load_checkpoint(path, &decoded);
   ASSERT_TRUE(load.ok) << load.warning;
+  const auto got = decoded.snapshot();
 
   EXPECT_EQ(load.ckpt.sensor_count, 2u);
   EXPECT_EQ(load.ckpt.ranks, 3);
@@ -299,36 +405,49 @@ TEST(Checkpoint, RoundTripIsByteExact) {
   ASSERT_EQ(load.ckpt.watermarks[1].ahead.size(), 1u);
   EXPECT_EQ(*load.ckpt.watermarks[1].ahead.begin(), 5u);
 
-  // Detector state: identical maps, bit-identical doubles.
-  EXPECT_EQ(load.ckpt.detector.standard, ckpt.detector.standard);
-  EXPECT_EQ(load.ckpt.detector.rank_standard, ckpt.detector.rank_standard);
-  ASSERT_EQ(load.ckpt.detector.cells.size(), ckpt.detector.cells.size());
+  // Detector state, decoded into the dense rows and exported again:
+  // identical maps, bit-identical doubles.
+  EXPECT_EQ(got.standard, ckpt.detector.standard);
+  EXPECT_EQ(got.rank_standard, ckpt.detector.rank_standard);
+  ASSERT_EQ(got.cells.size(), ckpt.detector.cells.size());
   for (const auto& [key, cell] : ckpt.detector.cells) {
-    const auto it = load.ckpt.detector.cells.find(key);
-    ASSERT_NE(it, load.ckpt.detector.cells.end());
+    const auto it = got.cells.find(key);
+    ASSERT_NE(it, got.cells.end());
     EXPECT_EQ(it->second.weight_over_avg, cell.weight_over_avg);
     EXPECT_EQ(it->second.weight, cell.weight);
   }
-  ASSERT_EQ(load.ckpt.detector.stats.size(), 2u);
-  EXPECT_EQ(load.ckpt.detector.stats[0].mean, ckpt.detector.stats[0].mean);
-  EXPECT_EQ(load.ckpt.detector.stats[0].m2, ckpt.detector.stats[0].m2);
-  EXPECT_EQ(load.ckpt.detector.stale, ckpt.detector.stale);
-  EXPECT_EQ(load.ckpt.detector.observed, ckpt.detector.observed);
-  EXPECT_EQ(load.ckpt.detector.stale_records, ckpt.detector.stale_records);
+  ASSERT_EQ(got.stats.size(), 2u);
+  EXPECT_EQ(got.stats[0].mean, ckpt.detector.stats[0].mean);
+  EXPECT_EQ(got.stats[0].m2, ckpt.detector.stats[0].m2);
+  EXPECT_EQ(got.stale, ckpt.detector.stale);
+  EXPECT_EQ(got.observed, ckpt.detector.observed);
+  EXPECT_EQ(got.stale_records, ckpt.detector.stale_records);
 
   // The whole encoding is deterministic: same state, same bytes.
-  EXPECT_EQ(encode_checkpoint(ckpt), encode_checkpoint(load.ckpt));
+  EXPECT_EQ(encode_checkpoint(ckpt), encode_checkpoint(load.ckpt, got));
+
+  // The check-only load accepts the same file and counts its section.
+  const auto checked = load_checkpoint(path);
+  ASSERT_TRUE(checked.ok) << checked.warning;
+  EXPECT_EQ(checked.detector.standards, ckpt.detector.standard.size());
+  EXPECT_EQ(checked.detector.rows, ckpt.detector.rank_standard.size());
+  EXPECT_EQ(checked.detector.cells, ckpt.detector.cells.size());
+  EXPECT_EQ(checked.detector.stale_ranks, ckpt.detector.stale.size());
+  EXPECT_EQ(checked.detector.observed, ckpt.detector.observed);
 }
 
 TEST(Checkpoint, FuzzTruncationsAndBitFlipsFailClosed) {
   const std::string bytes = encode_checkpoint(sample_checkpoint());
   ASSERT_GT(bytes.size(), 64u);
+  // A failed base leaves the detector it would decode into untouched.
+  StreamingDetector decoded(sample_cfg(), two_sensors(), 3, 10e-3);
 
   EXPECT_TRUE(parse_checkpoint(bytes).ok);
   // Every truncation must be rejected, never crash or misparse.
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     const auto load = parse_checkpoint(bytes.substr(0, cut));
     EXPECT_FALSE(load.ok) << "cut at " << cut;
+    EXPECT_FALSE(parse_checkpoint(bytes.substr(0, cut), &decoded).ok);
   }
   // Every single-byte flip lands in the header, the framing, or the
   // CRC-protected payload — all must fail closed.
@@ -337,22 +456,25 @@ TEST(Checkpoint, FuzzTruncationsAndBitFlipsFailClosed) {
     mutated[i] = static_cast<char>(mutated[i] ^ 0x41);
     const auto load = parse_checkpoint(mutated);
     EXPECT_FALSE(load.ok) << "flip at byte " << i;
+    EXPECT_FALSE(parse_checkpoint(mutated, &decoded).ok);
   }
+  EXPECT_EQ(decoded.observed_records(), 0u);
+  EXPECT_EQ(decoded.snapshot().standard.size(), 0u);
   // Bytes after the base start a delta frame; one that is torn is dropped
   // as a tail, and the base loads as it was written.
-  const auto tail = parse_checkpoint(bytes + "x");
+  const auto tail = parse_checkpoint(bytes + "x", &decoded);
   EXPECT_TRUE(tail.ok) << tail.warning;
   EXPECT_EQ(tail.deltas, 0u);
   EXPECT_EQ(tail.torn_bytes, 1u);
   EXPECT_FALSE(tail.warning.empty());
-  EXPECT_TRUE(encode_checkpoint(tail.ckpt) == bytes);
+  EXPECT_TRUE(encode_checkpoint(tail.ckpt, decoded.snapshot()) == bytes);
 }
 
 TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   // The bit-flip fuzz above never reaches the parser: the CRC rejects every
   // flip first. Here each structural field is damaged and the CRC
   // recomputed, so only the decoder's own checks stand in the way.
-  ServerCheckpoint sample = sample_checkpoint();
+  ReferenceCheckpoint sample = sample_checkpoint();
   ASSERT_EQ(sample.buckets, 10u);
   // Slot (0, 0) gains a second row (rank 1) and its rank-0 row a second
   // cell, so there are repeats and orders to break.
@@ -364,7 +486,7 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   ASSERT_TRUE(parse_checkpoint(bytes).ok);
 
   // Field offsets, by the layout in checkpoint.hpp.
-  const size_t crc_at = bytes.find('\n') + 1 + 8;
+  const size_t crc_at = bytes.find('\n') + 1 + 4;
   const size_t payload = crc_at + 4;
   const auto u32_at = [&](size_t at) {
     uint32_t v = 0;
@@ -388,6 +510,10 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   const size_t cell01 = cell00 + 20;
   const size_t row1 = cell01 + 20;
   const size_t slot1 = row1 + 16 + 20;
+  const size_t slot2 = slot1 + 24 + 16 + 20;  // slot (1, 0): one row, one cell
+  const size_t stats = slot2 + 24 + 16 + 20;
+  const size_t last = stats + 8 + 2 * 24 + 8 + 2 * 8;
+  const size_t stale = last + 8 + 3 * 32;
   ASSERT_EQ(u32_at(buckets_at), 10u);
   ASSERT_EQ(u64_at(slot0 + 16), 2u) << "rows of slot (0, 0)";
   ASSERT_EQ(u32_at(row0 + 12), 2u) << "cells of row 0";
@@ -395,6 +521,13 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   ASSERT_EQ(u32_at(cell01), 5u);
   ASSERT_EQ(u32_at(row1), 1u) << "rank of row 1";
   ASSERT_EQ(u32_at(slot1 + 4), 1u) << "group of slot (0, 1)";
+  ASSERT_EQ(u32_at(slot2), 1u) << "sensor of slot (1, 0)";
+  ASSERT_EQ(u64_at(stats), 2u) << "stats count";
+  ASSERT_EQ(u64_at(last), 3u) << "last slice count";
+  ASSERT_EQ(u32_at(last + 8 + 2 * 32 + 4), 2u) << "rank of last slice (1, 2)";
+  ASSERT_EQ(u64_at(stale), 1u) << "stale count";
+  ASSERT_EQ(u32_at(stale + 8), 2u) << "stale rank";
+  ASSERT_EQ(stale + 8 + 4 + 5 * 8, bytes.size());
 
   const auto with = [&](size_t field, auto value) {
     std::string mutated = bytes;
@@ -412,6 +545,12 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
       {"row count past the end", with(slot0 + 16, uint64_t{1} << 40)},
       {"cell count past the end", with(row0 + 12, UINT32_MAX)},
       {"buckets = 0", with(buckets_at, uint32_t{0})},
+      {"row rank >= ranks", with(row1, int32_t{3})},
+      {"negative cell weight", with(cell00 + 12, -2.0)},
+      {"rows of an unknown sensor", with(slot2, int32_t{2})},
+      {"last slice rank >= ranks", with(last + 8 + 2 * 32 + 4, int32_t{3})},
+      {"stale rank >= ranks", with(stale + 8, int32_t{3})},
+      {"stats of another sensor table", with(stats, uint64_t{1})},
   };
   for (const auto& [what, mutated] : cases) {
     const auto load = parse_checkpoint(mutated);
@@ -421,7 +560,7 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   }
 
   // buckets = 0 is malformed even with no cell to fall outside it.
-  ServerCheckpoint cell_free;
+  ReferenceCheckpoint cell_free;
   cell_free.buckets = 1;
   ASSERT_TRUE(parse_checkpoint(encode_checkpoint(cell_free)).ok);
   cell_free.buckets = 0;
@@ -433,6 +572,12 @@ TEST(Checkpoint, StructurallyMalformedPayloadFailsClosed) {
   const auto load = parse_checkpoint(v1);
   EXPECT_FALSE(load.ok);
   EXPECT_NE(load.warning.find("version 1"), std::string::npos) << load.warning;
+  std::string v3 = bytes;
+  v3[bytes.find('\n') - 1] = '3';
+  const auto old_framing = parse_checkpoint(v3);
+  EXPECT_FALSE(old_framing.ok);
+  EXPECT_NE(old_framing.warning.find("version 3"), std::string::npos)
+      << old_framing.warning;
 }
 
 TEST(Checkpoint, MissingFileLoadsAsRejected) {
@@ -792,9 +937,7 @@ TEST(RecoveryEquivalence, WorkloadRunWithTransportFaultsAndCrashes) {
 
 /// Every field of a snapshot, bit for bit, as checkpoint bytes.
 std::string snapshot_bytes(const StreamingDetector::Snapshot& snap) {
-  ServerCheckpoint ckpt;
-  ckpt.detector = snap;
-  return encode_checkpoint(ckpt);
+  return encode_checkpoint(ServerCheckpoint{}, snap);
 }
 
 TEST(RecoveryEquivalence, FreshServerRecoversPredecessorFiles) {
@@ -1196,7 +1339,7 @@ TEST(Checkpoint, LiveEncoderMatchesReferenceEncoder) {
     ASSERT_EQ(server.crashes(), 1u);
 
     const auto reference = [&] {
-      ServerCheckpoint ckpt;
+      ReferenceCheckpoint ckpt;
       ckpt.sensor_count = static_cast<uint32_t>(app->sensors().size());
       ckpt.ranks = ranks;
       ckpt.run_time = run.makespan;
@@ -1217,23 +1360,24 @@ TEST(Checkpoint, LiveEncoderMatchesReferenceEncoder) {
     EXPECT_TRUE(read_file(cfg.checkpoint_path) == written)
         << "recovery checkpoint differs from the pre-crash checkpoint";
 
-    // restore(snapshot()) round-trips bit for bit.
+    // Decoding the checkpoint into a fresh detector round-trips bit for
+    // bit.
     const auto snap = detector.snapshot();
     StreamingDetector restored(dcfg, app->sensors(), ranks, run.makespan);
-    restored.restore(snap);
+    ASSERT_TRUE(parse_checkpoint(written, &restored).ok);
     EXPECT_TRUE(snapshot_bytes(restored.snapshot()) == snapshot_bytes(snap))
-        << "restore(snapshot()) does not round-trip";
+        << "decoding the checkpoint does not round-trip";
   }
 }
 
 // ---------------------------------------------------- Delta checkpoints
 
-/// encode_checkpoint of the ServerCheckpoint built from a server's live
-/// state: what its checkpoint file must decode to right after it wrote one.
+/// The reference encoding of a server's live state: what its checkpoint
+/// file must decode to right after it wrote one.
 std::string reference_checkpoint(const StreamingDetector& detector,
                                  const Collector& collector,
                                  const std::vector<SeqTracker>& watermarks) {
-  ServerCheckpoint ckpt;
+  ReferenceCheckpoint ckpt;
   ckpt.sensor_count = static_cast<uint32_t>(detector.sensor_count());
   ckpt.ranks = detector.ranks();
   ckpt.run_time = detector.run_time();
@@ -1257,16 +1401,78 @@ bool wrote_current_checkpoint(const AnalysisServer& server, double* saved) {
 }
 
 /// Start offsets of a checkpoint file's frames by the documented layout (a
-/// header line, then u64 payload_len | u32 crc32 | payload per frame),
+/// header line, then u32 payload_len | u32 crc32 | payload per frame),
 /// ending with the offset after the last whole frame header's payload.
 std::vector<size_t> frame_offsets(const std::string& bytes) {
   std::vector<size_t> at{bytes.find('\n') + 1};
-  while (at.back() + 12 <= bytes.size()) {
-    uint64_t len = 0;
+  while (at.back() + 8 <= bytes.size()) {
+    uint32_t len = 0;
     std::memcpy(&len, bytes.data() + at.back(), sizeof len);
-    at.push_back(at.back() + 12 + len);
+    at.push_back(at.back() + 8 + len);
   }
   return at;
+}
+
+/// Offsets of fields in the frame whose payload starts at `payload`, by the
+/// documented layout: its bucket count, the rank of the last row of the
+/// first slot that has rows, the frame's first cell, and the rank of its
+/// last last-slice entry. 0 where the frame has none.
+struct FrameFields {
+  size_t buckets = 0;
+  size_t last_row_rank = 0;
+  size_t first_cell = 0;
+  size_t last_slice_rank = 0;
+};
+FrameFields frame_fields(const std::string& bytes, size_t payload) {
+  const auto u32_at = [&](size_t where) {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + where, sizeof v);
+    return v;
+  };
+  const auto u64_at = [&](size_t where) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + where, sizeof v);
+    return v;
+  };
+  FrameFields f;
+  f.buckets = payload + 4 + 4 + 8;
+  size_t pos = f.buckets + 4 + 5 * 8;  // collector counters
+  const uint64_t watermarks = u64_at(pos);
+  pos += 8;
+  for (uint64_t i = 0; i < watermarks; ++i) pos += 16 + 8 * u64_at(pos + 8);
+  const uint64_t slots = u64_at(pos);
+  pos += 8;
+  for (uint64_t i = 0; i < slots; ++i) {
+    const uint64_t rows = u64_at(pos + 16);
+    pos += 24;
+    for (uint64_t j = 0; j < rows; ++j) {
+      const uint32_t cells = u32_at(pos + 12);
+      if (j + 1 == rows && f.last_row_rank == 0) f.last_row_rank = pos;
+      pos += 16;
+      if (cells > 0 && f.first_cell == 0) f.first_cell = pos;
+      pos += 20 * cells;
+    }
+  }
+  const uint64_t sensors = u64_at(pos);
+  pos += 8 + 24 * sensors + 8 + 8 * sensors;
+  const uint64_t last = u64_at(pos);
+  if (last > 0) f.last_slice_rank = pos + 8 + 32 * (last - 1) + 4;
+  return f;
+}
+
+/// `bytes` with `value` written at `field`, inside the frame that starts
+/// at `frame`, and that frame's CRC recomputed, so only the decoder's own
+/// checks stand in the way. The frame runs to the end of `bytes`.
+template <typename T>
+std::string reframe(const std::string& bytes, size_t frame, size_t field,
+                    T value) {
+  std::string mutated = bytes;
+  std::memcpy(mutated.data() + field, &value, sizeof value);
+  const size_t payload = frame + 8;
+  const uint32_t crc =
+      crc32(mutated.data() + payload, mutated.size() - payload);
+  std::memcpy(mutated.data() + frame + 4, &crc, sizeof crc);
+  return mutated;
 }
 
 TEST(Checkpoint, DeltaChainMatchesReferenceEncoder) {
@@ -1303,6 +1509,7 @@ TEST(Checkpoint, DeltaChainMatchesReferenceEncoder) {
     auto cfg = ServerRig::make_server_cfg("delta_" + app->name(), 4);
     AnalysisServer server(cfg, &collector, &detector);
     server.set_crash_plan({stream[stream.size() / 2].now}, 0x11FE);
+    StreamingDetector decoded(dcfg, app->sensors(), ranks, run.makespan);
 
     std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
     double saved = 0.0;
@@ -1317,10 +1524,10 @@ TEST(Checkpoint, DeltaChainMatchesReferenceEncoder) {
       server.on_delivery(d.rank, d.seq, d.records, d.now);
       watermarks[static_cast<size_t>(d.rank)].insert(d.seq);
       if (!wrote_current_checkpoint(server, &saved)) continue;
-      const auto load = load_checkpoint(cfg.checkpoint_path);
+      const auto load = load_checkpoint(cfg.checkpoint_path, &decoded);
       ASSERT_TRUE(load.ok) << load.warning;
       EXPECT_EQ(load.torn_bytes, 0u);
-      ASSERT_TRUE(encode_checkpoint(load.ckpt) ==
+      ASSERT_TRUE(encode_checkpoint(load.ckpt, decoded.snapshot()) ==
                   reference_checkpoint(detector, collector, watermarks))
           << "delivery " << i << ": the base and " << load.deltas
           << " deltas differ from the live state";
@@ -1346,6 +1553,7 @@ TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
   const double T = 10e-3;
   const auto stream = make_stream(/*seed=*/3, ranks, T);
   ServerRig rig("delta_tail", ranks, T, /*checkpoint_every=*/1);
+  StreamingDetector decoded(ServerRig::make_cfg(), two_sensors(), ranks, T);
   std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
   std::vector<std::string> states;  // after the base, then each delta
   std::string bytes;
@@ -1371,8 +1579,8 @@ TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
   ASSERT_EQ(at.back(), bytes.size());
   for (size_t f = 0; f < 3; ++f) {
     uint32_t crc = 0;
-    std::memcpy(&crc, bytes.data() + at[f] + 8, sizeof crc);
-    ASSERT_EQ(crc, crc32(bytes.data() + at[f] + 12, at[f + 1] - at[f] - 12))
+    std::memcpy(&crc, bytes.data() + at[f] + 4, sizeof crc);
+    ASSERT_EQ(crc, crc32(bytes.data() + at[f] + 8, at[f + 1] - at[f] - 8))
         << "frame " << f;
   }
 
@@ -1391,32 +1599,34 @@ TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
   // drops exactly the bytes of delta k it holds.
   for (size_t k = 0; k < 2; ++k) {
     for (size_t cut = at[k + 1]; cut < at[k + 2]; ++cut) {
-      const auto load = parse_checkpoint(bytes.substr(0, cut));
+      const auto load = parse_checkpoint(bytes.substr(0, cut), &decoded);
       ASSERT_TRUE(load.ok) << "cut at " << cut << ": " << load.warning;
       EXPECT_EQ(load.deltas, k) << "cut at " << cut;
       EXPECT_EQ(load.torn_bytes, cut - at[k + 1]) << "cut at " << cut;
       EXPECT_EQ(load.warning.empty(), cut == at[k + 1]) << load.warning;
-      EXPECT_TRUE(encode_checkpoint(load.ckpt) == states[k])
+      EXPECT_TRUE(encode_checkpoint(load.ckpt, decoded.snapshot()) ==
+                  states[k])
           << "cut at " << cut;
     }
   }
-  const auto whole = parse_checkpoint(bytes);
+  const auto whole = parse_checkpoint(bytes, &decoded);
   EXPECT_EQ(whole.deltas, 2u);
   EXPECT_EQ(whole.torn_bytes, 0u);
   EXPECT_TRUE(whole.warning.empty()) << whole.warning;
-  EXPECT_TRUE(encode_checkpoint(whole.ckpt) == states[2]);
+  EXPECT_TRUE(encode_checkpoint(whole.ckpt, decoded.snapshot()) == states[2]);
 
   // A tail that does not apply leaves the chain before delta k.
   const auto expect_chain_ends_at = [&](const std::string& mutated, size_t k,
                                         const std::string& what) {
-    const auto load = parse_checkpoint(mutated);
+    const auto load = parse_checkpoint(mutated, &decoded);
     ASSERT_TRUE(load.ok) << what << ": " << load.warning;
     EXPECT_EQ(load.deltas, k) << what;
     EXPECT_EQ(load.torn_bytes, mutated.size() - at[k + 1]) << what;
     EXPECT_NE(load.warning.find("byte " + std::to_string(at[k + 1])),
               std::string::npos)
         << what << ": " << load.warning;
-    EXPECT_TRUE(encode_checkpoint(load.ckpt) == states[k]) << what;
+    EXPECT_TRUE(encode_checkpoint(load.ckpt, decoded.snapshot()) == states[k])
+        << what;
   };
   for (size_t k = 0; k < 2; ++k) {
     for (size_t i = at[k + 1]; i < at[k + 2]; ++i) {
@@ -1428,46 +1638,20 @@ TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
 
   // Delta 1 re-framed under a fresh CRC: decodable, yet out of range or of
   // another shape than the base.
-  const size_t payload = at[2] + 12;
+  const size_t payload = at[2] + 8;
   const auto reframed = [&](size_t field, auto value) {
-    std::string mutated = bytes;
-    std::memcpy(mutated.data() + field, &value, sizeof value);
-    const uint32_t crc =
-        crc32(mutated.data() + payload, mutated.size() - payload);
-    std::memcpy(mutated.data() + at[2] + 8, &crc, sizeof crc);
-    return mutated;
+    return reframe(bytes, at[2], field, value);
   };
   const auto u32_at = [&](size_t where) {
     uint32_t v = 0;
     std::memcpy(&v, bytes.data() + where, sizeof v);
     return v;
   };
-  const auto u64_at = [&](size_t where) {
-    uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + where, sizeof v);
-    return v;
-  };
-  const size_t buckets_at = payload + 4 + 4 + 8;
+  const FrameFields delta1 = frame_fields(bytes, payload);
+  const size_t buckets_at = delta1.buckets;
   const uint32_t buckets = u32_at(buckets_at);
   ASSERT_EQ(buckets, static_cast<uint32_t>(rig.detector.buckets()));
-  // The delta's first cell, walking watermarks, slots and rows.
-  size_t pos = buckets_at + 4 + 5 * 8;
-  const uint64_t watermark_count = u64_at(pos);
-  pos += 8;
-  for (uint64_t i = 0; i < watermark_count; ++i) pos += 16 + 8 * u64_at(pos + 8);
-  const uint64_t slots = u64_at(pos);
-  pos += 8;
-  size_t first_cell = 0;
-  for (uint64_t i = 0; i < slots && first_cell == 0; ++i) {
-    const uint64_t rows = u64_at(pos + 16);
-    pos += 24;
-    for (uint64_t j = 0; j < rows && first_cell == 0; ++j) {
-      const uint32_t cells = u32_at(pos + 12);
-      pos += 16;
-      if (cells > 0) first_cell = pos;
-      pos += 20 * cells;
-    }
-  }
+  const size_t first_cell = delta1.first_cell;
   ASSERT_NE(first_cell, 0u) << "delta 1 lists no cell";
   ASSERT_LT(u32_at(first_cell), buckets);
   expect_chain_ends_at(reframed(first_cell, buckets), 1, "bucket >= buckets");
@@ -1475,6 +1659,71 @@ TEST(Checkpoint, DeltaTailIsSalvagedBaseFailsClosed) {
                        "another bucket count");
   expect_chain_ends_at(reframed(payload + 4, int32_t{ranks + 1}), 1,
                        "another rank count");
+  // A rank the detector does not have, as the last row of a slot (so the
+  // rows stay in ascending order) and as the last last slice.
+  ASSERT_NE(delta1.last_row_rank, 0u) << "delta 1 lists no row";
+  ASSERT_NE(delta1.last_slice_rank, 0u) << "delta 1 lists no last slice";
+  expect_chain_ends_at(reframed(delta1.last_row_rank, int32_t{ranks}), 1,
+                       "row rank == ranks");
+  expect_chain_ends_at(reframed(delta1.last_slice_rank, int32_t{ranks}), 1,
+                       "last slice rank == ranks");
+}
+
+TEST(Checkpoint, DamagedFrameNeverHalfApplies) {
+  // Random damage to one frame under a recomputed CRC. Whatever the
+  // decoder makes of it, loading does not throw, and a frame it rejects
+  // leaves the detector exactly as the frames before it left it.
+  const int ranks = 8;
+  const double T = 10e-3;
+  const auto stream = make_stream(/*seed=*/21, ranks, T);
+  StreamingDetector live(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  const std::vector<SeqTracker> watermarks(static_cast<size_t>(ranks));
+  std::string bytes, frame;
+  std::vector<std::string> states;  // after the base, then each delta
+  for (size_t f = 0; f < 4; ++f) {
+    for (size_t i = f * stream.size() / 4; i < (f + 1) * stream.size() / 4;
+         ++i) {
+      live.observe(stream[i].records);
+    }
+    if (f == 2) live.mark_stale(ranks - 1);
+    encode_live_checkpoint(
+        frame, f == 0 ? CheckpointFrame::Base : CheckpointFrame::Delta, {},
+        watermarks, live);
+    bytes += frame;
+    states.push_back(snapshot_bytes(live.snapshot()));
+  }
+  const auto at = frame_offsets(bytes);
+  ASSERT_EQ(at.size(), 5u);
+  ASSERT_EQ(at.back(), bytes.size());
+  const std::string empty = snapshot_bytes(
+      StreamingDetector(ServerRig::make_cfg(), two_sensors(), ranks, T)
+          .snapshot());
+
+  Rng rng(0xDA3A6E);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t k = rng.next_below(4);
+    const std::string frames = bytes.substr(0, at[k + 1]);
+    const size_t payload = at[k] + 8;
+    const size_t field = payload + rng.next_below(frames.size() - payload - 3);
+    const auto value = static_cast<int32_t>(rng.next_below(40)) - 4;
+    const std::string damaged = reframe(frames, at[k], field, value);
+    StreamingDetector decoded(ServerRig::make_cfg(), two_sensors(), ranks, T);
+    CheckpointLoad load;
+    ASSERT_NO_THROW(load = parse_checkpoint(damaged, &decoded));
+    if (load.ok && load.deltas == k) continue;  // damage no check can see
+    ++rejected;
+    const std::string what =
+        "frame " + std::to_string(k) + " field " + std::to_string(field);
+    EXPECT_EQ(load.ok, k > 0) << what;
+    if (k > 0) {
+      EXPECT_EQ(load.deltas, k - 1) << what;
+    }
+    EXPECT_TRUE(snapshot_bytes(decoded.snapshot()) ==
+                (k == 0 ? empty : states[k - 1]))
+        << what << ": a rejected frame changed the state";
+  }
+  EXPECT_GT(rejected, 1000u) << "too little damage was detectable";
 }
 
 /// Routes every operation to `target`, which a test may swap mid-run.
@@ -1563,11 +1812,12 @@ TEST(Checkpoint, FailedDeltaAppendMakesNextCheckpointABase) {
     while (i < stream.size() && !wrote_current_checkpoint(server, &saved)) {
       deliver();
     }
-    const auto next = load_checkpoint(cfg.checkpoint_path);
+    StreamingDetector decoded(ServerRig::make_cfg(), two_sensors(), ranks, T);
+    const auto next = load_checkpoint(cfg.checkpoint_path, &decoded);
     ASSERT_TRUE(next.ok) << next.warning;
     EXPECT_EQ(next.deltas, 0u);
     EXPECT_EQ(next.torn_bytes, 0u);
-    EXPECT_TRUE(encode_checkpoint(next.ckpt) ==
+    EXPECT_TRUE(encode_checkpoint(next.ckpt, decoded.snapshot()) ==
                 reference_checkpoint(detector, collector, watermarks));
   }
 }
@@ -1575,59 +1825,76 @@ TEST(Checkpoint, FailedDeltaAppendMakesNextCheckpointABase) {
 TEST(RecoveryEquivalence, TornDeltaAfterJournalResetRecoversExactly) {
   // Recovery truncates the journal after its post-recovery base, so from
   // then on the checkpoint file is the only copy of the state before the
-  // reset. A torn delta at its end must cost only that delta: recovery
+  // reset. A bad delta at its end must cost only that delta: recovery
   // applies the base and the deltas before it, then replays the journal.
+  // The delta is bad either by a torn append or, under a valid CRC, by a
+  // row of a rank the server does not have.
   const int ranks = 16;
   const double T = 10e-3;
   const auto stream = make_stream(/*seed=*/11, ranks, T);
-  ServerRig uninterrupted("torn_delta_u", ranks, T, /*checkpoint_every=*/1);
-  ServerRig crashed("torn_delta_c", ranks, T, /*checkpoint_every=*/1);
-  const std::string& path = crashed.server.config().checkpoint_path;
-  size_t i = 0;
-  const auto deliver = [&] {
-    const auto& d = stream[i++];
-    uninterrupted.server.on_delivery(d.rank, d.seq, d.records, d.now);
-    crashed.server.on_delivery(d.rank, d.seq, d.records, d.now);
+  const auto torn = [](const std::string& bytes, size_t last) {
+    return bytes.substr(0, last + (bytes.size() - last) / 2);
   };
-  const auto expect_same_state = [&] {
-    EXPECT_TRUE(snapshot_bytes(crashed.detector.snapshot()) ==
-                snapshot_bytes(uninterrupted.detector.snapshot()))
-        << "recovered state differs from the uninterrupted server's";
-    expect_bit_identical(uninterrupted.detector.finalize(),
-                         crashed.detector.finalize());
-    EXPECT_EQ(uninterrupted.collector.counters().ingested,
-              crashed.collector.counters().ingested);
-    EXPECT_EQ(uninterrupted.collector.counters().batches,
-              crashed.collector.counters().batches);
+  const auto rank_out_of_range = [&](const std::string& bytes, size_t last) {
+    const size_t row = frame_fields(bytes, last + 8).last_row_rank;
+    EXPECT_NE(row, 0u) << "the last delta lists no row";
+    return reframe(bytes, last, row, int32_t{ranks});
   };
+  const std::pair<const char*, std::function<std::string(
+                                   const std::string&, size_t)>>
+      damages[] = {{"torn", torn}, {"rank_out_of_range", rank_out_of_range}};
+  for (const auto& [what, damage] : damages) {
+    SCOPED_TRACE(what);
+    const std::string tag = std::string("torn_delta_") + what;
+    ServerRig uninterrupted(tag + "_u", ranks, T, /*checkpoint_every=*/1);
+    ServerRig crashed(tag + "_c", ranks, T, /*checkpoint_every=*/1);
+    const std::string& path = crashed.server.config().checkpoint_path;
+    size_t i = 0;
+    const auto deliver = [&] {
+      const auto& d = stream[i++];
+      uninterrupted.server.on_delivery(d.rank, d.seq, d.records, d.now);
+      crashed.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    };
+    const auto expect_same_state = [&] {
+      EXPECT_TRUE(snapshot_bytes(crashed.detector.snapshot()) ==
+                  snapshot_bytes(uninterrupted.detector.snapshot()))
+          << "recovered state differs from the uninterrupted server's";
+      expect_bit_identical(uninterrupted.detector.finalize(),
+                           crashed.detector.finalize());
+      EXPECT_EQ(uninterrupted.collector.counters().ingested,
+                crashed.collector.counters().ingested);
+      EXPECT_EQ(uninterrupted.collector.counters().batches,
+                crashed.collector.counters().batches);
+    };
 
-  while (i < stream.size() / 3) deliver();
-  crashed.server.crash();
-  ASSERT_TRUE(crashed.server.recover().checkpoint_loaded);
-  uint64_t written = 0;
-  while (i < stream.size() && written < 2) {
-    deliver();
-    written = load_checkpoint(path).deltas;
+    while (i < stream.size() / 3) deliver();
+    crashed.server.crash();
+    ASSERT_TRUE(crashed.server.recover().checkpoint_loaded);
+    uint64_t written = 0;
+    while (i < stream.size() && written < 2) {
+      deliver();
+      written = load_checkpoint(path).deltas;
+    }
+    ASSERT_EQ(written, 2u) << "no delta chain after the journal reset";
+
+    crashed.server.crash();
+    const std::string bytes = read_file(path);
+    const auto at = frame_offsets(bytes);
+    ASSERT_EQ(at.size(), written + 2);
+    ASSERT_EQ(at.back(), bytes.size());
+    const size_t last = at[at.size() - 2];
+    write_file(path, damage(bytes, last));
+    const auto report = crashed.server.recover();
+    EXPECT_TRUE(report.checkpoint_loaded) << report.checkpoint_warning;
+    EXPECT_EQ(report.checkpoint_deltas, written - 1);
+    EXPECT_NE(report.checkpoint_warning.find("byte " + std::to_string(last)),
+              std::string::npos)
+        << report.checkpoint_warning;
+    expect_same_state();
+
+    while (i < stream.size()) deliver();
+    expect_same_state();
   }
-  ASSERT_EQ(written, 2u) << "no delta chain after the journal reset";
-
-  crashed.server.crash();
-  const std::string bytes = read_file(path);
-  const auto at = frame_offsets(bytes);
-  ASSERT_EQ(at.size(), written + 2);
-  ASSERT_EQ(at.back(), bytes.size());
-  const size_t last = at[at.size() - 2];
-  write_file(path, bytes.substr(0, last + (bytes.size() - last) / 2));
-  const auto report = crashed.server.recover();
-  EXPECT_TRUE(report.checkpoint_loaded) << report.checkpoint_warning;
-  EXPECT_EQ(report.checkpoint_deltas, written - 1);
-  EXPECT_NE(report.checkpoint_warning.find("byte " + std::to_string(last)),
-            std::string::npos)
-      << report.checkpoint_warning;
-  expect_same_state();
-
-  while (i < stream.size()) deliver();
-  expect_same_state();
 }
 
 // --------------------------------------------- Satellite regression pins

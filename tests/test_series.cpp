@@ -1,4 +1,4 @@
-// §5.2 per-component merged series and the windowed-history baseline.
+// §5.2 per-component merged series and the all-time local standard (§5.3).
 #include <gtest/gtest.h>
 
 #include "runtime/collector.hpp"
@@ -85,7 +85,7 @@ TEST(ComponentSeries, EmptyTypeGivesEmptyBuckets) {
   for (const auto& p : series) EXPECT_EQ(p.samples, 0u);
 }
 
-// ------------------------------------------------------- history window
+// ------------------------------------------------------- local history
 
 struct FakeClock {
   double t = 0.0;
@@ -101,7 +101,6 @@ TEST(HistoryWindow, AllTimeStandardNeverForgets) {
   FakeClock clock;
   RuntimeConfig cfg;
   cfg.slice_seconds = 1e-3;
-  cfg.history_window = 0;  // paper behavior: scalar minimum
   SensorRuntime sensors(cfg, 0, nullptr, clock.now(), clock.charge());
   const int id = sensors.register_sensor({"s", SensorType::Computation, "f", 1});
   auto run_epoch = [&](double dur, int n) {
@@ -116,29 +115,7 @@ TEST(HistoryWindow, AllTimeStandardNeverForgets) {
   EXPECT_NEAR(sensors.standard_time(id), 100e-6, 5e-6);
   // 200 x 200us executions fill ~40 1ms slices — every one stays flagged.
   EXPECT_GE(sensors.local_variance_flags(), 35u)
-      << "without a window the new regime stays flagged forever";
-}
-
-TEST(HistoryWindow, WindowedStandardReadapts) {
-  FakeClock clock;
-  RuntimeConfig cfg;
-  cfg.slice_seconds = 1e-3;
-  cfg.history_window = 16;
-  SensorRuntime sensors(cfg, 0, nullptr, clock.now(), clock.charge());
-  const int id = sensors.register_sensor({"s", SensorType::Computation, "f", 1});
-  auto run_epoch = [&](double dur, int n) {
-    for (int i = 0; i < n; ++i) {
-      sensors.tick(id);
-      clock.t += dur;
-      sensors.tock(id);
-    }
-  };
-  run_epoch(100e-6, 20);
-  run_epoch(200e-6, 400);
-  // The baseline forgot the old regime: the new duration is the standard.
-  EXPECT_NEAR(sensors.standard_time(id), 200e-6, 10e-6);
-  // Flags occurred only during the transition, not for all 400 slices.
-  EXPECT_LT(sensors.local_variance_flags(), 60u);
+      << "the all-time standard keeps the new regime flagged";
 }
 
 }  // namespace

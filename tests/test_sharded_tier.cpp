@@ -17,6 +17,7 @@
 #include "runtime/server.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "runtime/streaming_detector.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
@@ -191,7 +192,7 @@ void expect_tier_matches_reference(const ShardedAnalysisTier& tier,
 
 // ---------------------------------------------------------- merge unit
 
-TEST(ShardedTier, MergeSnapshotsCombinesDisjointRankPartitions) {
+TEST(ShardedTier, MergeFromCombinesDisjointRankPartitions) {
   const int ranks = 4;
   const double T = 0.05;
   const auto sensors = two_sensors();
@@ -211,8 +212,10 @@ TEST(ShardedTier, MergeSnapshotsCombinesDisjointRankPartitions) {
   whole.mark_stale(3);
   odd.mark_stale(3);
 
-  const auto merged =
-      StreamingDetector::merge_snapshots(even.snapshot(), odd.snapshot());
+  StreamingDetector pair(dcfg, sensors, ranks, T);
+  pair.merge_from(even);
+  pair.merge_from(odd);
+  const auto merged = pair.snapshot();
   const auto ref = whole.snapshot();
 
   EXPECT_EQ(merged.standard, ref.standard);
@@ -256,10 +259,28 @@ TEST(ShardedTier, MergeSnapshotsCombinesDisjointRankPartitions) {
     EXPECT_NEAR(merged.stats[s].m2, pooled_m2, 1e-9);
   }
 
-  // Restoring the merged snapshot yields the whole detector's analysis.
-  StreamingDetector restored(dcfg, sensors, ranks, T);
-  restored.restore(merged);
-  expect_bit_identical(whole.finalize(), restored.finalize());
+  // The merged detector yields the whole detector's analysis.
+  expect_bit_identical(whole.finalize(), pair.finalize());
+
+  // Two detectors that both hold a row of one rank, or of another shape,
+  // do not merge, and the refused merge leaves the target as it was.
+  StreamingDetector target(dcfg, sensors, ranks, T);
+  target.merge_from(even);
+  const auto before = target.snapshot();
+  EXPECT_THROW(target.merge_from(whole), Error);
+  EXPECT_THROW(target.merge_from(even), Error);
+  EXPECT_THROW(target.merge_from(target), Error);
+  StreamingDetector wider(dcfg, sensors, ranks + 1, T);
+  StreamingDetector longer(dcfg, sensors, ranks, 2 * T);
+  StreamingDetector narrower(dcfg, {sensors.front()}, ranks, T);
+  EXPECT_THROW(target.merge_from(wider), Error);
+  EXPECT_THROW(target.merge_from(longer), Error);
+  EXPECT_THROW(target.merge_from(narrower), Error);
+  const auto after = target.snapshot();
+  EXPECT_EQ(after.standard, before.standard);
+  EXPECT_EQ(after.rank_standard, before.rank_standard);
+  EXPECT_EQ(after.cells.size(), before.cells.size());
+  EXPECT_EQ(after.observed, before.observed);
 }
 
 // ------------------------------------------- sharded vs single server

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/checkpoint.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/streaming_detector.hpp"
@@ -287,12 +288,19 @@ TEST(StreamingDetector, RejectsUnknownRank) {
   EXPECT_EQ(streaming.observed_records(), 1u);
   EXPECT_TRUE(streaming.stale_ranks().empty());
 
-  // A snapshot with state for a rank this detector does not have cannot be
-  // restored into it, and the failed restore leaves the state untouched.
+  // A checkpoint base with state for a rank this detector does not have is
+  // rejected on its shape, and the failed decode leaves the state
+  // untouched.
   StreamingDetector wider({}, one_sensor(), 3, 1.0);
   std::vector<SliceRecord> rank2{make_record(0, 2, 0.0, 3e-6)};
   wider.observe(rank2);
-  EXPECT_THROW(streaming.restore(wider.snapshot()), Error);
+  std::string base;
+  encode_live_checkpoint(base, CheckpointFrame::Base, {},
+                         std::vector<SeqTracker>(3), wider);
+  ASSERT_TRUE(parse_checkpoint(base).ok);
+  const auto load = parse_checkpoint(base, &streaming);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.warning.find("shape"), std::string::npos) << load.warning;
   EXPECT_EQ(streaming.observed_records(), 1u);
   EXPECT_EQ(streaming.standard_time(0, 0.0F), 2e-6);
 }

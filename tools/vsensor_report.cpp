@@ -1,8 +1,9 @@
-// vsensor-report — offline analysis of a saved session file.
+// vsensor-report — offline inspection of vSensor's files.
 //
-// vsensor-cc --run --save-records=session.vsr writes the sensor table and
-// every slice record the analysis server received (the paper's shared-file
-// transport, §5.4); this tool re-runs the detector over the file:
+// FILE is opened by its first line. A session (`vsensor-session`), as
+// vsensor-cc --run --save-records=session.vsr writes it with the sensor
+// table and every slice record the analysis server received (the paper's
+// shared-file transport, §5.4), is re-analyzed:
 //
 //   vsensor-report session.vsr
 //   vsensor-report session.vsr --matrix
@@ -11,13 +12,15 @@
 //   vsensor-report session.vsr --series=net --points=40
 //   vsensor-report session.vsr --metrics-out=m.jsonl --trace-out=t.json
 //
-// Durability artifacts of the crash-tolerant server are inspected the
-// same way (no session file needed):
+// The crash-tolerant server's durability files, a write-ahead journal
+// (`vsensor-journal`) or a checkpoint (`vsensor-checkpoint`), are
+// verified and summarized:
 //
-//   vsensor-report --journal=analysis.journal      # verify + summarize
-//   vsensor-report --checkpoint=analysis.ckpt      # verify + summarize
+//   vsensor-report analysis.journal
+//   vsensor-report analysis.ckpt
 //
-// And so are the health plane's JSONL artifacts:
+// Any other first line is an error that names it. The health plane's
+// JSONL artifacts are rendered by flag:
 //
 //   vsensor-report --health=run.health             # gauge summary table
 //   vsensor-report --events=run.events             # flag/crash timeline
@@ -53,8 +56,6 @@ struct Options {
   int series_points = 40;
   std::string metrics_out;  ///< self-telemetry JSONL destination
   std::string trace_out;    ///< Chrome trace-event JSON destination
-  std::string journal;      ///< write-ahead journal to inspect/verify
-  std::string checkpoint;   ///< checkpoint file to inspect/verify
   std::string health;       ///< vsensor-health/1 JSONL to render
   std::string events;       ///< vsensor-events/1 JSONL to render
   std::string flight;       ///< vsensor-flight/1 crash dump to render
@@ -67,8 +68,7 @@ struct Options {
                "  [--threshold=F] [--resolution-ms=N] [--until=FRACTION]\n"
                "  [--series=comp|net|io] [--points=N]\n"
                "  [--metrics-out=FILE] [--trace-out=FILE]\n"
-               "   or: vsensor-report --journal=FILE\n"
-               "   or: vsensor-report --checkpoint=FILE\n"
+               "   or: vsensor-report <journal or checkpoint file>\n"
                "   or: vsensor-report --health=FILE\n"
                "   or: vsensor-report --events=FILE [--max-events=N]\n"
                "   or: vsensor-report --flight=FILE\n");
@@ -109,10 +109,6 @@ Options parse(int argc, char** argv) {
       opts.metrics_out = value;
     } else if (flag_value(argv[i], "--trace-out", &value)) {
       opts.trace_out = value;
-    } else if (flag_value(argv[i], "--journal", &value)) {
-      opts.journal = value;
-    } else if (flag_value(argv[i], "--checkpoint", &value)) {
-      opts.checkpoint = value;
     } else if (flag_value(argv[i], "--health", &value)) {
       opts.health = value;
     } else if (flag_value(argv[i], "--events", &value)) {
@@ -129,8 +125,8 @@ Options parse(int argc, char** argv) {
       usage();
     }
   }
-  if (opts.input.empty() && opts.journal.empty() && opts.checkpoint.empty() &&
-      opts.health.empty() && opts.events.empty() && opts.flight.empty()) {
+  if (opts.input.empty() && opts.health.empty() && opts.events.empty() &&
+      opts.flight.empty()) {
     usage();
   }
   return opts;
@@ -169,8 +165,9 @@ int inspect_journal(const std::string& path) {
   return load.clean() ? 0 : 4;
 }
 
-/// Inspect/verify a checkpoint. Exit 0 when valid, 4 when rejected or
-/// when a torn delta tail was dropped (as --journal does on salvage).
+/// Inspect/verify a checkpoint, checking every frame without decoding it
+/// into a detector. Exit 0 when valid, 4 when rejected or when a torn
+/// delta tail was dropped (as a salvaged journal does).
 int inspect_checkpoint(const std::string& path) {
   const auto load = rt::load_checkpoint(path);
   std::printf("checkpoint: %s\n", path.c_str());
@@ -196,15 +193,20 @@ int inspect_checkpoint(const std::string& path) {
   for (const auto& wm : c.watermarks) covered += wm.contiguous + wm.ahead.size();
   std::printf("  watermarks: %zu ranks, %llu deliveries covered\n",
               c.watermarks.size(), static_cast<unsigned long long>(covered));
+  // Counted by the check-only decode: the whole sections as of the last
+  // applied frame, and the rows and cells that frame wrote.
+  const auto& d = load.detector;
   std::printf(
-      "  detector: %llu records observed, %llu standards, %llu cells, "
-      "%llu inter flags, %llu intra flags, %zu stale ranks\n",
-      static_cast<unsigned long long>(c.detector.observed),
-      static_cast<unsigned long long>(c.detector.standard.size()),
-      static_cast<unsigned long long>(c.detector.cells.size()),
-      static_cast<unsigned long long>(c.detector.inter_flags),
-      static_cast<unsigned long long>(c.detector.intra_flags),
-      c.detector.stale.size());
+      "  detector: %llu records observed, %llu standards, %llu inter flags, "
+      "%llu intra flags, %llu stale ranks; last frame wrote %llu rows, "
+      "%llu cells\n",
+      static_cast<unsigned long long>(d.observed),
+      static_cast<unsigned long long>(d.standards),
+      static_cast<unsigned long long>(d.inter_flags),
+      static_cast<unsigned long long>(d.intra_flags),
+      static_cast<unsigned long long>(d.stale_ranks),
+      static_cast<unsigned long long>(d.rows),
+      static_cast<unsigned long long>(d.cells));
   return load.torn_bytes > 0 ? 4 : 0;
 }
 
@@ -215,30 +217,19 @@ rt::SensorType parse_series(const std::string& s) {
   throw Error("unknown series type: " + s + " (use comp|net|io)");
 }
 
-int run_tool(const Options& opts) {
-  if (!opts.journal.empty() || !opts.checkpoint.empty() ||
-      !opts.health.empty() || !opts.events.empty() || !opts.flight.empty()) {
-    int rc = 0;
-    if (!opts.journal.empty()) rc = std::max(rc, inspect_journal(opts.journal));
-    if (!opts.checkpoint.empty()) {
-      rc = std::max(rc, inspect_checkpoint(opts.checkpoint));
-    }
-    if (!opts.health.empty()) {
-      std::printf("%s", report::render_health_file(opts.health).c_str());
-    }
-    if (!opts.events.empty()) {
-      std::printf("%s",
-                  report::render_events_file(
-                      opts.events, static_cast<size_t>(
-                                       std::max(opts.max_events, 0)))
-                      .c_str());
-    }
-    if (!opts.flight.empty()) {
-      std::printf("%s", report::render_flight_file(opts.flight).c_str());
-    }
-    return rc;
-  }
+/// The first line of `path`, from at most its first 64 bytes, without the
+/// newline.
+std::string first_line(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot open " + path);
+  std::string head(64, '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  head.resize(static_cast<size_t>(in.gcount()));
+  return head.substr(0, head.find('\n'));
+}
 
+/// Re-run the detector over a session file. Exit 3 when it finds variance.
+int analyze_session(const Options& opts) {
   // Exporter flags switch self-telemetry on for this invocation, so the
   // stage clock and the tracer record the reporting pass.
   if (!opts.metrics_out.empty() || !opts.trace_out.empty()) {
@@ -329,6 +320,38 @@ int run_tool(const Options& opts) {
     std::printf("wrote trace to %s\n", opts.trace_out.c_str());
   }
   return analysis.events.empty() ? 0 : 3;
+}
+
+/// Open FILE by its first line, then render the health-plane artifacts.
+int run_tool(const Options& opts) {
+  int rc = 0;
+  if (!opts.input.empty()) {
+    const std::string head = first_line(opts.input);
+    if (head.starts_with("vsensor-session ")) {
+      rc = analyze_session(opts);
+    } else if (head.starts_with("vsensor-journal ")) {
+      rc = inspect_journal(opts.input);
+    } else if (head.starts_with("vsensor-checkpoint ")) {
+      rc = inspect_checkpoint(opts.input);
+    } else {
+      throw Error(opts.input + ": unrecognised first line \"" + head +
+                  "\" (expected vsensor-session, vsensor-journal or "
+                  "vsensor-checkpoint)");
+    }
+  }
+  if (!opts.health.empty()) {
+    std::printf("%s", report::render_health_file(opts.health).c_str());
+  }
+  if (!opts.events.empty()) {
+    std::printf("%s", report::render_events_file(
+                          opts.events,
+                          static_cast<size_t>(std::max(opts.max_events, 0)))
+                          .c_str());
+  }
+  if (!opts.flight.empty()) {
+    std::printf("%s", report::render_flight_file(opts.flight).c_str());
+  }
+  return rc;
 }
 
 }  // namespace
