@@ -99,7 +99,7 @@ int main() {
   for (int r : run.stale_ranks) killed_is_stale |= (r == kKilledRank);
   VS_CHECK_MSG(killed_is_stale, "killed rank not reported stale");
   // The streaming analysis over delivered records equals the batch
-  // analysis of the collector's retained records, cell for cell.
+  // analysis of the collector's retained records, bit for bit.
   const rt::Detector detector(dcfg);
   const auto batch = detector.analyze_records(collector.records(),
                                               cg->sensors(), kRanks, makespan);
@@ -112,8 +112,7 @@ int main() {
         VS_CHECK_MSG(bm.has(r, b) == sm.has(r, b),
                      "streaming/batch cell occupancy mismatch");
         if (bm.has(r, b)) {
-          const double diff = bm.at(r, b) - sm.at(r, b);
-          VS_CHECK_MSG(diff < 1e-9 && diff > -1e-9,
+          VS_CHECK_MSG(bm.at(r, b) == sm.at(r, b),
                        "streaming/batch cell value mismatch");
         }
       }

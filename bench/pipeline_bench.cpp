@@ -1,11 +1,10 @@
 // Hot-path pipeline benchmarks -> BENCH_pipeline.json.
 //
-// Measures the kernels the SoA/SIMD overhaul targets, each against its
-// pre-overhaul shape where a faithful one still exists in-tree (the scalar
-// reference CRC, an AoS min-standard scan, a scalar normalization loop), so
-// the emitted file carries the before/after deltas as first-class ratio
-// metrics. CI runs this binary and tools/bench_compare.py gates the
-// trajectory against bench/baseline/.
+// Measures the per-record costs of the code every run executes: the
+// frame CRC (against the scalar reference CRC, so the speedup is a
+// first-class ratio metric), staging, transport, journal appends, the
+// detector and the sharded tier's fan-in. CI runs this binary and
+// tools/bench_compare.py gates the trajectory against bench/baseline/.
 //
 // Everything here is single-threaded on purpose: CI runners (and this
 // container) pin to one or two cores, where thread-scaling numbers are
@@ -23,14 +22,12 @@
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/record_batch.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "runtime/slicer.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/types.hpp"
 #include "support/crc32.hpp"
-#include "support/simd.hpp"
 
 namespace {
 
@@ -87,73 +84,6 @@ void bench_crc(BenchReporter& out) {
     return mb / s;
   });
   out.add_ratio("crc32.speedup", "crc32.frame", "crc32.reference");
-}
-
-void bench_min_standard_scan(BenchReporter& out) {
-  constexpr size_t kRecords = 1u << 20;
-  const auto aos = synth_records(kRecords, 4, 8, 10.0, 11);
-  const RecordBatch soa = RecordBatch::from_aos(aos);
-  const double mrecs = static_cast<double>(kRecords) / 1e6;
-
-  out.measure("scan.min_standard.soa", "Mrec/s", Direction::kHigherIsBetter, 7,
-              [&] {
-                double fastest = 0.0;
-                const double s = time_seconds([&] {
-                  fastest = simd::min_above(soa.avg_duration.data(),
-                                            soa.avg_duration.size(),
-                                            kMinStandardTime);
-                });
-                keep(fastest);
-                return mrecs / s;
-              });
-  // The pre-overhaul shape: stride 56 bytes per record to touch one double.
-  out.measure("scan.min_standard.aos", "Mrec/s", Direction::kHigherIsBetter, 7,
-              [&] {
-                double fastest = 0.0;
-                const double s = time_seconds([&] {
-                  double best = std::numeric_limits<double>::infinity();
-                  for (const auto& rec : aos) {
-                    if (rec.avg_duration >= kMinStandardTime &&
-                        rec.avg_duration < best) {
-                      best = rec.avg_duration;
-                    }
-                  }
-                  fastest = best;
-                });
-                keep(fastest);
-                return mrecs / s;
-              });
-  out.add_ratio("scan.min_standard.speedup", "scan.min_standard.soa",
-                "scan.min_standard.aos");
-}
-
-void bench_normalize(BenchReporter& out) {
-  constexpr size_t kRecords = 1u << 20;
-  const auto aos = synth_records(kRecords, 4, 8, 10.0, 13);
-  const RecordBatch soa = RecordBatch::from_aos(aos);
-  std::vector<double> std_times(kRecords, 1e-3);
-  std::vector<double> normalized(kRecords);
-  const double mrecs = static_cast<double>(kRecords) / 1e6;
-
-  out.measure("normalize.simd", "Mrec/s", Direction::kHigherIsBetter, 7, [&] {
-    const double s = time_seconds([&] {
-      simd::normalize(std_times.data(), soa.avg_duration.data(), kRecords,
-                      kMinStandardTime, normalized.data());
-    });
-    keep(normalized[kRecords / 2]);
-    return mrecs / s;
-  });
-  out.measure("normalize.aos", "Mrec/s", Direction::kHigherIsBetter, 7, [&] {
-    const double s = time_seconds([&] {
-      for (size_t i = 0; i < kRecords; ++i) {
-        const double st = std::max(std_times[i], kMinStandardTime);
-        normalized[i] = st / aos[i].avg_duration;
-      }
-    });
-    keep(normalized[kRecords / 2]);
-    return mrecs / s;
-  });
-  out.add_ratio("normalize.speedup", "normalize.simd", "normalize.aos");
 }
 
 void bench_stage_to_collector(BenchReporter& out) {
@@ -238,8 +168,7 @@ void bench_detector(BenchReporter& out) {
   }
 
   StreamingDetector streaming(DetectorConfig{}, sensors, kRanks, kRunTime);
-  const RecordBatch batch = RecordBatch::from_aos(records);
-  streaming.on_batch(batch);
+  streaming.on_batch(records);
   out.measure("detector.finalize", "ms", Direction::kLowerIsBetter, 5, [&] {
     size_t events = 0;
     const double s =
@@ -252,8 +181,8 @@ void bench_detector(BenchReporter& out) {
   out.measure("detector.analyze", "ms", Direction::kLowerIsBetter, 5, [&] {
     size_t events = 0;
     const double s = time_seconds([&] {
-      events =
-          detector.analyze_batch(batch, sensors, kRanks, kRunTime).events.size();
+      events = detector.analyze_records(records, sensors, kRanks, kRunTime)
+                   .events.size();
     });
     keep(events);
     return s * 1e3;
@@ -327,8 +256,6 @@ int main(int argc, char** argv) {
   BenchReporter out("pipeline");
 
   bench_crc(out);
-  bench_min_standard_scan(out);
-  bench_normalize(out);
   bench_stage_to_collector(out);
   bench_transport(out);
   bench_journal(out);

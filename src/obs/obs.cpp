@@ -29,8 +29,6 @@ const char* stage_name(Stage stage) {
     case Stage::TransportShip: return "transport.ship";
     case Stage::CollectorIngest: return "collector.ingest";
     case Stage::DetectStreaming: return "detect.streaming";
-    case Stage::Normalize: return "detect.normalize";
-    case Stage::DetectBatch: return "detect.batch";
     case Stage::Export: return "export";
     case Stage::Durability: return "durability";
     case Stage::kCount: break;

@@ -2,17 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <sstream>
 
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "runtime/record_batch.hpp"
+#include "runtime/streaming_detector.hpp"
 #include "support/error.hpp"
-#include "support/simd.hpp"
 
 namespace vsensor::rt {
+
+namespace {
+
+/// The one detection core behind every Detector entry point: fold each
+/// span `visit` passes on into a fresh StreamingDetector and finalize it,
+/// then visit the same spans again to flag their records against the
+/// final standards.
+template <typename Visit>
+AnalysisResult fold_and_flag(const DetectorConfig& cfg,
+                             const std::vector<SensorInfo>& sensors, int ranks,
+                             double run_time, const Visit& visit) {
+  obs::ScopedSpan span("analyze_records", "detect");
+  span.set_virtual(0.0, run_time);
+  StreamingDetector fold(cfg, sensors, ranks, run_time);
+  visit([&fold](std::span<const SliceRecord> records) {
+    fold.on_batch(records);
+  });
+  AnalysisResult result = fold.finalize();
+  visit([&](std::span<const SliceRecord> records) {
+    fold.flag_records(records, result.flagged);
+  });
+  return result;
+}
+
+}  // namespace
 
 Detector::Detector(DetectorConfig cfg) : cfg_(cfg) {
   VS_CHECK_MSG(cfg_.matrix_resolution > 0.0, "matrix resolution must be positive");
@@ -32,25 +54,6 @@ std::vector<double> Detector::normalize_records(
   // the group's standard time (§5.2-§5.3). Degenerate records never set a
   // standard: a zero-duration slice as the group minimum would zero every
   // score in the group.
-  if (cfg_.metric_bucket_width <= 0.0) {
-    // Single-group fast path (dynamic rules off, the default): gather the
-    // duration column once, then the min-standard scan and the divide are
-    // both SIMD passes over contiguous memory.
-    const size_t n = records.size();
-    std::vector<double> avg(n);
-    for (size_t i = 0; i < n; ++i) avg[i] = records[i].avg_duration;
-    const double fastest = simd::min_above(avg.data(), n, kMinStandardTime);
-    std::vector<double> normalized(n, 0.0);
-    if (fastest != std::numeric_limits<double>::infinity()) {
-      simd::normalize_uniform(fastest, avg.data(), n, kMinStandardTime,
-                              normalized.data());
-      // Degenerate records score 0.0 — broken, not perfect.
-      for (size_t i = 0; i < n; ++i) {
-        if (!(avg[i] >= kMinStandardTime)) normalized[i] = 0.0;
-      }
-    }
-    return normalized;
-  }
   std::map<int, double> standard;
   for (const auto& rec : records) {
     if (is_degenerate(rec)) continue;
@@ -74,145 +77,34 @@ std::vector<double> Detector::normalize_records(
 
 AnalysisResult Detector::analyze(const Collector& collector, int ranks,
                                  double run_time) const {
-  // Locked view instead of Collector::records(): the full record set is
-  // materialized exactly once per analysis.
-  std::vector<SliceRecord> all;
-  all.reserve(collector.record_count());
-  collector.visit_records([&all](std::span<const SliceRecord> seg) {
-    all.insert(all.end(), seg.begin(), seg.end());
-  });
-  return analyze_records(all, collector.sensors(), ranks, run_time);
+  return fold_and_flag(cfg_, collector.sensors(), ranks, run_time,
+                       [&collector](const auto& fn) {
+                         collector.visit_records(fn);
+                       });
 }
 
 AnalysisResult Detector::analyze_until(const Collector& collector, int ranks,
                                        double horizon) const {
-  std::vector<SliceRecord> window;
-  collector.visit_records([&window, horizon](std::span<const SliceRecord> seg) {
-    for (const auto& rec : seg) {
-      if (rec.t_end <= horizon) window.push_back(rec);
-    }
-  });
-  return analyze_records(window, collector.sensors(), ranks, horizon);
+  // Each maximal run of records that completed by the horizon is one span.
+  return fold_and_flag(
+      cfg_, collector.sensors(), ranks, horizon, [&](const auto& fn) {
+        collector.visit_records([&](std::span<const SliceRecord> seg) {
+          size_t begin = 0;
+          while (begin < seg.size()) {
+            size_t end = begin;
+            while (end < seg.size() && seg[end].t_end <= horizon) ++end;
+            if (end > begin) fn(seg.subspan(begin, end - begin));
+            begin = end + 1;
+          }
+        });
+      });
 }
 
 AnalysisResult Detector::analyze_records(std::span<const SliceRecord> records,
                                          const std::vector<SensorInfo>& sensors,
                                          int ranks, double run_time) const {
-  return analyze_batch(RecordBatch::from_aos(records), sensors, ranks,
-                       run_time);
-}
-
-AnalysisResult Detector::analyze_batch(const RecordBatch& records,
-                                       const std::vector<SensorInfo>& sensors,
-                                       int ranks, double run_time) const {
-  VS_CHECK_MSG(ranks > 0, "need at least one rank");
-  VS_CHECK_MSG(run_time > 0.0, "run time must be positive");
-  VS_OBS_SCOPED_STAGE(obs::Stage::DetectBatch);
-  obs::ScopedSpan span("analyze_records", "detect");
-  span.set_virtual(0.0, run_time);
-
-  const int buckets =
-      std::max(1, static_cast<int>(std::ceil(run_time / cfg_.matrix_resolution)));
-  AnalysisResult result{
-      .matrices = {PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution),
-                   PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution),
-                   PerformanceMatrix(ranks, buckets, cfg_.matrix_resolution)},
-      .events = {},
-      .flagged = {},
-      .run_time = run_time,
-      .ranks = ranks,
-      .stale_ranks = {},
-  };
-
-  const size_t n = records.size();
-  const int32_t* ids = records.sensor_id.data();
-  const int32_t* rk = records.rank.data();
-  const float* metric = records.metric.data();
-  const double* avg = records.avg_duration.data();
-  const double* t_begin = records.t_begin.data();
-  const double* t_end = records.t_end.data();
-  const uint32_t* count = records.count.data();
-  const bool grouped = cfg_.metric_bucket_width > 0.0;
-
-  // Pass 1 — standard time per (sensor, dynamic group): minimum
-  // avg_duration over all ranks — "Each v-sensor compares their records to
-  // the fastest record". Degenerate records are skipped outright: they
-  // would either pose as perfect (normalized 1.0) or, as a group minimum,
-  // zero the whole group. With dynamic rules off (the default) the group
-  // is always 0, so the standards live in a flat per-sensor array and the
-  // scan touches only the contiguous id and duration columns.
-  std::vector<double> flat_standard;
-  std::map<std::pair<int, int>, double> grouped_standard;
-  std::vector<uint32_t> per_sensor_count(sensors.size(), 0);
-  {
-    VS_OBS_SCOPED_STAGE(obs::Stage::Normalize);
-    if (!grouped) {
-      flat_standard.assign(sensors.size(),
-                           std::numeric_limits<double>::infinity());
-      for (size_t i = 0; i < n; ++i) {
-        const double a = avg[i];
-        if (!(a >= kMinStandardTime)) continue;
-        const int id = ids[i];
-        VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
-                     "record references unknown sensor");
-        VS_CHECK_MSG(rk[i] >= 0 && rk[i] < ranks, "record from unknown rank");
-        if (a < flat_standard[static_cast<size_t>(id)]) {
-          flat_standard[static_cast<size_t>(id)] = a;
-        }
-        per_sensor_count[static_cast<size_t>(id)] += 1;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const double a = avg[i];
-        if (!(a >= kMinStandardTime)) continue;
-        const int id = ids[i];
-        VS_CHECK_MSG(id >= 0 && static_cast<size_t>(id) < sensors.size(),
-                     "record references unknown sensor");
-        VS_CHECK_MSG(rk[i] >= 0 && rk[i] < ranks, "record from unknown rank");
-        const auto key = std::make_pair(id, group_of(metric[i]));
-        auto [it, inserted] = grouped_standard.try_emplace(key, a);
-        if (!inserted) it->second = std::min(it->second, a);
-        per_sensor_count[static_cast<size_t>(id)] += 1;
-      }
-    }
-  }
-
-  // Pass 2 — score every admissible record. The gather fills each record's
-  // standard time; the normalization itself is then one vectorized
-  // exactly-rounded divide over the whole batch (invalid lanes compute a
-  // value the accumulation loop never reads).
-  std::vector<double> std_times(n, 0.0);
-  std::vector<uint8_t> admissible(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const double a = avg[i];
-    if (!(a >= kMinStandardTime)) continue;
-    const auto id = static_cast<size_t>(ids[i]);
-    if (per_sensor_count[id] < cfg_.min_records) continue;
-    std_times[i] = grouped
-                       ? grouped_standard.at({ids[i], group_of(metric[i])})
-                       : flat_standard[id];
-    admissible[i] = 1;
-  }
-  std::vector<double> normalized(n);
-  simd::normalize(std_times.data(), avg, n, kMinStandardTime,
-                  normalized.data());
-
-  for (size_t i = 0; i < n; ++i) {
-    if (!admissible[i]) continue;
-    const auto type = sensors[static_cast<size_t>(ids[i])].type;
-    auto& matrix = result.matrices[static_cast<size_t>(type)];
-    // Pass 1 admitted only records of ranks in [0, ranks).
-    const double mid = 0.5 * (t_begin[i] + t_end[i]);
-    matrix.accumulate(rk[i], matrix.bucket_of(mid), normalized[i],
-                      static_cast<double>(count[i]));
-    if (normalized[i] < cfg_.variance_threshold) {
-      result.flagged.push_back(
-          {records.get(i), normalized[i], grouped ? group_of(metric[i]) : 0});
-    }
-  }
-
-  finalize_analysis(result, cfg_);
-  return result;
+  return fold_and_flag(cfg_, sensors, ranks, run_time,
+                       [records](const auto& fn) { fn(records); });
 }
 
 void finalize_analysis(AnalysisResult& result, const DetectorConfig& cfg) {

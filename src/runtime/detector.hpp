@@ -94,13 +94,24 @@ struct AnalysisResult {
   }
 };
 
+/// Offline analysis of a record set: a thin wrapper over the one
+/// detection core. Every entry point folds its records into a fresh
+/// StreamingDetector (this config, the sensor table, `ranks` and the
+/// horizon), returns its finalize(), and then fills
+/// AnalysisResult::flagged in one more pass over the same records against
+/// the final standards. So an analysis equals the live fold's finalize()
+/// bit for bit whenever each (sensor, rank) pair's records reach both in
+/// the same order. A record of an unknown sensor or of a rank outside
+/// [0, ranks) throws, degenerate or not, as it does in the fold.
 class Detector {
  public:
   explicit Detector(DetectorConfig cfg = {});
 
   /// Full analysis of a finished run: builds per-type matrices, flags
   /// records against per-(sensor, group) standard times, and extracts
-  /// variance events from the matrices.
+  /// variance events from the matrices. Folds the collector's records in
+  /// place, shard by shard, and visits them a second time for the flags,
+  /// so the collector must not ingest during the call.
   AnalysisResult analyze(const Collector& collector, int ranks,
                          double run_time) const;
 
@@ -111,23 +122,14 @@ class Detector {
   AnalysisResult analyze_until(const Collector& collector, int ranks,
                                double horizon) const;
 
-  /// Core entry: analysis over an explicit record set. Converts once to
-  /// struct-of-arrays and runs analyze_batch.
+  /// Core entry: analysis over an explicit record set. A record is
+  /// flagged when it is not degenerate, its sensor has at least
+  /// min_records non-degenerate records, and max(standard,
+  /// kMinStandardTime) / avg_duration is below variance_threshold; the
+  /// list keeps record order.
   AnalysisResult analyze_records(std::span<const SliceRecord> records,
                                  const std::vector<SensorInfo>& sensors,
                                  int ranks, double run_time) const;
-
-  /// Struct-of-arrays analysis — the vectorized core. Standards come from
-  /// contiguous column scans (flat per-sensor arrays when dynamic rules
-  /// are off, the default), and the per-record normalization is one SIMD
-  /// divide pass (support/simd.hpp). Results are bit-identical to the
-  /// historical per-record path: min/max/divide are exactly rounded and
-  /// the accumulation order over records is preserved. A non-degenerate
-  /// record of an unknown sensor or of a rank outside [0, ranks) throws,
-  /// as it does in the StreamingDetector fold.
-  AnalysisResult analyze_batch(const RecordBatch& records,
-                               const std::vector<SensorInfo>& sensors,
-                               int ranks, double run_time) const;
 
   /// §5.2 data merging: all sensors of one component type represent the
   /// same system resource, so their normalized records merge into a single
@@ -158,11 +160,10 @@ class Detector {
   DetectorConfig cfg_;
 };
 
-/// Shared tail of the analysis pipeline, used by both the batch Detector
-/// and the StreamingDetector so they produce identical variance regions:
-/// finalizes the accumulated matrices, extracts and merges events,
-/// cross-references Network events against Computation events, and sorts
-/// events most-severe-first.
+/// Tail of StreamingDetector::finalize, the one place variance regions
+/// come from: finalizes the accumulated matrices, extracts and merges
+/// events, cross-references Network events against Computation events,
+/// and sorts events most-severe-first.
 void finalize_analysis(AnalysisResult& result, const DetectorConfig& cfg);
 
 /// Extract rectangular variance events from a finalized matrix via

@@ -1,19 +1,13 @@
-// Struct-of-arrays record batches — the column layout of the offline
-// scoring core.
+// Struct-of-arrays record batches: a column adapter, nothing more.
 //
 // Records travel as plain SliceRecords from the rank's staging buffer
 // through the transport, collector, journal and session files to the
-// streaming fold. Columns pay off only in batch analysis, whose kernels
-// touch one or two fields per record across the whole run: the
-// min-standard scan reads avg_duration, normalization reads avg_duration
-// and metric. In array-of-structs form each such scan strides 56 bytes per
-// touched double; in struct-of-arrays form it streams contiguous memory
-// and vectorizes (support/simd.hpp). So Detector::analyze_records converts
-// into a RecordBatch once and scores it with analyze_batch.
-// BatchTransport::ship and BatchSink::on_batch keep RecordBatch overloads
-// that gather back to AoS for callers holding columns. Conversion round
-// trips are bit-identical — pinned by tests/test_record_batch.cpp across
-// all eight mini-apps.
+// streaming fold, and the offline Detector folds them in that form too.
+// RecordBatch stays only for callers that hold columns: pipebench's tier
+// pass ships them through BatchTransport::ship(int, const RecordBatch&,
+// double), and BatchSink::on_batch(const RecordBatch&) gathers them back
+// to AoS for the one span fold. Conversion round trips are bit-identical
+// — pinned by tests/test_record_batch.cpp across all eight mini-apps.
 #pragma once
 
 #include <cstdint>

@@ -148,9 +148,9 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
       ++st.stale_records;
       continue;
     }
-    // Mirror of the batch path's degeneracy rule: a zero/near-zero
-    // duration is a broken measurement, not the fastest slice — it must
-    // not ratchet the running minima down to 0 and zero every later score.
+    // A zero/near-zero duration is a broken measurement, not the fastest
+    // slice — it must not ratchet the running minima down to 0 and zero
+    // every later score.
     if (is_degenerate(rec)) {
       ++st.degenerate_records;
       continue;
@@ -166,8 +166,8 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     Slot& slot = st.slots[hint.second];
 
     // Running minima. A record that lowers a standard normalizes against
-    // itself (to 1.0), exactly as in the batch path where the global
-    // minimum includes every record.
+    // itself (to 1.0), as it does against the final minimum, which
+    // includes every record.
     if (!slot.has_standard || avg < slot.standard) {
       slot.has_standard = true;
       slot.standard = avg;
@@ -225,6 +225,28 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     const auto weight = static_cast<double>(rec.count);
     cell.weight_over_avg += weight / avg;
     cell.weight += weight;
+  }
+}
+
+void StreamingDetector::flag_records(std::span<const SliceRecord> records,
+                                     std::vector<FlaggedRecord>& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& rec : records) {
+    VS_CHECK_MSG(rec.sensor_id >= 0 &&
+                     static_cast<size_t>(rec.sensor_id) < sensors_.size(),
+                 "record references unknown sensor");
+    const auto sensor = static_cast<size_t>(rec.sensor_id);
+    if (is_degenerate(rec) || st_.sensor_records[sensor] < cfg_.min_records) {
+      continue;
+    }
+    const int g = group_of(rec.metric);
+    const Slot* slot = find_slot(rec.sensor_id, g);
+    if (slot == nullptr || !slot->has_standard) continue;
+    const double normalized =
+        std::max(slot->standard, kMinStandardTime) / rec.avg_duration;
+    if (normalized < cfg_.variance_threshold) {
+      out.push_back({rec, normalized, g});
+    }
   }
 }
 
@@ -813,8 +835,8 @@ AnalysisResult StreamingDetector::finalize() const {
 
   // Apply the final standards to the standard-free cell sums. A cell's
   // records of one (sensor, group) contributed sum(count/avg); multiplying
-  // by the group's final standard yields exactly the batch Detector's
-  // sum(normalized * count) for those records. Cells are visited in
+  // by the group's final standard yields their sum(normalized * count)
+  // without replaying a record. Cells are visited in
   // (sensor, group, rank, bucket) order, so every matrix cell sums its
   // contributions in the same order as Snapshot's cell map.
   for (const uint32_t i : st_.order) {

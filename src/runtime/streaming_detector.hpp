@@ -1,6 +1,8 @@
-// Streaming (incremental) variance detection — the on-line counterpart of
-// the batch Detector (paper §5.4: the dedicated analysis process folds
-// batches as ranks push them, and §2: reports appear during the run).
+// Streaming (incremental) variance detection — the one detection core
+// (paper §5.4: the dedicated analysis process folds batches as ranks push
+// them, and §2: reports appear during the run). Every run, server,
+// checkpoint and tier shard folds through it, and so does the offline
+// Detector, which folds a record set into a fresh instance.
 //
 // Each ingested batch updates per-sensor running state in O(batch) work:
 //  * the cross-rank standard time per (sensor, dynamic-rule group) — a
@@ -8,15 +10,15 @@
 //  * each rank's own fastest slice (intra-process comparison, Fig 13);
 //  * Welford mean/variance of normalized performance per sensor;
 //  * per-(rank, time-bucket) matrix contributions, stored in a
-//    standard-free form (sum of weight/duration) so the final matrices
-//    fill the same cells as the batch Detector's even though the standard
-//    time is only fully known at the end — no history replay, ever.
+//    standard-free form (sum of weight/duration), so the final matrices
+//    apply the standard only once it is fully known, at the end — no
+//    history replay, ever.
 //
 // Intra-/inter-process variance flags are raised online against the
-// standards known at arrival time. finalize() gives the same matrix cells
-// and variance events as Detector::analyze_records on the same records,
-// with values within 1e-12: the two paths sum each cell in a different
-// order, so the last bits can differ.
+// standards known at arrival time. finalize() gives exactly what
+// Detector::analyze_records gives on the same records: a cell sums only
+// records of one (sensor, group, rank), so any delivery that keeps each
+// (sensor, rank) pair's records in order yields the same bits.
 //
 // State layout. The running state is dense, so a record folds by index
 // arithmetic rather than tree lookups:
@@ -91,9 +93,8 @@ enum class CheckpointFrame : uint8_t { Base, Delta };
 
 class StreamingDetector final : public BatchSink, public obs::HealthSource {
  public:
-  /// The analysis horizon (`run_time`) and rank count are fixed up front,
-  /// exactly like a batch analysis over the same window; records past the
-  /// horizon clamp into the last bucket, as in the batch path.
+  /// The analysis horizon (`run_time`) and rank count are fixed up front;
+  /// records past the horizon clamp into the last bucket.
   StreamingDetector(DetectorConfig cfg, std::vector<SensorInfo> sensors,
                     int ranks, double run_time);
 
@@ -184,12 +185,23 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// Slices below threshold against the cross-rank standard (§5.4).
   uint64_t inter_flags() const;
 
-  /// Final matrices and variance events. Against Detector::analyze_records
-  /// over the same records: the same matrix cells and events, with values
-  /// within 1e-12, since the two paths sum each cell in a different order
-  /// (AnalysisResult::flagged stays empty — the online flag counters
-  /// replace the replayed list).
+  /// Final matrices and variance events: the one place standards meet the
+  /// cell sums. Detector::analyze_records over the same records returns
+  /// this bit for bit whenever each (sensor, rank) pair's records reached
+  /// both in the same order (AnalysisResult::flagged stays empty here —
+  /// the online flag counters replace the per-record list).
   AnalysisResult finalize() const;
+
+  /// The per-record list of an offline analysis (AnalysisResult::flagged):
+  /// append to `out`, in order, each record of `records` that is not
+  /// degenerate, whose sensor has at least min_records folded records, and
+  /// that scores max(standard, kMinStandardTime) / avg_duration below
+  /// variance_threshold against its (sensor, group)'s current standard.
+  /// Detector calls it after the last fold, so the standards are final.
+  /// A record of an unknown sensor throws; one whose (sensor, group) has
+  /// no standard is skipped. One lock for the whole pass.
+  void flag_records(std::span<const SliceRecord> records,
+                    std::vector<FlaggedRecord>& out) const;
 
   const DetectorConfig& config() const { return cfg_; }
   int ranks() const { return ranks_; }

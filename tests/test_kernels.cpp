@@ -153,11 +153,10 @@ void expect_records_identical(const std::vector<SliceRecord>& a,
   }
 }
 
-/// Streaming-vs-batch contract, at the strictness the streaming suite
-/// established: cells and severities to 1e-12 (the two paths accumulate
-/// per-cell sums in per-cell-identical order, but the batch path iterates
-/// collector shard-major order, so cross-cell fp scheduling may differ),
-/// everything discrete exactly equal.
+/// Streaming-vs-batch contract: exact. Both sides run the one fold, and
+/// the collector's sensor shards keep each (sensor, rank) pair's records
+/// in arrival order, so cells, severities and everything discrete match
+/// bit for bit.
 void expect_streaming_matches_batch(const AnalysisResult& batch,
                                     const AnalysisResult& streaming) {
   for (int t = 0; t < kSensorTypeCount; ++t) {
@@ -169,8 +168,7 @@ void expect_streaming_matches_batch(const AnalysisResult& batch,
       for (int b = 0; b < bm.buckets(); ++b) {
         ASSERT_EQ(bm.has(r, b), sm.has(r, b)) << "cell " << r << "," << b;
         if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
-              << "cell " << r << "," << b;
+          EXPECT_EQ(bm.at(r, b), sm.at(r, b)) << "cell " << r << "," << b;
         }
       }
     }
@@ -181,8 +179,7 @@ void expect_streaming_matches_batch(const AnalysisResult& batch,
     EXPECT_EQ(batch.events[i].rank_begin, streaming.events[i].rank_begin) << i;
     EXPECT_EQ(batch.events[i].rank_end, streaming.events[i].rank_end) << i;
     EXPECT_EQ(batch.events[i].cells, streaming.events[i].cells) << i;
-    EXPECT_NEAR(batch.events[i].severity, streaming.events[i].severity, 1e-12)
-        << i;
+    EXPECT_EQ(batch.events[i].severity, streaming.events[i].severity) << i;
   }
   EXPECT_EQ(batch.stale_ranks, streaming.stale_ranks);
 }

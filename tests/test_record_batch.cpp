@@ -1,14 +1,16 @@
-// SoA <-> AoS equivalence properties.
+// SoA <-> AoS equivalence properties, and the offline Detector against
+// the fold it wraps.
 //
-// Records travel as AoS SliceRecords; batch analysis converts them into
-// SoA RecordBatches (the scan layout) once, and the column adapters gather
-// back. Every conversion must be bit-identical, and every SoA/SIMD kernel
-// must match its scalar definition bit for bit — otherwise the vectorised
-// path could change a detection result. "Bit-identical" here is literal: the
-// comparisons below go through std::bit_cast / memcmp, not operator==, so
-// NaN payloads and signed zeros count too.
+// Records travel as AoS SliceRecords; RecordBatch is the column adapter
+// for callers that hold columns, and it gathers back to AoS for the one
+// fold. Every conversion must be bit-identical, and so must the Detector's
+// result against a StreamingDetector fold of the same records.
+// "Bit-identical" here is literal: the comparisons below go through
+// std::bit_cast / memcmp, not operator==, so NaN payloads and signed zeros
+// count too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -19,7 +21,6 @@
 #include "runtime/detector.hpp"
 #include "runtime/record_batch.hpp"
 #include "runtime/streaming_detector.hpp"
-#include "support/simd.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
 
@@ -114,57 +115,6 @@ TEST(RecordBatch, RoundTripIsBitIdenticalOnAllEightMiniApps) {
   }
 }
 
-// Every SIMD kernel against its scalar definition, over sizes that cover
-// the vector tail (odd lengths) and lanes a masked compare must skip.
-TEST(Simd, KernelsMatchScalarBitForBit) {
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
-                         size_t{64}, size_t{1023}}) {
-    std::vector<double> v(n);
-    std::vector<double> d(n);
-    for (size_t i = 0; i < n; ++i) {
-      v[i] = dist(rng);
-      d[i] = dist(rng) + 2.0;  // positive denominators
-    }
-    if (n > 2) {
-      v[0] = std::numeric_limits<double>::quiet_NaN();
-      v[1] = -0.0;
-    }
-    const double floor = kMinStandardTime;
-
-    double scalar_min = std::numeric_limits<double>::infinity();
-    for (const double x : v) {
-      if (x >= floor && x < scalar_min) scalar_min = x;
-    }
-    EXPECT_TRUE(bit_equal(simd::min_above(v.data(), n, floor), scalar_min))
-        << "n=" << n;
-
-    std::vector<double> out(n);
-    std::vector<double> expect(n);
-    simd::normalize(v.data(), d.data(), n, floor, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      // The kernel's scalar definition: a NaN standard clamps to the floor
-      // (s > floor is false for NaN), unlike std::max which propagates it.
-      expect[i] = (v[i] > floor ? v[i] : floor) / d[i];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bit_equal(out[i], expect[i])) << "n=" << n << " i=" << i;
-    }
-
-    simd::normalize_uniform(0.5, d.data(), n, floor, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(bit_equal(out[i], 0.5 / d[i])) << "n=" << n << " i=" << i;
-    }
-
-    uint64_t scalar_count = 0;
-    for (const double x : v) {
-      if (x < 0.25) ++scalar_count;
-    }
-    EXPECT_EQ(simd::count_below(v.data(), n, 0.25), scalar_count) << "n=" << n;
-  }
-}
-
 void expect_same_state(const StreamingDetector::Snapshot& a,
                        const StreamingDetector::Snapshot& b) {
   EXPECT_EQ(a.observed, b.observed);
@@ -243,45 +193,144 @@ TEST(StreamingDetector, SoaFoldMatchesAosFoldBitForBit) {
   expect_same_state(via_aos.snapshot(), via_soa.snapshot());
 }
 
-// analyze_batch is the vectorized core analyze_records wraps; the results
-// must agree with a from-scratch scalar path on mini-app records too.
-TEST(Detector, AnalyzeBatchAgreesWithStreamingOnMiniApp) {
-  auto workload = workloads::make_workload("CG");
-  workloads::RunOptions opts;
-  opts.params.iterations = 4;
-  opts.params.scale = 0.05;
-  Collector collector;
-  auto cfg = workloads::baseline_config(8);
-  cfg.ranks_per_node = 4;
-  const auto run =
-      workloads::run_workload(*workload, cfg, opts, &collector);
-  const auto records = collector.take_records();
-  ASSERT_FALSE(records.empty());
-
-  Detector detector;
-  const auto sensors = workload->sensors();
-  const auto batch = detector.analyze_batch(RecordBatch::from_aos(records),
-                                            sensors, 8, run.makespan);
-  const auto aos = detector.analyze_records(records, sensors, 8, run.makespan);
-  ASSERT_EQ(batch.events.size(), aos.events.size());
-  ASSERT_EQ(batch.flagged.size(), aos.flagged.size());
-  for (size_t i = 0; i < batch.flagged.size(); ++i) {
-    EXPECT_TRUE(bit_equal(batch.flagged[i].normalized,
-                          aos.flagged[i].normalized))
+void expect_same_result(const AnalysisResult& a, const AnalysisResult& b) {
+  for (int t = 0; t < kSensorTypeCount; ++t) {
+    const auto& am = a.matrices[static_cast<size_t>(t)];
+    const auto& bm = b.matrices[static_cast<size_t>(t)];
+    ASSERT_EQ(am.ranks(), bm.ranks());
+    ASSERT_EQ(am.buckets(), bm.buckets());
+    for (int r = 0; r < am.ranks(); ++r) {
+      for (int k = 0; k < am.buckets(); ++k) {
+        ASSERT_EQ(am.has(r, k), bm.has(r, k)) << t << ": " << r << "," << k;
+        EXPECT_TRUE(bit_equal(am.at(r, k), bm.at(r, k)))
+            << t << ": " << r << "," << k;
+      }
+    }
+  }
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    const auto& ae = a.events[i];
+    const auto& be = b.events[i];
+    EXPECT_EQ(ae.type, be.type) << i;
+    EXPECT_EQ(ae.rank_begin, be.rank_begin) << i;
+    EXPECT_EQ(ae.rank_end, be.rank_end) << i;
+    EXPECT_EQ(ae.cells, be.cells) << i;
+    EXPECT_TRUE(bit_equal(ae.t_begin, be.t_begin)) << i;
+    EXPECT_TRUE(bit_equal(ae.t_end, be.t_end)) << i;
+    EXPECT_TRUE(bit_equal(ae.severity, be.severity)) << i;
+    EXPECT_EQ(ae.likely_wait_on_slow_ranks, be.likely_wait_on_slow_ranks)
         << i;
   }
+  EXPECT_EQ(a.stale_ranks, b.stale_ranks);
+}
 
-  StreamingDetector streaming(DetectorConfig{}, sensors, 8, run.makespan);
-  streaming.on_batch(RecordBatch::from_aos(records));
-  const auto streamed = streaming.finalize();
-  ASSERT_EQ(streamed.events.size(), batch.events.size());
-  for (size_t i = 0; i < streamed.events.size(); ++i) {
-    EXPECT_EQ(streamed.events[i].type, batch.events[i].type) << i;
-    EXPECT_EQ(streamed.events[i].rank_begin, batch.events[i].rank_begin) << i;
-    EXPECT_EQ(streamed.events[i].rank_end, batch.events[i].rank_end) << i;
-    EXPECT_NEAR(streamed.events[i].severity, batch.events[i].severity, 1e-12)
-        << i;
+/// The flag list built the slow way: each sensor's records normalized on
+/// their own by normalize_records (the paper's Fig 13 procedure), skipping
+/// degenerate records and sensors with fewer than min_records real ones.
+std::vector<FlaggedRecord> flag_oracle(const Detector& detector,
+                                       const std::vector<SliceRecord>& records,
+                                       size_t sensors) {
+  const DetectorConfig& cfg = detector.config();
+  std::vector<double> normalized(records.size(), 0.0);
+  std::vector<uint32_t> real(sensors, 0);
+  for (size_t s = 0; s < sensors; ++s) {
+    std::vector<size_t> at;
+    std::vector<SliceRecord> mine;
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (records[i].sensor_id != static_cast<int32_t>(s)) continue;
+      at.push_back(i);
+      mine.push_back(records[i]);
+      if (!is_degenerate(records[i])) ++real[s];
+    }
+    const auto scores = detector.normalize_records(mine);
+    for (size_t j = 0; j < at.size(); ++j) normalized[at[j]] = scores[j];
   }
+  std::vector<FlaggedRecord> flagged;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const SliceRecord& rec = records[i];
+    if (is_degenerate(rec)) continue;
+    if (real[static_cast<size_t>(rec.sensor_id)] < cfg.min_records) continue;
+    if (!(normalized[i] < cfg.variance_threshold)) continue;
+    const int group =
+        cfg.metric_bucket_width > 0.0
+            ? static_cast<int>(std::floor(static_cast<double>(rec.metric) /
+                                          cfg.metric_bucket_width))
+            : 0;
+    flagged.push_back({rec, normalized[i], group});
+  }
+  return flagged;
+}
+
+// analyze_records is a fold, a finalize and one flag pass: on workload
+// records its result equals a StreamingDetector fold of the same records
+// bit for bit, even when the fold sees them rank by rank (each (sensor,
+// rank) pair keeps its order), and its flag list equals the per-sensor
+// normalize_records oracle, with dynamic rules off and on. CG is the
+// mini-app; CAPACITY's miss-rate metric splits one sensor into three
+// dynamic-rule groups. A bad node slows ranks 4-7, so every group flags.
+TEST(Detector, AnalyzeRecordsIsTheFoldOnMiniApp) {
+  DetectorConfig flat;
+  DetectorConfig grouped;
+  grouped.metric_bucket_width = 0.1;
+  size_t flags_in_groups = 0;  // flagged records of a nonzero group
+  for (const char* name : {"CG", "CAPACITY"}) {
+    SCOPED_TRACE(name);
+    auto workload = workloads::make_workload(name);
+    workloads::RunOptions opts;
+    opts.params.iterations = 4;
+    opts.params.scale = 0.05;
+    // Slices shorter than one CAPACITY walk: each record carries one
+    // class's miss rate, not a slice-averaged blend.
+    opts.runtime.slice_seconds = 1e-5;
+    Collector collector;
+    auto cfg = workloads::baseline_config(8);
+    cfg.ranks_per_node = 4;
+    workloads::inject_bad_node(cfg, 1);
+    const auto run =
+        workloads::run_workload(*workload, cfg, opts, &collector);
+    auto records = collector.take_records();
+    ASSERT_FALSE(records.empty());
+    records[3].avg_duration = 0.0;  // a degenerate record in the mix
+    const auto sensors = workload->sensors();
+
+    auto by_rank = records;
+    std::stable_sort(by_rank.begin(), by_rank.end(),
+                     [](const SliceRecord& a, const SliceRecord& b) {
+                       return a.rank < b.rank;
+                     });
+
+    size_t flags = 0;
+    for (const DetectorConfig& dcfg : {flat, grouped}) {
+      SCOPED_TRACE("metric_bucket_width " +
+                   std::to_string(dcfg.metric_bucket_width));
+      const Detector detector(dcfg);
+      const auto result =
+          detector.analyze_records(records, sensors, 8, run.makespan);
+
+      StreamingDetector fold(dcfg, sensors, 8, run.makespan);
+      constexpr size_t kChunk = 97;
+      for (size_t off = 0; off < by_rank.size(); off += kChunk) {
+        fold.on_batch(std::span<const SliceRecord>(by_rank).subspan(
+            off, std::min(kChunk, by_rank.size() - off)));
+      }
+      expect_same_result(result, fold.finalize());
+
+      const auto oracle = flag_oracle(detector, records, sensors.size());
+      ASSERT_EQ(result.flagged.size(), oracle.size());
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        EXPECT_TRUE(bit_equal(result.flagged[i].record, oracle[i].record))
+            << i;
+        EXPECT_TRUE(
+            bit_equal(result.flagged[i].normalized, oracle[i].normalized))
+            << i;
+        EXPECT_EQ(result.flagged[i].group, oracle[i].group) << i;
+        if (oracle[i].group != 0) ++flags_in_groups;
+      }
+      flags += oracle.size();
+    }
+    EXPECT_GT(flags, 0u);
+  }
+  EXPECT_GT(flags_in_groups, 0u);
 }
 
 }  // namespace

@@ -63,8 +63,7 @@ void expect_equivalent(const AnalysisResult& batch,
       for (int b = 0; b < bm.buckets(); ++b) {
         ASSERT_EQ(bm.has(r, b), sm.has(r, b)) << "cell " << r << "," << b;
         if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
-              << "cell " << r << "," << b;
+          EXPECT_EQ(bm.at(r, b), sm.at(r, b)) << "cell " << r << "," << b;
         }
       }
     }
@@ -79,7 +78,7 @@ void expect_equivalent(const AnalysisResult& batch,
     EXPECT_EQ(be.cells, se.cells) << i;
     EXPECT_DOUBLE_EQ(be.t_begin, se.t_begin) << i;
     EXPECT_DOUBLE_EQ(be.t_end, se.t_end) << i;
-    EXPECT_NEAR(be.severity, se.severity, 1e-12) << i;
+    EXPECT_EQ(be.severity, se.severity) << i;
     EXPECT_EQ(be.likely_wait_on_slow_ranks, se.likely_wait_on_slow_ranks) << i;
   }
 }
@@ -313,6 +312,15 @@ TEST(Detector, RejectsRecordFromUnknownRank) {
                                      make_record(0, rank, 1e-3, 1e-6)};
     EXPECT_THROW(batch.analyze_records(records, one_sensor(), 2, 1.0), Error);
   }
+  // One shape rule for every record: a degenerate record is checked before
+  // it is set aside, so one of a rank or sensor the run does not have
+  // throws too.
+  std::vector<SliceRecord> degenerate_rank{make_record(0, 2, 1e-3, 0.0)};
+  EXPECT_THROW(batch.analyze_records(degenerate_rank, one_sensor(), 2, 1.0),
+               Error);
+  std::vector<SliceRecord> degenerate_sensor{make_record(5, 0, 1e-3, 0.0)};
+  EXPECT_THROW(batch.analyze_records(degenerate_sensor, one_sensor(), 2, 1.0),
+               Error);
   std::vector<SliceRecord> in_range{make_record(0, 1, 0.0, 2e-6)};
   EXPECT_NO_THROW(batch.analyze_records(in_range, one_sensor(), 2, 1.0));
 }

@@ -66,7 +66,7 @@ void expect_same_matrices(const AnalysisResult& batch,
         ASSERT_EQ(bm.has(r, b), sm.has(r, b))
             << "type " << t << " cell " << r << "," << b;
         if (bm.has(r, b)) {
-          EXPECT_NEAR(bm.at(r, b), sm.at(r, b), 1e-12)
+          EXPECT_EQ(bm.at(r, b), sm.at(r, b))
               << "type " << t << " cell " << r << "," << b;
         }
       }
