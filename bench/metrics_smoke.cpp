@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                                     wall_begin)
           .count();
 
-  auto report = obs::attribution(workload_wall);
+  auto report = obs::attribution(workload_wall, kRanks);
   report.virtual_makespan = run_plain.makespan;
   report.virtual_overhead_seconds = with_obs.run.makespan - run_plain.makespan;
   report.virtual_overhead_fraction =

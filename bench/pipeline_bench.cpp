@@ -12,6 +12,8 @@
 // throughput at any rank count.
 //
 // Usage: pipeline_bench [output.json]
+#include <malloc.h>
+
 #include <cstdio>
 #include <random>
 #include <span>
@@ -254,6 +256,12 @@ void bench_fanin(BenchReporter& out) {
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_pipeline.json";
   BenchReporter out("pipeline");
+  // Fixed glibc thresholds (the values pipebench uses): otherwise the large
+  // frees of one bench raise the dynamic mmap/trim thresholds and change
+  // whether the next bench's allocations reuse warm heap or fault in fresh
+  // pages, so each figure would depend on the benches run before it.
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
 
   bench_crc(out);
   bench_stage_to_collector(out);

@@ -88,9 +88,11 @@ ScopedStage::~ScopedStage() {
   if (parent_ != nullptr) parent_->child_ns_ += total;
 }
 
-OverheadReport attribution(double workload_wall_seconds) {
+OverheadReport attribution(double workload_wall_seconds, int workload_threads) {
   OverheadReport report;
   report.workload_wall_seconds = workload_wall_seconds;
+  report.workload_threads = std::max(workload_threads, 1);
+  const double thread_seconds = workload_wall_seconds * report.workload_threads;
   const StageClock& clock = StageClock::global();
   report.monitoring_wall_seconds =
       static_cast<double>(clock.total_nanos()) * 1e-9;
@@ -106,18 +108,15 @@ OverheadReport attribution(double workload_wall_seconds) {
     if (report.monitoring_wall_seconds > 0.0) {
       b.share_of_monitoring = b.seconds / report.monitoring_wall_seconds;
     }
-    if (workload_wall_seconds > 0.0) {
-      b.share_of_workload = b.seconds / workload_wall_seconds;
-    }
+    if (thread_seconds > 0.0) b.share_of_workload = b.seconds / thread_seconds;
     report.stages.push_back(b);
   }
   std::sort(report.stages.begin(), report.stages.end(),
             [](const StageBreakdown& a, const StageBreakdown& b) {
               return a.seconds > b.seconds;
             });
-  if (workload_wall_seconds > 0.0) {
-    report.monitoring_wall_fraction =
-        report.monitoring_wall_seconds / workload_wall_seconds;
+  if (thread_seconds > 0.0) {
+    report.monitoring_wall_fraction = report.monitoring_wall_seconds / thread_seconds;
   }
   return report;
 }
@@ -135,7 +134,9 @@ std::string OverheadReport::to_string() const {
   os << "monitoring wall time: " << fmt_double(monitoring_wall_seconds, 6)
      << " s";
   if (workload_wall_seconds > 0.0) {
-    os << " of " << fmt_double(workload_wall_seconds, 6) << " s ("
+    os << " of " << fmt_double(workload_wall_seconds * workload_threads, 6)
+       << " s rank-thread time (" << workload_threads << " x "
+       << fmt_double(workload_wall_seconds, 6) << " s wall; "
        << fmt_percent(monitoring_wall_fraction) << ")";
   }
   os << "\n";

@@ -94,17 +94,20 @@ struct StageBreakdown {
   uint64_t count = 0;            ///< scope entries
   double seconds = 0.0;          ///< exclusive wall seconds
   double share_of_monitoring = 0.0;
-  double share_of_workload = 0.0;
+  double share_of_workload = 0.0;  ///< of the workload's thread time
 };
 
 /// Self-overhead attribution: where the monitoring layer's own wall time
 /// went, and what it cost the simulated application.
 struct OverheadReport {
   std::vector<StageBreakdown> stages;  ///< occupied stages, largest first
-  double monitoring_wall_seconds = 0.0;
+  double monitoring_wall_seconds = 0.0;  ///< summed over threads
   double workload_wall_seconds = 0.0;
-  /// Wall share: monitoring_wall / workload_wall (how much of the host's
-  /// time the telemetry machinery itself consumed).
+  int workload_threads = 1;  ///< threads that ran the workload
+  /// Thread-time share: monitoring_wall / (workload_threads x
+  /// workload_wall) (how much of the workload threads' time the telemetry
+  /// machinery itself consumed). At most 1 when only those threads enter
+  /// monitoring stages, however much they overlap.
   double monitoring_wall_fraction = 0.0;
 
   // Virtual-time side — the paper's §6.2 overhead claim. Deterministic
@@ -119,8 +122,11 @@ struct OverheadReport {
 
 /// Build the attribution from the global StageClock. `workload_wall_seconds`
 /// is the wall time of the monitored run section (caller-measured); pass 0
-/// to skip the wall-fraction column. Virtual fields are left for the caller.
-OverheadReport attribution(double workload_wall_seconds);
+/// to skip the wall-fraction column. `workload_threads` is the number of
+/// threads that ran it at once (a simulated job's rank count): the clock
+/// sums stage time over threads, so shares are taken of threads x wall.
+/// Virtual fields are left for the caller.
+OverheadReport attribution(double workload_wall_seconds, int workload_threads = 1);
 
 /// Reset all global observability state: stage clock and spans.
 void reset_all();

@@ -43,7 +43,7 @@ void Comm::send(int dst, int tag, uint64_t bytes) {
   VS_CHECK_MSG(dst != rank_, "send: self-messages are not modeled");
   const double t0 = now_;
   auto entry = engine_.post_send(rank_, dst, tag, bytes, now_);
-  now_ = engine_.await_p2p(entry);
+  now_ = engine_.await_p2p(rank_, entry);
   stats_.mpi_time += now_ - t0;
   stats_.messages += 1;
   stats_.bytes_sent += bytes;
@@ -55,7 +55,7 @@ void Comm::recv(int src, int tag, uint64_t bytes) {
   VS_CHECK_MSG(src != rank_, "recv: self-messages are not modeled");
   const double t0 = now_;
   auto entry = engine_.post_recv(src, rank_, tag, bytes, now_);
-  now_ = engine_.await_p2p(entry);
+  now_ = engine_.await_p2p(rank_, entry);
   stats_.mpi_time += now_ - t0;
   emit(TraceEvent::Kind::Recv, t0, bytes, src, tag, "MPI_Recv");
 }
@@ -68,8 +68,8 @@ void Comm::sendrecv(int dst, int send_tag, uint64_t send_bytes, int src, int rec
   const double t0 = now_;
   auto send_entry = engine_.post_send(rank_, dst, send_tag, send_bytes, now_);
   auto recv_entry = engine_.post_recv(src, rank_, recv_tag, recv_bytes, now_);
-  const double send_done = engine_.await_p2p(send_entry);
-  const double recv_done = engine_.await_p2p(recv_entry);
+  const double send_done = engine_.await_p2p(rank_, send_entry);
+  const double recv_done = engine_.await_p2p(rank_, recv_entry);
   now_ = std::max(send_done, recv_done);
   stats_.mpi_time += now_ - t0;
   stats_.messages += 1;
@@ -102,7 +102,7 @@ void Comm::wait(Request& request) {
   VS_CHECK_MSG(request.valid(), "wait on an empty request");
   const double t0 = now_;
   auto entry = std::static_pointer_cast<Engine::P2PEntry>(request.entry_);
-  const double done = engine_.await_p2p(entry);
+  const double done = engine_.await_p2p(rank_, entry);
   // Non-blocking overlap: the rank only waits if completion is in its
   // future; a message already delivered costs nothing at wait().
   now_ = std::max(now_, done);

@@ -27,61 +27,86 @@ double RunResult::total_mpi_time() const {
   return s;
 }
 
+namespace {
+
+// Polls of a ready flag before a waiting rank parks. Most rendezvous partners
+// arrive within a few scheduler slices, so a short yield loop saves the
+// sleep/wake round trip through the kernel; yielding (not spinning on a
+// pause) keeps the loop cheap when rank threads outnumber the CPUs.
+constexpr int kYieldTries = 100;
+
+}  // namespace
+
 Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   VS_CHECK_MSG(cfg_.ranks > 0, "need at least one rank");
   VS_CHECK_MSG(cfg_.ranks_per_node > 0, "ranks_per_node must be positive");
+  parking_ = std::make_unique<Parking[]>(static_cast<size_t>(cfg_.ranks));
 }
 
 Engine::~Engine() = default;
 
 Engine::P2PEntryPtr Engine::post_send(int src, int dst, int tag, uint64_t bytes,
                                       double now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  check_not_aborted();
-  auto& queue = channels_[ChannelKey{src, dst, tag}];
-  for (auto& entry : queue) {
-    if (entry->has_receiver && !entry->has_sender) {
-      // Whichever side posts second checks the sizes (see post_recv), so a
-      // mismatch is caught whatever order the rank threads run in.
-      VS_CHECK_MSG(entry->bytes == bytes,
-                   "send/recv size mismatch on channel (src,dst,tag)");
+  P2PEntryPtr matched;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    check_not_aborted();
+    auto& queue = channels_[ChannelKey{src, dst, tag}];
+    for (auto& entry : queue) {
+      if (entry->has_receiver && !entry->has_sender) {
+        // Whichever side posts second checks the sizes (see post_recv), so a
+        // mismatch is caught whatever order the rank threads run in.
+        VS_CHECK_MSG(entry->bytes == bytes,
+                     "send/recv size mismatch on channel (src,dst,tag)");
+        entry->has_sender = true;
+        entry->sender_time = now;
+        matched = entry;
+        try_complete(matched, queue);
+        break;
+      }
+    }
+    if (!matched) {
+      auto entry = std::make_shared<P2PEntry>();
       entry->has_sender = true;
       entry->sender_time = now;
-      auto kept = entry;
-      try_complete(kept, queue);
-      return kept;
+      entry->bytes = bytes;
+      queue.push_back(entry);
+      return entry;
     }
   }
-  auto entry = std::make_shared<P2PEntry>();
-  entry->has_sender = true;
-  entry->sender_time = now;
-  entry->bytes = bytes;
-  queue.push_back(entry);
-  return entry;
+  wake(dst);  // the receiver posted first and may be parked on the entry
+  return matched;
 }
 
 Engine::P2PEntryPtr Engine::post_recv(int src, int dst, int tag, uint64_t bytes,
                                       double now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  check_not_aborted();
-  auto& queue = channels_[ChannelKey{src, dst, tag}];
-  for (auto& entry : queue) {
-    if (entry->has_sender && !entry->has_receiver) {
-      VS_CHECK_MSG(entry->bytes == bytes,
-                   "send/recv size mismatch on channel (src,dst,tag)");
+  P2PEntryPtr matched;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    check_not_aborted();
+    auto& queue = channels_[ChannelKey{src, dst, tag}];
+    for (auto& entry : queue) {
+      if (entry->has_sender && !entry->has_receiver) {
+        VS_CHECK_MSG(entry->bytes == bytes,
+                     "send/recv size mismatch on channel (src,dst,tag)");
+        entry->has_receiver = true;
+        entry->receiver_time = now;
+        matched = entry;
+        try_complete(matched, queue);
+        break;
+      }
+    }
+    if (!matched) {
+      auto entry = std::make_shared<P2PEntry>();
       entry->has_receiver = true;
       entry->receiver_time = now;
-      auto kept = entry;
-      try_complete(kept, queue);
-      return kept;
+      entry->bytes = bytes;
+      queue.push_back(entry);
+      return entry;
     }
   }
-  auto entry = std::make_shared<P2PEntry>();
-  entry->has_receiver = true;
-  entry->receiver_time = now;
-  entry->bytes = bytes;
-  queue.push_back(entry);
-  return entry;
+  wake(src);  // the sender posted first and may be parked on the entry
+  return matched;
 }
 
 void Engine::try_complete(const P2PEntryPtr& entry, std::deque<P2PEntryPtr>& queue) {
@@ -91,78 +116,99 @@ void Engine::try_complete(const P2PEntryPtr& entry, std::deque<P2PEntryPtr>& que
   const double cost =
       p2p_cost(cfg_.net, entry->bytes) * cfg_.congestion.factor_at(match_time);
   entry->done_time = match_time + cost;
-  entry->complete = true;
+  entry->ready.store(true, std::memory_order_release);
   const auto it = std::find(queue.begin(), queue.end(), entry);
   if (it != queue.end()) queue.erase(it);
-  cv_.notify_all();
 }
 
-double Engine::await_p2p(const P2PEntryPtr& entry) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(cfg_.deadlock_timeout);
-  while (!entry->complete && !aborted_) {
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !entry->complete && !aborted_) {
-      aborted_ = true;
-      cv_.notify_all();
-      throw SimError("simMPI: point-to-point operation timed out (deadlock?)");
-    }
-  }
-  check_not_aborted();
+double Engine::await_p2p(int rank, const P2PEntryPtr& entry) {
+  await_ready(rank, entry->ready,
+              "simMPI: point-to-point operation timed out (deadlock?)");
   return entry->done_time;
 }
 
 double Engine::collective(int rank, uint64_t seq, CollKind kind, int root,
                           uint64_t bytes, double now) {
-  (void)rank;
-  std::unique_lock<std::mutex> lock(mu_);
-  check_not_aborted();
-  auto& entry = collectives_[seq];
-  if (!entry) {
-    entry = std::make_shared<CollEntry>();
-    entry->kind = kind;
-    entry->root = root;
-    entry->bytes = bytes;
-  } else {
-    VS_CHECK_MSG(entry->kind == kind, "collective kind mismatch across ranks");
-    VS_CHECK_MSG(entry->root == root, "collective root mismatch across ranks");
-    VS_CHECK_MSG(entry->bytes == bytes, "collective size mismatch across ranks");
-  }
-  auto kept = entry;
-  kept->arrived += 1;
-  kept->max_time = std::max(kept->max_time, now);
-  if (kept->arrived == cfg_.ranks) {
-    const double cost = collective_cost(kind, cfg_.net, cfg_.ranks, bytes) *
-                        cfg_.congestion.factor_at(kept->max_time);
-    kept->done_time = kept->max_time + cost;
-    kept->complete = true;
-    collectives_.erase(seq);
-    cv_.notify_all();
-    return kept->done_time;
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(cfg_.deadlock_timeout);
-  while (!kept->complete && !aborted_) {
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !kept->complete && !aborted_) {
-      aborted_ = true;
-      cv_.notify_all();
-      throw SimError("simMPI: collective timed out (ranks diverged?)");
+  CollEntryPtr kept;
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    check_not_aborted();
+    auto& entry = collectives_[seq];
+    if (!entry) {
+      entry = std::make_shared<CollEntry>();
+      entry->kind = kind;
+      entry->root = root;
+      entry->bytes = bytes;
+    } else {
+      VS_CHECK_MSG(entry->kind == kind, "collective kind mismatch across ranks");
+      VS_CHECK_MSG(entry->root == root, "collective root mismatch across ranks");
+      VS_CHECK_MSG(entry->bytes == bytes, "collective size mismatch across ranks");
+    }
+    kept = entry;
+    kept->arrived += 1;
+    kept->max_time = std::max(kept->max_time, now);
+    last = kept->arrived == cfg_.ranks;
+    if (last) {
+      const double cost = collective_cost(kind, cfg_.net, cfg_.ranks, bytes) *
+                          cfg_.congestion.factor_at(kept->max_time);
+      kept->done_time = kept->max_time + cost;
+      kept->ready.store(true, std::memory_order_release);
+      collectives_.erase(seq);
     }
   }
-  check_not_aborted();
+  if (last) {
+    // Every other rank has arrived, so each one polls or parks on this entry.
+    for (int r = 0; r < cfg_.ranks; ++r) {
+      if (r != rank) wake(r);
+    }
+  } else {
+    await_ready(rank, kept->ready, "simMPI: collective timed out (ranks diverged?)");
+  }
   return kept->done_time;
 }
 
+void Engine::await_ready(int rank, const std::atomic<bool>& ready,
+                         const char* timeout_message) {
+  for (int i = 0; i < kYieldTries; ++i) {
+    if (ready.load(std::memory_order_acquire) ||
+        aborted_.load(std::memory_order_acquire)) {
+      check_not_aborted();
+      return;
+    }
+    std::this_thread::yield();
+  }
+  Parking& park = parking_[static_cast<size_t>(rank)];
+  std::unique_lock<std::mutex> lock(park.mu);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(cfg_.deadlock_timeout);
+  const bool woken = park.cv.wait_until(lock, deadline, [&] {
+    return ready.load(std::memory_order_acquire) ||
+           aborted_.load(std::memory_order_acquire);
+  });
+  lock.unlock();
+  if (!woken) {
+    abort_all();
+    throw SimError(timeout_message);
+  }
+  check_not_aborted();
+}
+
+void Engine::wake(int rank) {
+  // Taking the parked rank's mutex orders the ready (or abort) store before
+  // its predicate check, so a rank that is about to park cannot miss it.
+  Parking& park = parking_[static_cast<size_t>(rank)];
+  { std::lock_guard<std::mutex> lock(park.mu); }
+  park.cv.notify_one();
+}
+
 void Engine::abort_all() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
-  cv_.notify_all();
+  aborted_.store(true, std::memory_order_release);
+  for (int r = 0; r < cfg_.ranks; ++r) wake(r);
 }
 
 void Engine::check_not_aborted() const {
-  if (aborted_) throw SimError("simMPI: job aborted");
+  if (aborted_.load(std::memory_order_acquire)) throw SimError("simMPI: job aborted");
 }
 
 RunResult Engine::run(const RankFn& fn) {
@@ -170,8 +216,8 @@ RunResult Engine::run(const RankFn& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     channels_.clear();
     collectives_.clear();
-    aborted_ = false;
   }
+  aborted_.store(false);
   std::vector<std::unique_ptr<Comm>> comms;
   comms.reserve(static_cast<size_t>(cfg_.ranks));
   for (int r = 0; r < cfg_.ranks; ++r) comms.push_back(std::make_unique<Comm>(*this, r));

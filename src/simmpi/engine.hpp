@@ -8,6 +8,7 @@
 // thread scheduling.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -50,7 +51,8 @@ struct Config {
   CongestionModel congestion;
   std::shared_ptr<TraceSink> trace;  ///< optional; receives all MPI events
   bool trace_compute = false;        ///< also emit Compute events (verbose)
-  double deadlock_timeout = 60.0;    ///< real seconds before declaring deadlock
+  double deadlock_timeout = 60.0;    ///< real seconds one parked wait may last
+                                     ///< before the job is declared deadlocked
   /// Optional: invoked on each rank's own thread right after the rank
   /// function returns, while other ranks may still be running. The
   /// workload layer uses this to drain the rank's staged sensor batches to
@@ -135,8 +137,9 @@ class Engine {
     uint64_t bytes = 0;
     bool has_sender = false;
     bool has_receiver = false;
-    bool complete = false;
     double done_time = 0.0;
+    /// Stored (release) once done_time is final; read with acquire.
+    std::atomic<bool> ready{false};
   };
   using P2PEntryPtr = std::shared_ptr<P2PEntry>;
 
@@ -146,8 +149,9 @@ class Engine {
     uint64_t bytes = 0;
     int arrived = 0;
     double max_time = 0.0;
-    bool complete = false;
     double done_time = 0.0;
+    /// Stored (release) once done_time is final; read with acquire.
+    std::atomic<bool> ready{false};
   };
   using CollEntryPtr = std::shared_ptr<CollEntry>;
 
@@ -157,23 +161,34 @@ class Engine {
     auto operator<=>(const ChannelKey&) const = default;
   };
 
+  /// Where a rank thread sleeps once polling gives up. Only a thread that
+  /// completes an entry this rank posted, or aborts the job, notifies it.
+  struct Parking {
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+
   P2PEntryPtr post_send(int src, int dst, int tag, uint64_t bytes, double now);
   P2PEntryPtr post_recv(int src, int dst, int tag, uint64_t bytes, double now);
   void try_complete(const P2PEntryPtr& entry, std::deque<P2PEntryPtr>& queue);
-  double await_p2p(const P2PEntryPtr& entry);
+  double await_p2p(int rank, const P2PEntryPtr& entry);
 
   double collective(int rank, uint64_t seq, CollKind kind, int root,
                     uint64_t bytes, double now);
 
+  /// Block `rank` until `ready` is set or the job aborts: poll, then park.
+  void await_ready(int rank, const std::atomic<bool>& ready,
+                   const char* timeout_message);
+  void wake(int rank);
   void abort_all() noexcept;
   void check_not_aborted() const;
 
   Config cfg_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  std::unique_ptr<Parking[]> parking_;  ///< one per rank
+  std::atomic<bool> aborted_{false};
+  std::mutex mu_;  ///< guards channels_, collectives_ and their entries
   std::map<ChannelKey, std::deque<P2PEntryPtr>> channels_;
   std::map<uint64_t, CollEntryPtr> collectives_;
-  bool aborted_ = false;
 };
 
 /// Convenience wrapper: build an engine and run one job.

@@ -11,9 +11,11 @@
 
 #include <cctype>
 #include <chrono>
+#include <latch>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/health.hpp"
@@ -326,6 +328,53 @@ TEST(StageClock, ExclusiveTimeAttribution) {
   EXPECT_NEAR(share_sum, 1.0, 1e-9);
   EXPECT_GT(report.monitoring_wall_fraction, 0.0);
   EXPECT_NE(report.to_string().find("probe.tock"), std::string::npos);
+
+  obs::StageClock::global().reset();
+}
+
+// Rank threads overlap: two threads inside a stage at once put twice the
+// elapsed wall on the clock, so shares are taken of thread time.
+TEST(StageClock, ConcurrentThreadsShareThreadTime) {
+  obs::set_enabled(true);
+  obs::StageClock::global().reset();
+
+  std::latch both_inside(2);
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    std::vector<std::jthread> threads;
+    for (int i = 0; i < 2; ++i) {
+      threads.emplace_back([&] {
+        obs::ScopedStage stage(obs::Stage::TransportShip);
+        both_inside.arrive_and_wait();
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+    }
+  }
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  obs::set_enabled(false);
+
+  const auto report = obs::attribution(elapsed, 2);
+  EXPECT_EQ(report.workload_threads, 2);
+  ASSERT_EQ(report.stages.size(), 1u);
+  EXPECT_EQ(report.stages[0].count, 2u);
+  EXPECT_GE(report.monitoring_wall_seconds, 2 * 50e-3);
+  // Each thread's stage time lies inside the elapsed wall.
+  EXPECT_LE(report.monitoring_wall_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(report.monitoring_wall_fraction,
+                   report.monitoring_wall_seconds / (2 * elapsed));
+  EXPECT_DOUBLE_EQ(report.stages[0].share_of_workload,
+                   report.monitoring_wall_fraction);
+  EXPECT_NE(report.to_string().find("rank-thread time"), std::string::npos);
+
+  // The one-thread default divides by wall alone: the overlap shows as
+  // more than all of it.
+  const auto one = obs::attribution(elapsed);
+  EXPECT_EQ(one.workload_threads, 1);
+  EXPECT_DOUBLE_EQ(one.monitoring_wall_fraction,
+                   one.monitoring_wall_seconds / elapsed);
+  EXPECT_GT(one.monitoring_wall_fraction, 1.0);
 
   obs::StageClock::global().reset();
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <string>
+#include <thread>
 
 #include "simmpi/comm.hpp"
 #include "simmpi/engine.hpp"
@@ -224,6 +229,95 @@ TEST(Engine, RankExceptionPropagates) {
                      comm.barrier();
                    }),
                Error);
+}
+
+// --- the wait path: deadlock deadlines and aborts reach parked ranks --------
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(Engine, MutualRecvTimesOut) {
+  Config cfg = small(2);
+  cfg.deadlock_timeout = 0.2;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(run(cfg, [](Comm& comm) { comm.recv(1 - comm.rank(), 1, 8); }),
+               SimError);
+  EXPECT_LT(seconds_since(t0), 5.0);
+}
+
+TEST(Engine, BarrierMissingARankTimesOut) {
+  Config cfg = small(4);
+  cfg.deadlock_timeout = 0.2;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(run(cfg,
+                   [](Comm& comm) {
+                     if (comm.rank() != 1) comm.barrier();
+                   }),
+               SimError);
+  EXPECT_LT(seconds_since(t0), 5.0);
+}
+
+// Ranks 1-3 are parked in the barrier long before rank 0 fails; the abort
+// has to wake them, not their 30 s deadline.
+TEST(Engine, AbortWakesParkedRanks) {
+  Config cfg = small(4);
+  cfg.deadlock_timeout = 30.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run(cfg, [](Comm& comm) {
+      if (comm.rank() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw Error("rank 0 failed");
+      }
+      comm.barrier();
+    });
+    ADD_FAILURE() << "run did not rethrow rank 0's error";
+  } catch (const SimError& e) {
+    ADD_FAILURE() << "expected rank 0's error, got: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed");
+  }
+  EXPECT_LT(seconds_since(t0), 5.0);
+}
+
+// More rank threads than CPUs, every kind of wait: blocking and
+// non-blocking p2p, and collectives with and without a root. The virtual
+// outcome must not depend on how the host scheduled the threads.
+TEST(Engine, OversubscribedRunsAreBitIdentical) {
+  auto job = [](Comm& comm) {
+    const int next = (comm.rank() + 1) % comm.size();
+    const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+    for (int i = 0; i < 200; ++i) {
+      comm.compute(1e-4 * (1 + (comm.rank() * 7 + i) % 5));
+      comm.sendrecv(next, 1, 512, prev, 1, 512);
+      std::array<Comm::Request, 4> reqs = {
+          comm.irecv(prev, 2, 256), comm.irecv(next, 3, 256),
+          comm.isend(next, 2, 256), comm.isend(prev, 3, 256)};
+      comm.waitall(reqs);
+      comm.allreduce(64);
+      comm.bcast(i % comm.size(), 1024);
+    }
+  };
+  Config cfg = small(24);
+  cfg.nodes.set_os_noise(0.1, 1e-4, 7);
+  const auto a = run(cfg, job);
+  const auto b = run(cfg, job);
+  ASSERT_EQ(a.ranks.size(), b.ranks.size());
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  for (size_t r = 0; r < a.ranks.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const RankStats& x = a.ranks[r];
+    const RankStats& y = b.ranks[r];
+    EXPECT_EQ(bits(x.finish_time), bits(y.finish_time));
+    EXPECT_EQ(bits(x.comp_time), bits(y.comp_time));
+    EXPECT_EQ(bits(x.mpi_time), bits(y.mpi_time));
+    EXPECT_EQ(bits(x.overhead_time), bits(y.overhead_time));
+    EXPECT_EQ(bits(x.idle_time), bits(y.idle_time));
+    EXPECT_EQ(x.messages, y.messages);
+    EXPECT_EQ(x.bytes_sent, y.bytes_sent);
+    EXPECT_EQ(x.pmu_instructions, y.pmu_instructions);
+  }
 }
 
 TEST(Engine, TraceSinkSeesAllEvents) {
