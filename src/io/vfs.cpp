@@ -1,6 +1,8 @@
 #include "io/vfs.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -82,14 +84,49 @@ IoResult RealFs::remove_file(const std::string& path) {
   return IoResult::success();
 }
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return false;
-  const std::streamoff size = in.tellg();
+ReadWindow::ReadWindow(std::string_view bytes)
+    : size_(bytes.size()), window_(bytes) {}
+
+ReadWindow::~ReadWindow() = default;
+
+bool ReadWindow::open_file(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return false;
+  auto in = std::make_unique<std::ifstream>(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = *in ? std::streamoff(in->tellg()) : -1;
   if (size < 0) return false;
-  out->resize(static_cast<size_t>(size));
-  in.seekg(0);
-  return static_cast<bool>(in.read(out->data(), size));
+  in_ = std::move(in);
+  size_ = static_cast<uint64_t>(size);
+  at_ = 0;
+  window_ = {};
+  return true;
+}
+
+std::string_view ReadWindow::view(uint64_t pos, size_t n) {
+  pos = std::min(pos, size_);
+  n = static_cast<size_t>(std::min<uint64_t>(n, size_ - pos));
+  if (pos < at_ || pos + n > at_ + window_.size()) refill(pos, n);
+  return window_.substr(static_cast<size_t>(pos - at_), n);
+}
+
+void ReadWindow::refill(uint64_t pos, size_t n) {
+  size_t keep = 0;
+  if (pos >= at_ && pos < at_ + window_.size()) {
+    keep = static_cast<size_t>(at_ + window_.size() - pos);
+    std::memmove(buf_.data(), window_.data() + (pos - at_), keep);
+  }
+  const auto want = static_cast<size_t>(
+      std::min<uint64_t>(std::max(n, kReadBytes), size_ - pos));
+  if (buf_.size() < want) buf_.resize(want);
+  size_t have = keep;
+  if (in_ != nullptr && have < want) {
+    in_->clear();
+    in_->seekg(static_cast<std::streamoff>(pos + have));
+    in_->read(buf_.data() + have, static_cast<std::streamsize>(want - have));
+    have += static_cast<size_t>(std::max<std::streamsize>(in_->gcount(), 0));
+  }
+  at_ = pos;
+  window_ = std::string_view(buf_.data(), have);
 }
 
 RealFs& real_fs() {

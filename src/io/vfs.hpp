@@ -15,15 +15,17 @@
 //  * The interface is write-side only. Loaders (load_journal,
 //    load_checkpoint, load_session_file) already fail closed on damaged bytes;
 //    injecting read faults would only re-test that salvage logic. They
-//    read through the plain read_file below.
+//    read through the plain ReadWindow below.
 //  * Passing a null Vfs* anywhere means "the real filesystem" — existing
 //    call sites keep working untouched via resolve().
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <streambuf>
 #include <string>
+#include <string_view>
 
 namespace vsensor::io {
 
@@ -96,10 +98,41 @@ class RealFs final : public Vfs {
 /// The process-wide real filesystem instance.
 RealFs& real_fs();
 
-/// Read all of `path` into `out`, which is sized from the file first, so
-/// the bytes are copied once and the file is held once. False when the
-/// file cannot be opened or read in full.
-bool read_file(const std::string& path, std::string* out);
+/// The read side: a window that moves forward over the bytes of a file, or
+/// over bytes already in memory, so one loader serves both. A file is read
+/// through one buffer of kReadBytes that grows only to hold the largest
+/// view asked of it, so the file is never held whole. Bytes already in
+/// memory are one window that never moves.
+class ReadWindow {
+ public:
+  static constexpr size_t kReadBytes = size_t{1} << 20;
+
+  /// Over `bytes`, which must outlive the window.
+  explicit ReadWindow(std::string_view bytes = {});
+  ~ReadWindow();
+
+  /// Move the window onto the regular file at `path`, sized now. False,
+  /// and the window unchanged, when it cannot be opened.
+  bool open_file(const std::string& path);
+
+  uint64_t size() const { return size_; }
+
+  /// Bytes [pos, pos + n), clamped to the end. Shorter still only when the
+  /// file can no longer be read that far. Valid until the next call.
+  std::string_view view(uint64_t pos, size_t n);
+
+ private:
+  /// Make the window start at `pos` and hold at least `n` bytes: keep what
+  /// it already holds from `pos` on, then read up to the larger of
+  /// kReadBytes and `n`.
+  void refill(uint64_t pos, size_t n);
+
+  uint64_t size_ = 0;
+  std::unique_ptr<std::ifstream> in_;  ///< null over bytes in memory
+  std::string buf_;
+  uint64_t at_ = 0;          ///< file offset of window_'s first byte
+  std::string_view window_;  ///< the bytes held: all of them in memory
+};
 
 /// Null-tolerant resolution: every durable-I/O entry point takes a Vfs*
 /// that may be null, meaning the real filesystem.

@@ -153,13 +153,15 @@ CheckpointSaveResult try_append_checkpoint(const std::string& path,
   return result;
 }
 
-CheckpointLoad parse_checkpoint(std::string_view bytes,
-                                StreamingDetector* into) {
+namespace {
+
+/// The checkpoint loader over either form of the bytes.
+CheckpointLoad read_checkpoint(io::ReadWindow& bytes, StreamingDetector* into) {
   CheckpointLoad load;
   load.total_bytes = bytes.size();
-  if (!bytes.starts_with(kHeader)) {
-    // Another version of the format names itself on its first line.
-    const auto head = bytes.substr(0, kMagic.size() + 8);
+  // Another version of the format names itself on its first line.
+  const std::string_view head = bytes.view(0, kMagic.size() + 8);
+  if (!head.starts_with(kHeader)) {
     const size_t eol = head.find('\n');
     load.warning =
         head.starts_with(kMagic) && eol != std::string_view::npos
@@ -181,7 +183,7 @@ CheckpointLoad parse_checkpoint(std::string_view bytes,
   }
   uint64_t frames = 0;
   std::string why;
-  const size_t end = walk_frames(
+  const uint64_t end = walk_frames(
       bytes, kHeader.size(),
       [&](std::string_view payload) -> const char* {
         ByteReader in{payload.data(), payload.size()};
@@ -225,16 +227,24 @@ CheckpointLoad parse_checkpoint(std::string_view bytes,
   return load;
 }
 
+}  // namespace
+
+CheckpointLoad parse_checkpoint(std::string_view bytes,
+                                StreamingDetector* into) {
+  io::ReadWindow window(bytes);
+  return read_checkpoint(window, into);
+}
+
 CheckpointLoad load_checkpoint(const std::string& path,
                                StreamingDetector* into) {
   VS_OBS_SCOPED_STAGE(obs::Stage::Durability);
-  std::string bytes;
-  if (!io::read_file(path, &bytes)) {
+  io::ReadWindow bytes;
+  if (!bytes.open_file(path)) {
     CheckpointLoad load;
     load.warning = "checkpoint missing or unreadable: " + path;
     return load;
   }
-  return parse_checkpoint(bytes, into);
+  return read_checkpoint(bytes, into);
 }
 
 }  // namespace vsensor::rt

@@ -152,8 +152,9 @@ struct CheckpointLoad {
   std::string warning;
 };
 
-/// Load `path` and decode its frames straight into `into`: the base
-/// replaces its state, then each delta is applied over it. A missing file,
+/// Load `path` one frame at a time through one bounded buffer and decode
+/// its frames straight into `into`: the base replaces its state, then each
+/// delta is applied over it. A missing file,
 /// another format version, or a truncated, CRC-damaged, malformed or
 /// out-of-shape base yields ok = false with a warning and leaves `into`
 /// untouched; the caller recovers from the journal alone. Damage after the

@@ -12,8 +12,7 @@ namespace vsensor::rt {
 
 namespace {
 
-constexpr const char* kHeader = "vsensor-journal 1\n";
-constexpr size_t kFrameHeaderBytes = 8;  // u32 len + u32 crc
+constexpr std::string_view kHeader = "vsensor-journal 1\n";
 constexpr size_t kPayloadHeaderBytes = 1 + 4 + 8 + 4;  // kind, rank, seq, count
 
 /// Parse one frame payload. Returns false on any structural mismatch.
@@ -40,6 +39,31 @@ bool parse_payload(const char* data, size_t len, JournalFrame* frame) {
                 size_t{count} * kRecordWireBytes);
   }
   return true;
+}
+
+JournalWalk walk_journal(io::ReadWindow& bytes,
+                         const std::function<void(const JournalFrame&)>& apply) {
+  JournalWalk walk;
+  walk.total_bytes = bytes.size();
+  if (bytes.view(0, kHeader.size()) != kHeader) {
+    walk.torn_bytes = walk.total_bytes;
+    walk.warning = "journal header invalid; no frames salvaged";
+    return walk;
+  }
+  walk.header_valid = true;
+  JournalFrame frame;
+  walk.valid_bytes = walk_frames(
+      bytes, kHeader.size(),
+      [&](std::string_view payload) -> const char* {
+        if (!parse_payload(payload.data(), payload.size(), &frame)) {
+          return "malformed frame payload";
+        }
+        apply(frame);
+        return nullptr;
+      },
+      &walk.warning);
+  walk.torn_bytes = walk.total_bytes - walk.valid_bytes;
+  return walk;
 }
 
 }  // namespace
@@ -87,21 +111,26 @@ std::string encode_journal_frame(const JournalFrame& frame) {
   return out;
 }
 
-size_t walk_frames(
-    std::string_view bytes, size_t pos,
+uint64_t walk_frames(
+    io::ReadWindow& bytes, uint64_t pos,
     const std::function<const char*(std::string_view payload)>& accept,
     std::string* warning) {
   while (pos < bytes.size()) {
-    const std::string_view rest = bytes.substr(pos);
+    const uint64_t left = bytes.size() - pos;
+    const std::string_view head = bytes.view(pos, kFrameHeaderBytes);
     uint32_t len = 0;
     uint32_t crc = 0;
-    if (rest.size() >= kFrameHeaderBytes) {
-      std::memcpy(&len, rest.data(), 4);
-      std::memcpy(&crc, rest.data() + 4, 4);
+    if (head.size() == kFrameHeaderBytes) {
+      std::memcpy(&len, head.data(), 4);
+      std::memcpy(&crc, head.data() + 4, 4);
     }
+    // A length past the end is torn before any of it is read, so a crafted
+    // length costs no allocation.
     const std::string_view payload =
-        rest.substr(std::min(rest.size(), kFrameHeaderBytes), len);
-    const char* why = rest.size() < kFrameHeaderBytes ? "torn frame header"
+        head.size() < kFrameHeaderBytes || len > left - kFrameHeaderBytes
+            ? std::string_view()
+            : bytes.view(pos + kFrameHeaderBytes, len);
+    const char* why = head.size() < kFrameHeaderBytes ? "torn frame header"
                       : payload.size() < len          ? "torn frame payload"
                       : crc32(payload) != crc         ? "frame CRC mismatch"
                                                       : accept(payload);
@@ -177,13 +206,13 @@ bool JournalWriter::open_truncated() {
                              : err);
     return false;
   }
-  const auto r = file_->append(kHeader, std::strlen(kHeader));
+  const auto r = file_->append(kHeader.data(), kHeader.size());
   if (!r.ok) {
     record_error(r.error);
     file_.reset();
     return false;
   }
-  n_.committed_bytes += std::strlen(kHeader);
+  n_.committed_bytes += kHeader.size();
   return true;
 }
 
@@ -256,33 +285,27 @@ void JournalWriter::record_error(std::string what) {
   last_error_ = std::move(what);
 }
 
+JournalWalk load_journal(const std::string& path,
+                         const std::function<void(const JournalFrame&)>& apply) {
+  io::ReadWindow bytes;
+  if (!bytes.open_file(path)) {
+    JournalWalk walk;
+    walk.warning = "journal missing or unreadable: " + path;
+    return walk;
+  }
+  return walk_journal(bytes, apply);
+}
+
+JournalWalk parse_journal(std::string_view bytes,
+                          const std::function<void(const JournalFrame&)>& apply) {
+  io::ReadWindow window(bytes);
+  return walk_journal(window, apply);
+}
+
 JournalLoad load_journal(const std::string& path) {
   JournalLoad load;
-  std::string bytes;
-  if (!io::read_file(path, &bytes)) {
-    load.warning = "journal missing or unreadable: " + path;
-    return load;
-  }
-  load.total_bytes = bytes.size();
-
-  if (!std::string_view(bytes).starts_with(kHeader)) {
-    load.torn_bytes = bytes.size();
-    load.warning = "journal header invalid; no frames salvaged";
-    return load;
-  }
-  load.header_valid = true;
-  load.valid_bytes = walk_frames(
-      bytes, std::strlen(kHeader),
-      [&](std::string_view payload) -> const char* {
-        JournalFrame frame;
-        if (!parse_payload(payload.data(), payload.size(), &frame)) {
-          return "malformed frame payload";
-        }
-        load.frames.push_back(std::move(frame));
-        return nullptr;
-      },
-      &load.warning);
-  load.torn_bytes = load.total_bytes - load.valid_bytes;
+  static_cast<JournalWalk&>(load) = load_journal(
+      path, [&](const JournalFrame& frame) { load.frames.push_back(frame); });
   return load;
 }
 

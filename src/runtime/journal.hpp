@@ -86,14 +86,19 @@ size_t journal_frame_bytes(size_t records);
 /// prefixes of a real frame.
 std::string encode_journal_frame(const JournalFrame& frame);
 
+/// Bytes of a frame's `u32 len | u32 crc32` header.
+inline constexpr size_t kFrameHeaderBytes = 8;
+
 /// The salvage rule of the journal, session and checkpoint loaders: walk
 /// the frames of `bytes` from `pos`, handing each intact payload to
 /// `accept`, which returns null to take it or why it is malformed. The
 /// first torn, CRC-damaged or rejected frame ends the walk and is named,
-/// with its offset, in `warning`. Returns the offset past the last
-/// accepted frame.
-size_t walk_frames(
-    std::string_view bytes, size_t pos,
+/// with its offset, in `warning`. A frame whose length runs past the end is
+/// torn before any of it is read. Returns the offset past the last accepted
+/// frame. Over a file, `bytes` reads one frame at a time and `payload` is
+/// valid only during `accept`.
+uint64_t walk_frames(
+    io::ReadWindow& bytes, uint64_t pos,
     const std::function<const char*(std::string_view payload)>& accept,
     std::string* warning);
 
@@ -218,11 +223,10 @@ class JournalWriter {
   std::string last_error_;
 };
 
-/// Result of reading a journal file back. Reading never throws on corrupt
-/// or truncated content: the valid frame prefix is salvaged and the damage
-/// is described, so recovery can proceed with what survived.
-struct JournalLoad {
-  std::vector<JournalFrame> frames;
+/// What walking a journal file found. Walking never throws on corrupt or
+/// truncated content: the valid frame prefix is salvaged and the damage is
+/// described, so recovery can proceed with what survived.
+struct JournalWalk {
   uint64_t valid_bytes = 0;    ///< bytes covered by header + intact frames
   uint64_t total_bytes = 0;    ///< file size as read
   uint64_t torn_bytes = 0;     ///< trailing bytes dropped by salvage
@@ -233,8 +237,25 @@ struct JournalLoad {
   bool clean() const { return header_valid && torn_bytes == 0; }
 };
 
-/// Load `path`, salvaging the valid prefix (see JournalLoad). A missing
-/// file loads as empty-with-warning; a bad header yields zero frames.
+/// Walk the journal at `path` one frame at a time, salvaging the valid
+/// prefix (see JournalWalk): each intact frame is decoded into one reused
+/// JournalFrame, whose records keep their capacity, and handed to `apply`
+/// as it is read, so `apply` copies whatever it keeps. A missing file walks
+/// as empty-with-warning; a bad header yields no frame.
+JournalWalk load_journal(const std::string& path,
+                         const std::function<void(const JournalFrame&)>& apply);
+
+/// The same walk over journal bytes already in memory (the whole file,
+/// header line included).
+JournalWalk parse_journal(std::string_view bytes,
+                          const std::function<void(const JournalFrame&)>& apply);
+
+/// A journal walked whole, with a copy of every frame it applied.
+struct JournalLoad : JournalWalk {
+  std::vector<JournalFrame> frames;
+};
+
+/// load_journal collecting the frames.
 JournalLoad load_journal(const std::string& path);
 
 }  // namespace vsensor::rt

@@ -404,60 +404,63 @@ RecoveryReport AnalysisServer::recover_locked() {
     for (auto& wm : watermarks_) wm = SeqTracker{};
   }
 
-  const JournalLoad jl = load_journal(cfg_.journal_path);
+  // Replay inside the walk: each frame folds as it is read, decoded into
+  // one reused frame, so the journal is never held whole.
+  const JournalWalk jl = load_journal(
+      cfg_.journal_path, [&](const JournalFrame& frame) {
+        switch (frame.kind) {
+          case JournalFrameKind::Batch: {
+            if (frame.rank < 0 ||
+                static_cast<size_t>(frame.rank) >= watermarks_.size() ||
+                !records_fit(frame.records, detector_->sensor_count(),
+                             detector_->ranks())) {
+              ++report.frames_skipped;
+              break;
+            }
+            // Watermark dedup: a frame the checkpoint already covers folds
+            // nowhere — replay is idempotent.
+            if (!watermarks_[static_cast<size_t>(frame.rank)].insert(
+                    frame.seq)) {
+              ++report.frames_skipped;
+              break;
+            }
+            collector_->forward(frame.records);
+            ++delivered_batches_;
+            ++report.frames_replayed;
+            report.records_replayed += frame.records.size();
+            break;
+          }
+          case JournalFrameKind::StaleRank:
+          case JournalFrameKind::RankRejoin:
+            if (frame.rank < 0 || frame.rank >= detector_->ranks()) {
+              ++report.frames_skipped;
+            } else {
+              if (frame.kind == JournalFrameKind::StaleRank) {
+                detector_->mark_stale(frame.rank);
+              } else {
+                detector_->mark_live(frame.rank);
+              }
+              ++report.frames_replayed;
+            }
+            break;
+          case JournalFrameKind::Standard: {
+            const auto view = decode_standard_frame(frame);
+            if (!view) {
+              ++report.frames_skipped;
+              break;
+            }
+            // Min-folds are idempotent, so re-applying updates the
+            // checkpoint already covers is harmless; order vs batch frames
+            // is preserved because the journal records the fold order.
+            detector_->apply_standard_update(view->sensor_id, view->group,
+                                             view->value);
+            ++report.frames_replayed;
+            break;
+          }
+        }
+      });
   report.journal_warning = jl.warning;
   report.torn_bytes = jl.torn_bytes;
-  for (const auto& frame : jl.frames) {
-    switch (frame.kind) {
-      case JournalFrameKind::Batch: {
-        if (frame.rank < 0 ||
-            static_cast<size_t>(frame.rank) >= watermarks_.size() ||
-            !records_fit(frame.records, detector_->sensor_count(),
-                         detector_->ranks())) {
-          ++report.frames_skipped;
-          break;
-        }
-        // Watermark dedup: a frame the checkpoint already covers folds
-        // nowhere — replay is idempotent.
-        if (!watermarks_[static_cast<size_t>(frame.rank)].insert(frame.seq)) {
-          ++report.frames_skipped;
-          break;
-        }
-        collector_->forward(frame.records);
-        ++delivered_batches_;
-        ++report.frames_replayed;
-        report.records_replayed += frame.records.size();
-        break;
-      }
-      case JournalFrameKind::StaleRank:
-      case JournalFrameKind::RankRejoin:
-        if (frame.rank < 0 || frame.rank >= detector_->ranks()) {
-          ++report.frames_skipped;
-        } else {
-          if (frame.kind == JournalFrameKind::StaleRank) {
-            detector_->mark_stale(frame.rank);
-          } else {
-            detector_->mark_live(frame.rank);
-          }
-          ++report.frames_replayed;
-        }
-        break;
-      case JournalFrameKind::Standard: {
-        const auto view = decode_standard_frame(frame);
-        if (!view) {
-          ++report.frames_skipped;
-          break;
-        }
-        // Min-folds are idempotent, so re-applying updates the checkpoint
-        // already covers is harmless; order vs batch frames is preserved
-        // because the journal records the fold order.
-        detector_->apply_standard_update(view->sensor_id, view->group,
-                                         view->value);
-        ++report.frames_replayed;
-        break;
-      }
-    }
-  }
 
   // Checkpoint the recovered state first, then truncate the journal (lazy
   // truncation happens here): only once the checkpoint durably covers the

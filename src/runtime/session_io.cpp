@@ -97,7 +97,7 @@ void write_session(std::string& out, int ranks, double run_time,
 
 /// Parse the meta frame into `out`, or leave `out` untouched and say why
 /// not. `left` is the byte count after the frame.
-const char* read_meta(std::string_view payload, size_t left, Session* out,
+const char* read_meta(std::string_view payload, uint64_t left, Session* out,
                       uint64_t* records) {
   ByteReader in{payload.data(), payload.size(), 1};  // past the kind byte
   Session s;
@@ -205,13 +205,18 @@ std::string encode_session(const Session& session) {
   return out;
 }
 
-Session parse_session(std::string_view bytes) {
-  const size_t eol = bytes.find('\n');
+namespace {
+
+/// The session loader over either form of the bytes.
+Session read_session(io::ReadWindow& bytes) {
+  // The header line, from at most the file's first 64 bytes.
+  const std::string_view head = bytes.view(0, 64);
+  const size_t eol = head.find('\n');
   int version = 0;
-  if (eol == std::string_view::npos || !bytes.starts_with(kMagic) ||
-      std::from_chars(bytes.data() + kMagic.size(), bytes.data() + eol,
+  if (eol == std::string_view::npos || !head.starts_with(kMagic) ||
+      std::from_chars(head.data() + kMagic.size(), head.data() + eol,
                       version) !=
-          std::from_chars_result{bytes.data() + eol, std::errc()}) {
+          std::from_chars_result{head.data() + eol, std::errc()}) {
     throw Error("not a vsensor session file");
   }
   if (version != kVersion) {
@@ -225,15 +230,17 @@ Session parse_session(std::string_view bytes) {
   uint64_t batches = 0;
   enum class Part { Meta, Body, Done } part = Part::Meta;
   std::string warning;
-  const size_t valid = walk_frames(
+  const uint64_t valid = walk_frames(
       bytes, eol + 1,
       [&](std::string_view payload) -> const char* {
         const auto kind =
             static_cast<uint8_t>(payload.empty() ? 0xFF : payload[0]);
         if (part == Part::Meta) {
           part = Part::Body;
-          const auto left = static_cast<size_t>(
-              bytes.data() + bytes.size() - (payload.data() + payload.size()));
+          // The meta frame is the first; the bytes after it bound the
+          // records.
+          const uint64_t left =
+              bytes.size() - (eol + 1 + kFrameHeaderBytes + payload.size());
           return kind == kMetaKind
                      ? read_meta(payload, left, &session, &declared)
                      : "first frame is not the meta frame";
@@ -262,12 +269,17 @@ Session parse_session(std::string_view bytes) {
   return session;
 }
 
+}  // namespace
+
+Session parse_session(std::string_view bytes) {
+  io::ReadWindow window(bytes);
+  return read_session(window);
+}
+
 Session load_session_file(const std::string& path) {
-  std::string bytes;
-  if (!io::read_file(path, &bytes)) {
-    throw Error("cannot open session file: " + path);
-  }
-  return parse_session(bytes);
+  io::ReadWindow bytes;
+  if (!bytes.open_file(path)) throw Error("cannot open session file: " + path);
+  return read_session(bytes);
 }
 
 }  // namespace vsensor::rt

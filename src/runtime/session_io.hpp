@@ -71,10 +71,13 @@ void save_session_file(const std::string& path, const Collector& collector,
 /// sensors and records.
 std::string encode_session(const Session& session);
 
-/// Parse session bytes already in memory. Throws Error when the header
-/// line is not `vsensor-session 4`; damage after it is salvaged instead.
-Session parse_session(std::string_view bytes);
-/// read_file then parse_session; a missing file throws Error.
+/// Load the session at `path` one frame at a time through one bounded
+/// buffer, appending each batch frame's records to `Session::records`,
+/// which is reserved once. Throws Error when the file cannot be opened or
+/// its header line is not `vsensor-session 4`; damage after it is salvaged
+/// instead.
 Session load_session_file(const std::string& path);
+/// The same load over session bytes already in memory.
+Session parse_session(std::string_view bytes);
 
 }  // namespace vsensor::rt

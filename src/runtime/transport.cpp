@@ -43,13 +43,17 @@ BatchTransport::BatchTransport(DeliverySink* sink, int ranks,
 
 BatchTransport::~BatchTransport() { drain(); }
 
-void BatchTransport::deliver(int rank, uint64_t seq,
-                             std::span<const SliceRecord> batch, double now) {
+void BatchTransport::deliver(const DelayedBatch& rb) {
   // The health sampler rides the delivery clock: every unique arrival is a
   // chance for virtual time to cross the next sampling boundary. Called
   // here — never under mu_ — because sampling re-enters sample_health().
-  if (sampler_ != nullptr) sampler_->maybe_sample(now);
-  sink_->on_delivery(rank, seq, batch, now);
+  if (sampler_ != nullptr) sampler_->maybe_sample(rb.now);
+  // One delivery per rank at a time, whichever thread carries it (a
+  // delayed batch rides the thread whose arrival released it), so every
+  // sink sees one order for a rank's batches. Only this lock is held and
+  // no sink calls back into the transport, so no lock order can cycle.
+  std::lock_guard<std::mutex> lock(*rb.delivering);
+  sink_->on_delivery(rb.rank, rb.seq, rb.records, rb.now);
 }
 
 void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
@@ -62,6 +66,7 @@ void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
   ch.stats.batches_delivered += 1;
   ch.stats.records_delivered += ev.records.size();
   ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
+  ev.delivering = ch.delivering.get();
   ready.push_back(std::move(ev));
 }
 
@@ -141,7 +146,7 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
     }
     // Store outside the transport lock: the collector has its own sharded
     // locking and the attached sink its own mutex.
-    for (const auto& rb : ready) deliver(rb.rank, rb.seq, rb.records, rb.now);
+    for (const auto& rb : ready) deliver(rb);
     return true;
   }
 
@@ -176,7 +181,7 @@ void BatchTransport::drain() {
     held.swap(delayed_);
     for (auto& ev : held) accept(std::move(ev), ready);
   }
-  for (const auto& rb : ready) deliver(rb.rank, rb.seq, rb.records, rb.now);
+  for (const auto& rb : ready) deliver(rb);
 }
 
 bool BatchTransport::stale_locked(const Channel& ch, int rank,

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
@@ -157,7 +158,10 @@ class BatchTransport : public obs::HealthSource {
   /// shipping for one rank could deliver its batches out of order, and
   /// the fold's per-rank state (matrix cell sums, last slice, intra
   /// flags) is reproducible only when each rank's batches arrive in the
-  /// order they were shipped (docs/pipeline.md §6e).
+  /// order they were shipped (docs/pipeline.md §6e). A delayed batch is
+  /// delivered by the thread whose arrival released it, under its own
+  /// rank's delivery lock, so two batches of one rank never reach the sink
+  /// at once.
   bool ship(int rank, std::span<const SliceRecord> batch, double now);
 
   /// Same, from struct-of-arrays columns: gathers to the AoS wire form
@@ -232,6 +236,8 @@ class BatchTransport : public obs::HealthSource {
     double now = 0.0;
     int remaining = 0;  ///< deliveries left before this one releases
     std::vector<SliceRecord> records;
+    /// The rank's delivery lock, set when the batch is accepted.
+    std::mutex* delivering = nullptr;
   };
 
   struct Channel {
@@ -246,6 +252,9 @@ class BatchTransport : public obs::HealthSource {
     /// add_rank() age from their creation time, so a late-joining rank is
     /// not instantly stale just because it has not delivered yet.
     double first_seen = 0.0;
+    /// Held around each sink call for this rank. On the heap, so it stays
+    /// put when add_rank() grows the channel table.
+    std::unique_ptr<std::mutex> delivering = std::make_unique<std::mutex>();
   };
 
   /// One delivery arriving at the server: accept it, then release held
@@ -259,9 +268,9 @@ class BatchTransport : public obs::HealthSource {
   void accept(DelayedBatch ev, std::vector<DelayedBatch>& ready);
   bool stale_locked(const Channel& ch, int rank, double now) const;
 
-  /// Hand one deduplicated batch to the sink. Caller must NOT hold mu_.
-  void deliver(int rank, uint64_t seq, std::span<const SliceRecord> batch,
-               double now);
+  /// Hand one deduplicated batch to the sink under its rank's delivery
+  /// lock. Caller must NOT hold mu_.
+  void deliver(const DelayedBatch& rb);
 
   DeliverySink* sink_;
   TransportConfig cfg_;

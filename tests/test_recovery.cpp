@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <set>
@@ -1895,6 +1896,65 @@ TEST(RecoveryEquivalence, TornDeltaAfterJournalResetRecoversExactly) {
     while (i < stream.size()) deliver();
     expect_same_state();
   }
+}
+
+TEST(RecoveryEquivalence, JournalSeveralReadsLongRecoversExactly) {
+  // 1,024 ranks, five 14-record batches each: 5,120 frames of 697 bytes.
+  // Recovery folds each frame as the walk reads it, so the journal crosses
+  // read ends of the bounded buffer while replay and watermark skips run.
+  constexpr int kRanks = 1024;
+  const double T = 10e-3;
+  Rng rng(0x10A6);
+  std::vector<Delivery> stream;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    double t = 0.0;
+    for (uint64_t b = 0; b < 5; ++b) {
+      Delivery d{rank, b, {}, 0.0};
+      for (int i = 0; i < 14; ++i) {
+        t += T / 80.0;
+        const double avg = 1e-4 * (1.0 + 0.1 * static_cast<double>(rng.next_below(10)));
+        d.records.push_back(make_record(static_cast<int>(rng.next_below(2)),
+                                        rank, t, avg,
+                                        rng.next_below(4) == 0 ? 0.9 : 0.1));
+      }
+      d.now = d.records.back().t_end;
+      stream.push_back(std::move(d));
+    }
+  }
+  for (size_t i = stream.size(); i > 1; --i) {
+    std::swap(stream[i - 1], stream[rng.next_below(i)]);
+  }
+
+  ServerRig uninterrupted("long_journal_u", kRanks, T, /*checkpoint_every=*/1000);
+  ServerRig crashed("long_journal_c", kRanks, T, /*checkpoint_every=*/1000);
+  const size_t crash_at = stream.size() * 9 / 10;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == crash_at) {
+      ASSERT_GT(std::filesystem::file_size(crashed.server.config().journal_path),
+                2 * io::ReadWindow::kReadBytes);
+      crashed.server.crash();
+      const auto report = crashed.server.recover();
+      EXPECT_TRUE(report.checkpoint_loaded) << report.checkpoint_warning;
+      EXPECT_GT(report.torn_bytes, 0u);
+      EXPECT_EQ(report.frames_replayed + report.frames_skipped, crash_at);
+      EXPECT_EQ(report.frames_skipped, crash_at / 1000 * 1000);
+    }
+    const auto& d = stream[i];
+    uninterrupted.server.on_delivery(d.rank, d.seq, d.records, d.now);
+    crashed.server.on_delivery(d.rank, d.seq, d.records, d.now);
+  }
+
+  expect_bit_identical(uninterrupted.detector.finalize(),
+                       crashed.detector.finalize());
+  EXPECT_TRUE(snapshot_bytes(crashed.detector.snapshot()) ==
+              snapshot_bytes(uninterrupted.detector.snapshot()))
+      << "recovered state differs from the uninterrupted server's";
+  EXPECT_EQ(uninterrupted.detector.inter_flags(), crashed.detector.inter_flags());
+  EXPECT_EQ(uninterrupted.detector.intra_flags(), crashed.detector.intra_flags());
+  EXPECT_EQ(uninterrupted.collector.counters().ingested,
+            crashed.collector.counters().ingested);
+  EXPECT_EQ(uninterrupted.collector.counters().batches,
+            crashed.collector.counters().batches);
 }
 
 // --------------------------------------------- Satellite regression pins

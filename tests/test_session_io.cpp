@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "io/fault_fs.hpp"
 #include "runtime/detector.hpp"
@@ -18,6 +20,13 @@ constexpr size_t kFrameRecords = 4096;  // records per batch frame
 
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "vsensor_session_" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 Session make_session(size_t records = 50) {
@@ -215,9 +224,7 @@ TEST(SessionIo, EncodeSessionMatchesSavedFile) {
   const std::string path = tmp_path("encode.vsr");
   save_session_file(path, collector, s.ranks, s.run_time, s.transport,
                     s.stale_ranks);
-  std::string bytes;
-  ASSERT_TRUE(io::read_file(path, &bytes));
-  EXPECT_EQ(bytes, encode_session(s));
+  EXPECT_EQ(read_file(path), encode_session(s));
   EXPECT_TRUE(load_session_file(path).clean());
   EXPECT_THROW(load_session_file("/nonexistent/path.vsr"), Error);
 }
@@ -457,8 +464,7 @@ TEST(SessionIo, ShortWriteLeavesTheFramePrefix) {
     } catch (const Error&) {
       threw = true;
     }
-    std::string bytes;
-    ASSERT_TRUE(io::read_file(path, &bytes));
+    const std::string bytes = read_file(path);
     ASSERT_EQ(threw, fs.injected_short_writes() > 0) << "seed " << seed;
     ASSERT_EQ(whole.compare(0, bytes.size(), bytes), 0) << "seed " << seed;
     if (!threw) {

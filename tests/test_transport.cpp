@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/collector.hpp"
@@ -297,6 +302,69 @@ TEST(Transport, DelayedBatchIsOvertakenThenReleased) {
   EXPECT_EQ(stats.delayed_batches, 1u);
   EXPECT_EQ(stats.batches_delivered, 3u);
   expect_conserved(stats);
+}
+
+/// Logs rank 0's deliveries. Its batch 0 blocks until rank 0's next
+/// delivery starts, or 200 ms pass: two deliveries of one rank that may
+/// overlap then do.
+class OverlapSink final : public DeliverySink {
+ public:
+  void on_delivery(int rank, uint64_t seq, std::span<const SliceRecord>,
+                   double) override {
+    if (rank != 0) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    max_in_flight_ = std::max(max_in_flight_, ++in_flight_);
+    log_.push_back("start " + std::to_string(seq));
+    cv_.notify_all();
+    if (seq == 0) {
+      cv_.wait_for(lock, std::chrono::milliseconds(200),
+                   [&] { return log_.size() > 1; });
+    }
+    --in_flight_;
+    log_.push_back("end " + std::to_string(seq));
+  }
+
+  /// Wait until rank 0's batch 0 is inside the sink.
+  bool wait_first() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return !log_.empty(); });
+  }
+
+  int max_in_flight() const { return max_in_flight_; }
+  const std::vector<std::string>& log() const { return log_; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int in_flight_ = 0;
+  int max_in_flight_ = 0;
+  std::vector<std::string> log_;
+};
+
+TEST(Transport, ReleasedBatchNeverOverlapsItsRanksNextDelivery) {
+  // Rank 0's batch 0 waits behind one delivery, so rank 1's ship releases
+  // it and delivers it on rank 1's thread while rank 0 (this thread) ships
+  // its batch 1.
+  ScriptedFaults faults([](int rank, uint64_t seq, uint32_t) {
+    TransportFaultModel::Decision d;
+    if (rank == 0 && seq == 0) d.delay_batches = 1;
+    return d;
+  });
+  OverlapSink sink;
+  BatchTransport transport(&sink, 2, {}, &faults);
+  const std::vector<SliceRecord> mine{make_record(0, 0, 0.0, 2.0)};
+  const std::vector<SliceRecord> theirs{make_record(0, 1, 0.0, 2.0)};
+
+  ASSERT_TRUE(transport.ship(0, mine, 0.0));
+  std::thread rank1([&] { transport.ship(1, theirs, 1e-3); });
+  ASSERT_TRUE(sink.wait_first());
+  EXPECT_TRUE(transport.ship(0, mine, 2e-3));
+  rank1.join();
+
+  EXPECT_EQ(sink.max_in_flight(), 1);
+  EXPECT_EQ(sink.log(),
+            (std::vector<std::string>{"start 0", "end 0", "start 1", "end 1"}));
 }
 
 TEST(Transport, DrainDeliversBatchesStillHeldInTheDelayQueue) {

@@ -135,30 +135,31 @@ Options parse(int argc, char** argv) {
 /// Inspect/verify a write-ahead journal. Exit 0 when the file is clean,
 /// 4 when the valid prefix had to be salvaged.
 int inspect_journal(const std::string& path) {
-  const auto load = rt::load_journal(path);
+  // Indexed by JournalFrameKind; the walk rejects any other kind.
+  unsigned long long kinds[4] = {};
+  unsigned long long frames = 0;
+  unsigned long long records = 0;
+  const auto load = rt::load_journal(path, [&](const rt::JournalFrame& f) {
+    ++frames;
+    ++kinds[static_cast<size_t>(f.kind)];
+    if (f.kind == rt::JournalFrameKind::Batch) records += f.records.size();
+  });
   std::printf("journal: %s\n", path.c_str());
   std::printf("  header: %s\n", load.header_valid ? "ok" : "INVALID");
   std::printf("  bytes: %llu total, %llu valid, %llu torn\n",
               static_cast<unsigned long long>(load.total_bytes),
               static_cast<unsigned long long>(load.valid_bytes),
               static_cast<unsigned long long>(load.torn_bytes));
-  // Indexed by JournalFrameKind; load_journal rejects any other kind.
-  unsigned long long kinds[4] = {};
-  unsigned long long records = 0;
-  for (const auto& f : load.frames) {
-    ++kinds[static_cast<size_t>(f.kind)];
-    if (f.kind == rt::JournalFrameKind::Batch) records += f.records.size();
-  }
-  const auto frames = [&kinds](rt::JournalFrameKind kind) {
+  const auto of_kind = [&kinds](rt::JournalFrameKind kind) {
     return kinds[static_cast<size_t>(kind)];
   };
   std::printf(
-      "  frames: %zu (%llu batch, %llu stale-mark, %llu rejoin, %llu "
+      "  frames: %llu (%llu batch, %llu stale-mark, %llu rejoin, %llu "
       "standard), %llu records\n",
-      load.frames.size(), frames(rt::JournalFrameKind::Batch),
-      frames(rt::JournalFrameKind::StaleRank),
-      frames(rt::JournalFrameKind::RankRejoin),
-      frames(rt::JournalFrameKind::Standard), records);
+      frames, of_kind(rt::JournalFrameKind::Batch),
+      of_kind(rt::JournalFrameKind::StaleRank),
+      of_kind(rt::JournalFrameKind::RankRejoin),
+      of_kind(rt::JournalFrameKind::Standard), records);
   if (!load.warning.empty()) {
     std::printf("  warning: %s\n", load.warning.c_str());
   }
