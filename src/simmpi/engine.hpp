@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "simmpi/models.hpp"
@@ -138,34 +139,32 @@ class Engine {
     bool has_sender = false;
     bool has_receiver = false;
     double done_time = 0.0;
-    /// Stored (release) once done_time is final; read with acquire.
-    std::atomic<bool> ready{false};
+    /// Stored 1 (release) once done_time is final; read with acquire.
+    std::atomic<uint64_t> ready{0};
   };
   using P2PEntryPtr = std::shared_ptr<P2PEntry>;
 
-  struct CollEntry {
-    CollKind kind = CollKind::Barrier;
-    int root = -1;
-    uint64_t bytes = 0;
-    int arrived = 0;
-    double max_time = 0.0;
-    double done_time = 0.0;
-    /// Stored (release) once done_time is final; read with acquire.
-    std::atomic<bool> ready{false};
-  };
-  using CollEntryPtr = std::shared_ptr<CollEntry>;
-
-  // P2P: one FIFO of in-flight entries per (src, dst, tag) channel.
-  struct ChannelKey {
-    int src, dst, tag;
-    auto operator<=>(const ChannelKey&) const = default;
+  /// The FIFOs of every channel (src, this rank, tag) that delivers to one
+  /// rank, keyed by (src, tag). Only the rank itself and its senders lock it.
+  struct alignas(64) Inbox {
+    std::mutex mu;
+    std::map<std::pair<int, int>, std::deque<P2PEntryPtr>> channels;
   };
 
   /// Where a rank thread sleeps once polling gives up. Only a thread that
   /// completes an entry this rank posted, or aborts the job, notifies it.
-  struct Parking {
+  struct alignas(64) Parking {
     std::mutex mu;
     std::condition_variable cv;
+  };
+
+  /// One rank's arrival at its current collective, written by that rank
+  /// alone before it counts itself in (one cache line per rank).
+  struct alignas(64) Arrival {
+    CollKind kind = CollKind::Barrier;
+    int root = 0;
+    uint64_t bytes = 0;
+    double time = 0.0;
   };
 
   P2PEntryPtr post_send(int src, int dst, int tag, uint64_t bytes, double now);
@@ -176,19 +175,25 @@ class Engine {
   double collective(int rank, uint64_t seq, CollKind kind, int root,
                     uint64_t bytes, double now);
 
-  /// Block `rank` until `ready` is set or the job aborts: poll, then park.
-  void await_ready(int rank, const std::atomic<bool>& ready,
+  /// Block `rank` until `ready` reads at least `target` or the job aborts:
+  /// poll, then park.
+  void await_ready(int rank, const std::atomic<uint64_t>& ready, uint64_t target,
                    const char* timeout_message);
   void wake(int rank);
   void abort_all() noexcept;
   void check_not_aborted() const;
 
   Config cfg_;
+  std::unique_ptr<Inbox[]> inboxes_;    ///< one per rank
   std::unique_ptr<Parking[]> parking_;  ///< one per rank
-  std::atomic<bool> aborted_{false};
-  std::mutex mu_;  ///< guards channels_, collectives_ and their entries
-  std::map<ChannelKey, std::deque<P2PEntryPtr>> channels_;
-  std::map<uint64_t, CollEntryPtr> collectives_;
+  std::unique_ptr<Arrival[]> arrivals_;  ///< one per rank, reused by every collective
+  double coll_done_time_ = 0.0;  ///< of the last completed collective
+  /// Collective arrivals so far: collective `seq` is complete once this
+  /// reaches (seq + 1) x ranks.
+  alignas(64) std::atomic<uint64_t> coll_arrived_{0};
+  /// Collectives completed so far; stored (release) after coll_done_time_.
+  alignas(64) std::atomic<uint64_t> coll_done_{0};
+  alignas(64) std::atomic<bool> aborted_{false};
 };
 
 /// Convenience wrapper: build an engine and run one job.

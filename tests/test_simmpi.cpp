@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "simmpi/comm.hpp"
 #include "simmpi/engine.hpp"
@@ -161,6 +163,96 @@ TEST(Engine, CollectiveKindMismatchThrows) {
                      }
                    }),
                Error);  // VS_CHECK reports the kind mismatch
+}
+
+// The last rank to arrive at a collective checks every rank's arrival. The
+// odd rank arrives first (the others sleep after the barrier), so the
+// mismatch is found in its cell, not in the arrival that completes.
+std::string collective_error(int odd_rank, const RankFn& odd, const RankFn& others) {
+  try {
+    run(small(4), [&](Comm& comm) {
+      comm.barrier();
+      if (comm.rank() == odd_rank) {
+        odd(comm);
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        comm.compute(0.01);
+        others(comm);
+      }
+    });
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Engine, CollectiveRootMismatchThrows) {
+  const std::string what = collective_error(
+      1, [](Comm& comm) { comm.bcast(1, 64); },
+      [](Comm& comm) { comm.bcast(0, 64); });
+  EXPECT_NE(what.find("collective root mismatch across ranks"), std::string::npos)
+      << what;
+}
+
+TEST(Engine, CollectiveSizeMismatchThrows) {
+  const std::string what = collective_error(
+      3, [](Comm& comm) { comm.allreduce(16); },
+      [](Comm& comm) { comm.allreduce(8); });
+  EXPECT_NE(what.find("collective size mismatch across ranks"), std::string::npos)
+      << what;
+}
+
+// Back-to-back collectives reuse the engine's arrival state. Every kind and
+// root in turn, with rank-skewed compute in between: each rank's clock after
+// each collective must be the slowest arrival plus the cost model, computed
+// here in plain doubles, bit for bit.
+TEST(Engine, BackToBackCollectivesMatchTheCostModel) {
+  constexpr int kRanks = 12;
+  constexpr int kCollectives = 1200;
+  constexpr CollKind kKinds[] = {CollKind::Barrier,   CollKind::Bcast,
+                                 CollKind::Reduce,    CollKind::Allreduce,
+                                 CollKind::Alltoall,  CollKind::Allgather,
+                                 CollKind::Gather,    CollKind::Scatter};
+  const auto kind_of = [&](int i) { return kKinds[i % 8]; };
+  const auto root_of = [](int i) { return (i / 8) % kRanks; };
+  const auto bytes_of = [](int i) { return uint64_t{8} << (i % 11); };
+  const auto work = [](int rank, int i) {
+    return 1e-6 * (1 + (rank * 5 + i * 3) % 7);
+  };
+  const Config cfg = small(kRanks);
+  std::vector<double> expected(kCollectives);
+  double t = 0.0;
+  for (int i = 0; i < kCollectives; ++i) {
+    double slowest = 0.0;
+    for (int r = 0; r < kRanks; ++r) slowest = std::max(slowest, t + work(r, i));
+    t = slowest + collective_cost(kind_of(i), cfg.net, kRanks, bytes_of(i));
+    expected[static_cast<size_t>(i)] = t;
+  }
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  std::atomic<int> mismatches{0};
+  const auto result = run(cfg, [&](Comm& comm) {
+    for (int i = 0; i < kCollectives; ++i) {
+      comm.compute(work(comm.rank(), i));
+      switch (kind_of(i)) {
+        case CollKind::Barrier: comm.barrier(); break;
+        case CollKind::Bcast: comm.bcast(root_of(i), bytes_of(i)); break;
+        case CollKind::Reduce: comm.reduce(root_of(i), bytes_of(i)); break;
+        case CollKind::Allreduce: comm.allreduce(bytes_of(i)); break;
+        case CollKind::Alltoall: comm.alltoall(bytes_of(i)); break;
+        case CollKind::Allgather: comm.allgather(bytes_of(i)); break;
+        case CollKind::Gather: comm.gather(root_of(i), bytes_of(i)); break;
+        case CollKind::Scatter: comm.scatter(root_of(i), bytes_of(i)); break;
+      }
+      if (bits(comm.now()) != bits(expected[static_cast<size_t>(i)])) {
+        mismatches.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const auto& r : result.ranks) {
+    EXPECT_EQ(bits(r.finish_time), bits(expected.back()));
+    EXPECT_EQ(r.messages, static_cast<uint64_t>(kCollectives));
+  }
 }
 
 TEST(Engine, SendrecvExchangeIsDeadlockFree) {

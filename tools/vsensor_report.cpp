@@ -12,6 +12,9 @@
 //   vsensor-report session.vsr --series=net --points=40
 //   vsensor-report session.vsr --metrics-out=m.jsonl --trace-out=t.json
 //
+// A session whose meta frame did not survive has nothing to re-analyze; it
+// is reported INVALID and exits 4, as a rejected checkpoint does.
+//
 // The crash-tolerant server's durability files, a write-ahead journal
 // (`vsensor-journal`) or a checkpoint (`vsensor-checkpoint`), are
 // verified and summarized:
@@ -229,7 +232,8 @@ std::string first_line(const std::string& path) {
   return head.substr(0, head.find('\n'));
 }
 
-/// Re-run the detector over a session file. Exit 3 when it finds variance.
+/// Re-run the detector over a session file. Exit 3 when it finds variance,
+/// 4 when the session lost its meta frame.
 int analyze_session(const Options& opts) {
   // Exporter flags switch self-telemetry on for this invocation, so the
   // stage clock and the tracer record the reporting pass.
@@ -245,6 +249,13 @@ int analyze_session(const Options& opts) {
     std::fprintf(stderr, "vsensor-report: warning: %s (%llu bytes dropped)\n",
                  w.c_str(),
                  static_cast<unsigned long long>(session.torn_bytes));
+  }
+  // A meta frame never declares fewer than one rank, so a session without
+  // ranks lost its meta frame: there is no sensor table or run time to
+  // analyse against.
+  if (session.ranks == 0) {
+    std::printf("  INVALID: no intact meta frame\n");
+    return 4;
   }
   std::printf("\n");
 
