@@ -1,13 +1,20 @@
 // Collector ingest throughput under concurrent ranks (google-benchmark).
 //
 // The analysis server must not become the bottleneck the paper's <4%
-// overhead budget forbids: with one global mutex every rank serializes on
-// every batch. Sharding by sensor id gives each concurrent producer its
-// own lock in the common case. Run with growing --threads to see the
-// single-mutex baseline (shards:1) flatten while the sharded store
-// (shards:16) scales; thread t pushes records of sensor t, so distinct
-// threads land on distinct shards exactly as distinct sensors do in a run.
+// overhead budget forbids. A plain collector appends each batch to its
+// rank's lane (rank mod 64) under that lane's own lock, so concurrent
+// ranks in distinct lanes never contend. Run with growing --threads and
+// compare shared_lane:0 (thread t plays rank t, its own lane) with
+// shared_lane:1 (thread t plays rank 64 t: every thread in lane 0, the
+// contended case).
+//
+// A plain collector keeps every record it ingests, so the benchmark
+// bounds its memory itself: each thread clears the store every
+// kResetBatches batches with its timer paused, and main() keeps the freed
+// chunks in the heap, so appends after a clear reuse warm memory instead
+// of timing the kernel's page faults.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <memory>
 #include <vector>
@@ -20,6 +27,7 @@ namespace {
 using namespace vsensor;
 
 constexpr size_t kBatchRecords = 64;
+constexpr int64_t kResetBatches = 256;
 
 std::vector<rt::SliceRecord> make_batch(int sensor_id, int rank) {
   std::vector<rt::SliceRecord> batch(kBatchRecords);
@@ -49,27 +57,36 @@ std::vector<rt::SensorInfo> make_sensor_table(size_t n) {
 std::unique_ptr<rt::Collector> g_collector;
 std::unique_ptr<rt::StreamingDetector> g_streaming;
 
-// Concurrent ingest into a bounded collector: shards:1 is the old
-// single-global-mutex design, shards:16 the contention-free path.
-void BM_CollectorIngest(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    rt::CollectorConfig cfg;
-    cfg.shards = static_cast<size_t>(state.range(0));
-    cfg.shard_capacity = 1u << 14;  // bounded: memory stays flat, drops counted
-    g_collector = std::make_unique<rt::Collector>(cfg);
-  }
-  const auto batch = make_batch(state.thread_index(), state.thread_index());
+/// Ingest `batch` once per iteration, clearing the store every
+/// kResetBatches batches with timing paused.
+void ingest_loop(benchmark::State& state,
+                 const std::vector<rt::SliceRecord>& batch) {
+  int64_t batches = 0;
   for (auto _ : state) {
     g_collector->ingest(batch);
+    if (++batches % kResetBatches == 0) {
+      state.PauseTiming();
+      g_collector->reset();
+      state.ResumeTiming();
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kBatchRecords));
+}
+
+// Concurrent lane appends: shared_lane:0 gives every thread its own lane,
+// shared_lane:1 puts every thread in lane 0.
+void BM_CollectorIngest(benchmark::State& state) {
+  if (state.thread_index() == 0) g_collector = std::make_unique<rt::Collector>();
+  const int rank = state.range(0) != 0 ? 64 * state.thread_index()
+                                        : state.thread_index();
+  ingest_loop(state, make_batch(state.thread_index(), rank));
   if (state.thread_index() == 0) g_collector.reset();
 }
 BENCHMARK(BM_CollectorIngest)
-    ->ArgName("shards")
+    ->ArgName("shared_lane")
+    ->Arg(0)
     ->Arg(1)
-    ->Arg(16)
     ->ThreadRange(1, 32)
     ->UseRealTime();
 
@@ -78,20 +95,13 @@ BENCHMARK(BM_CollectorIngest)
 void BM_CollectorIngestStreaming(benchmark::State& state) {
   const int threads = state.threads();
   if (state.thread_index() == 0) {
-    rt::CollectorConfig cfg;
-    cfg.shard_capacity = 1u << 14;
-    g_collector = std::make_unique<rt::Collector>(cfg);
+    g_collector = std::make_unique<rt::Collector>();
     g_collector->set_sensors(make_sensor_table(static_cast<size_t>(threads)));
     g_streaming = std::make_unique<rt::StreamingDetector>(
         rt::DetectorConfig{}, g_collector->sensors(), threads, 10.0);
     g_collector->attach_sink(g_streaming.get());
   }
-  const auto batch = make_batch(state.thread_index(), state.thread_index());
-  for (auto _ : state) {
-    g_collector->ingest(batch);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kBatchRecords));
+  ingest_loop(state, make_batch(state.thread_index(), state.thread_index()));
   if (state.thread_index() == 0) {
     g_collector.reset();
     g_streaming.reset();
@@ -123,4 +133,13 @@ BENCHMARK(BM_StreamingFinalize);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The glibc thresholds pipebench fixes (see the file comment).
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -14,6 +14,9 @@ std::atomic<bool> g_enabled{false};
 
 thread_local ScopedStage* tl_current_stage = nullptr;
 
+/// Next StageClock slot to hand a thread (StageClock::add).
+std::atomic<size_t> g_next_slot{0};
+
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -37,31 +40,42 @@ const char* stage_name(Stage stage) {
 }
 
 void StageClock::add(Stage stage, uint64_t ns) {
-  Cell& cell = cells_[static_cast<size_t>(stage)];
-  cell.ns.fetch_add(ns, std::memory_order_relaxed);
-  cell.n.fetch_add(1, std::memory_order_relaxed);
+  thread_local const size_t tl_slot =
+      g_next_slot.fetch_add(1, std::memory_order_relaxed) % kSlots;
+  Slot& slot = slots_[tl_slot];
+  const auto i = static_cast<size_t>(stage);
+  slot.ns[i].fetch_add(ns, std::memory_order_relaxed);
+  slot.n[i].fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t StageClock::nanos(Stage stage) const {
-  return cells_[static_cast<size_t>(stage)].ns.load(std::memory_order_relaxed);
-}
-
-uint64_t StageClock::count(Stage stage) const {
-  return cells_[static_cast<size_t>(stage)].n.load(std::memory_order_relaxed);
-}
-
-uint64_t StageClock::total_nanos() const {
   uint64_t sum = 0;
-  for (const auto& cell : cells_) {
-    sum += cell.ns.load(std::memory_order_relaxed);
+  for (const Slot& slot : slots_) {
+    sum += slot.ns[static_cast<size_t>(stage)].load(std::memory_order_relaxed);
   }
   return sum;
 }
 
+uint64_t StageClock::count(Stage stage) const {
+  uint64_t sum = 0;
+  for (const Slot& slot : slots_) {
+    sum += slot.n[static_cast<size_t>(stage)].load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+uint64_t StageClock::total_nanos() const {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < kStageCount; ++i) sum += nanos(static_cast<Stage>(i));
+  return sum;
+}
+
 void StageClock::reset() {
-  for (auto& cell : cells_) {
-    cell.ns.store(0, std::memory_order_relaxed);
-    cell.n.store(0, std::memory_order_relaxed);
+  for (Slot& slot : slots_) {
+    for (size_t i = 0; i < kStageCount; ++i) {
+      slot.ns[i].store(0, std::memory_order_relaxed);
+      slot.n[i].store(0, std::memory_order_relaxed);
+    }
   }
 }
 

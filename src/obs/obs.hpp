@@ -38,7 +38,7 @@ enum class Stage : uint8_t {
   Slicing,          ///< slice aggregation + completed-slice handling
   Staging,          ///< BatchStage buffering and batch ship
   TransportShip,    ///< BatchTransport ship/retry/backoff/drain
-  CollectorIngest,  ///< Collector shard scatter + store
+  CollectorIngest,  ///< Collector count + lane append
   DetectStreaming,  ///< StreamingDetector fold + finalize, live or offline
   Export,           ///< session/metric/trace serialization
   Durability,       ///< journal append/commit + checkpoint save/load
@@ -50,6 +50,9 @@ inline constexpr size_t kStageCount = static_cast<size_t>(Stage::kCount);
 const char* stage_name(Stage stage);
 
 /// Per-stage accumulated exclusive wall nanoseconds and entry counts.
+/// Each thread adds to its own slot of cells, so rank threads running
+/// monitoring stages at once never write one cache line; reads sum the
+/// slots.
 class StageClock {
  public:
   void add(Stage stage, uint64_t ns);
@@ -62,11 +65,15 @@ class StageClock {
   static StageClock& global();
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> ns{0};
-    std::atomic<uint64_t> n{0};
+  /// Threads take slots round robin: up to kSlots threads at once each
+  /// have their own. A slot two threads share stays exact, since every add
+  /// is atomic.
+  static constexpr size_t kSlots = 64;
+  struct alignas(64) Slot {
+    std::array<std::atomic<uint64_t>, kStageCount> ns{};
+    std::array<std::atomic<uint64_t>, kStageCount> n{};
   };
-  std::array<Cell, kStageCount> cells_{};
+  std::array<Slot, kSlots> slots_{};
 };
 
 /// RAII stage scope with exclusive-time accounting (see file comment).

@@ -1,18 +1,41 @@
 #include "runtime/collector.hpp"
 
-#include <numeric>
+#include <algorithm>
+#include <memory>
+#include <type_traits>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
 
-Collector::Collector(CollectorConfig cfg) : cfg_(cfg) {
-  VS_CHECK_MSG(cfg_.shards > 0, "collector needs at least one shard");
-  VS_CHECK_MSG(cfg_.shard_capacity > 0, "shard capacity must be positive");
-  shards_.reserve(cfg_.shards);
-  for (size_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(cfg_.shard_capacity));
+static_assert(std::is_trivially_copyable_v<SliceRecord> &&
+                  std::is_trivially_destructible_v<SliceRecord>,
+              "lane chunks copy records into raw storage and never destroy them");
+
+void Collector::ChunkFree::operator()(SliceRecord* chunk) const {
+  std::allocator<SliceRecord>().deallocate(chunk, kChunkRecords);
+}
+
+void Collector::Lane::append(std::span<const SliceRecord> run) {
+  while (!run.empty()) {
+    if (chunks.empty() || tail == kChunkRecords) {
+      Chunk chunk(std::allocator<SliceRecord>().allocate(kChunkRecords));
+      chunks.push_back(std::move(chunk));
+      tail = 0;
+    }
+    const size_t n = std::min(run.size(), kChunkRecords - tail);
+    std::uninitialized_copy_n(run.data(), n, chunks.back().get() + tail);
+    tail += n;
+    run = run.subspan(n);
+  }
+}
+
+template <typename Fn>
+void Collector::Lane::each_chunk(const Fn& fn) const {
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    fn(std::span<const SliceRecord>(
+        chunks[c].get(), c + 1 == chunks.size() ? tail : kChunkRecords));
   }
 }
 
@@ -21,9 +44,8 @@ void Collector::set_sensors(std::vector<SensorInfo> sensors) {
   sensors_ = std::move(sensors);
 }
 
-size_t Collector::shard_of(int32_t sensor_id) const {
-  const auto id = static_cast<uint32_t>(sensor_id < 0 ? 0 : sensor_id);
-  return static_cast<size_t>(id) % shards_.size();
+size_t Collector::lane_of(int32_t rank) {
+  return rank < 0 ? 0 : static_cast<size_t>(rank) % kLanes;
 }
 
 void Collector::count_batch(size_t records) {
@@ -44,67 +66,24 @@ void Collector::ingest(std::span<const SliceRecord> batch) {
   if (batch.empty()) return;
   VS_OBS_SCOPED_STAGE(obs::Stage::CollectorIngest);
   count_batch(batch.size());
-
-  const size_t n_shards = shards_.size();
-  // Uniform batches (every record of one sensor — a rank staging one hot
-  // snippet) take a single lock with no scatter bookkeeping.
-  const size_t first = shard_of(batch[0].sensor_id);
-  bool uniform = true;
-  if (n_shards > 1) {
-    for (const auto& rec : batch) {
-      if (shard_of(rec.sensor_id) != first) {
-        uniform = false;
-        break;
-      }
-    }
+  size_t begin = 0;
+  while (begin < batch.size()) {
+    const size_t lane = lane_of(batch[begin].rank);
+    size_t end = begin + 1;
+    while (end < batch.size() && lane_of(batch[end].rank) == lane) ++end;
+    Lane& dst = lanes_[lane];
+    std::lock_guard<std::mutex> lock(dst.mu);
+    dst.append(batch.subspan(begin, end - begin));
+    begin = end;
   }
-  if (uniform) {
-    Shard& shard = *shards_[first];
-    uint64_t dropped = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& rec : batch) {
-        if (shard.store.full()) ++dropped;
-        shard.store.push(rec);
-      }
-    }
-    if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_release);
-  } else {
-    // Scatter record indices by shard (counting sort), then take each
-    // shard's mutex exactly once for its contiguous run.
-    std::vector<uint32_t> offset(n_shards + 1, 0);
-    for (const auto& rec : batch) ++offset[shard_of(rec.sensor_id) + 1];
-    std::partial_sum(offset.begin(), offset.end(), offset.begin());
-    std::vector<uint32_t> order(batch.size());
-    std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (uint32_t i = 0; i < batch.size(); ++i) {
-      order[cursor[shard_of(batch[i].sensor_id)]++] = i;
-    }
-    for (size_t s = 0; s < n_shards; ++s) {
-      if (offset[s] == offset[s + 1]) continue;
-      Shard& shard = *shards_[s];
-      uint64_t dropped = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (uint32_t i = offset[s]; i < offset[s + 1]; ++i) {
-          if (shard.store.full()) ++dropped;
-          shard.store.push(batch[order[i]]);
-        }
-      }
-      if (dropped > 0) dropped_.fetch_add(dropped, std::memory_order_release);
-    }
-  }
-
   if (sink_ != nullptr) sink_->on_batch(batch);
 }
 
 void Collector::visit_records(
     const std::function<void(std::span<const SliceRecord>)>& fn) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const auto [a, b] = shard->store.segments();
-    if (!a.empty()) fn(a);
-    if (!b.empty()) fn(b);
+  for (const Lane& lane : lanes_) {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.each_chunk(fn);
   }
 }
 
@@ -120,12 +99,13 @@ std::vector<SliceRecord> Collector::records() const {
 std::vector<SliceRecord> Collector::take_records() {
   std::vector<SliceRecord> all;
   all.reserve(record_count());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const auto [a, b] = shard->store.segments();
-    all.insert(all.end(), a.begin(), a.end());
-    all.insert(all.end(), b.begin(), b.end());
-    shard->store.clear();
+  for (Lane& lane : lanes_) {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.each_chunk([&all](std::span<const SliceRecord> chunk) {
+      all.insert(all.end(), chunk.begin(), chunk.end());
+    });
+    lane.chunks.clear();
+    lane.tail = 0;
   }
   taken_.fetch_add(all.size(), std::memory_order_release);
   return all;
@@ -148,9 +128,10 @@ void Collector::restore_counters(const Counters& c) {
 }
 
 void Collector::reset() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->store.clear();
+  for (Lane& lane : lanes_) {
+    std::lock_guard<std::mutex> lock(lane.mu);
+    lane.chunks.clear();
+    lane.tail = 0;
   }
   restore_counters(Counters{});
 }

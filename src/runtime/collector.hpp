@@ -7,20 +7,24 @@
 // trace-volume comparison against tracing tools (§6.4) is faithful, and
 // every batch is handed on to the attached streaming sink.
 //
-// A plain collector (ingest) also stores the records, for the readers that
+// A plain collector (ingest) also keeps the records, for the readers that
 // need them after the run: session export, the offline Detector and
-// component series. Storage is sharded by sensor id: each shard has its
-// own mutex and a bounded ring-buffer store, so concurrent ranks pushing
-// records of different sensors never contend on one global lock and memory
-// stays bounded no matter how long the run is. When a shard overflows, the
-// oldest records are overwritten and counted in dropped_records() —
-// backpressure accounting instead of unbounded growth.
+// component series. Storage is one lane per rank (rank mod kLanes): each
+// lane has its own mutex and holds its records in delivery order, in
+// fixed-size chunks that never move or grow. A transport batch holds one
+// rank's records, so an ingest takes one lane lock and makes one bulk
+// copy; each rank's deliveries already arrive one at a time
+// (docs/pipeline.md §6e), so with at most kLanes ranks no rank waits on a
+// lock another rank holds. Nothing is dropped: a plain collector keeps
+// every record it ingests, 56 bytes each, the bytes the run's session
+// file holds.
 //
 // A collector inside an AnalysisServer stores nothing (forward): the
 // server's journal already holds every record, so its memory is the fold
 // state, not the length of the run.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -32,7 +36,6 @@
 #include "obs/health.hpp"
 #include "runtime/record_batch.hpp"
 #include "runtime/types.hpp"
-#include "support/ring_buffer.hpp"
 
 namespace vsensor::rt {
 
@@ -92,25 +95,15 @@ class DeliverySink {
   }
 };
 
-struct CollectorConfig {
-  /// Number of independent storage shards (sensor_id % shards).
-  size_t shards = 16;
-  /// Bound on records retained per shard. Storage is allocated lazily, so
-  /// a generous bound costs nothing until records actually arrive.
-  size_t shard_capacity = 1u << 20;
-};
-
 class Collector : public DeliverySink, public obs::HealthSource {
  public:
-  Collector() : Collector(CollectorConfig{}) {}
-  explicit Collector(CollectorConfig cfg);
-
   /// Register the sensor table (identical on every rank; registration is
   /// deterministic because instrumentation is static).
   void set_sensors(std::vector<SensorInfo> sensors) override;
 
-  /// Receive one batch from a rank. Thread-safe: records scatter to their
-  /// sensor's shard, and each shard mutex is taken at most once per batch.
+  /// Receive one batch from a rank. Thread-safe: each maximal run of
+  /// records bound for one lane is appended under one lock of that lane
+  /// with one bulk copy; a transport batch, one rank's records, is one run.
   void ingest(std::span<const SliceRecord> batch);
 
   /// Count one batch and hand it to the attached sink exactly as ingest
@@ -143,19 +136,22 @@ class Collector : public DeliverySink, public obs::HealthSource {
 
   const std::vector<SensorInfo>& sensors() const { return sensors_; }
 
-  /// All retained records, gathered into one vector (shard-major order;
+  /// All retained records, gathered into one vector (lane-major order;
   /// stable only after the run joined). This copies — analysis paths
   /// should prefer visit_records() or take_records().
   std::vector<SliceRecord> records() const;
 
   /// Locked view: invokes `fn` on contiguous spans of retained records,
-  /// shard by shard under each shard's lock, without copying anything.
-  /// `fn` must not call back into the collector.
+  /// lane by lane under each lane's lock and chunk by chunk within a lane
+  /// (no span is longer than one chunk), without copying anything. The
+  /// records of each rank, and so of each (sensor, rank) pair, come in
+  /// delivery order. `fn` must not call back into the collector.
   void visit_records(
       const std::function<void(std::span<const SliceRecord>)>& fn) const;
 
-  /// Move all retained records out, leaving the shards empty. Cumulative
-  /// counters (ingested/bytes/batches/dropped) are unaffected.
+  /// Move all retained records out (lane-major order), leaving the lanes
+  /// empty. Cumulative counters (ingested/bytes/batches/dropped) are
+  /// unaffected.
   std::vector<SliceRecord> take_records();
 
   /// Cumulative accounting counters as one value, for checkpointing: a
@@ -164,7 +160,9 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// advance them exactly as the originals did).
   struct Counters {
     uint64_t ingested = 0;  ///< every record received, stored or forwarded
-    uint64_t dropped = 0;   ///< overwritten by a full shard
+    /// Kept for the checkpoint layout: no path drops a record, so it reads
+    /// 0 unless restored from an older checkpoint's counters.
+    uint64_t dropped = 0;
     /// Moved out by take_records or never stored (forward). A server's
     /// collector therefore reads taken == ingested.
     uint64_t taken = 0;
@@ -185,32 +183,47 @@ class Collector : public DeliverySink, public obs::HealthSource {
   /// Records ever ingested or forwarded, including any later dropped or
   /// taken.
   uint64_t ingested_records() const { return ingested_.load(std::memory_order_relaxed); }
-  /// Records overwritten because their shard hit capacity.
+  /// Counters::dropped: 0 unless restored from an older checkpoint.
   uint64_t dropped_records() const { return dropped_.load(std::memory_order_relaxed); }
   /// Total bytes shipped to the server (batches x record wire size).
   uint64_t bytes_received() const { return bytes_.load(std::memory_order_relaxed); }
   /// Number of batch transfers (network messages to the server).
   uint64_t batch_count() const { return batches_.load(std::memory_order_relaxed); }
 
-  size_t shard_count() const { return shards_.size(); }
-
   /// Health plane: cumulative ingest/drop/byte/batch counters plus the
   /// currently retained record count. All lock-free atomic reads.
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
-  struct Shard {
+  /// Lanes, by rank mod kLanes; a negative rank goes to lane 0.
+  static constexpr size_t kLanes = 64;
+  /// Records per chunk: 56 KiB, below glibc's default mmap threshold.
+  static constexpr size_t kChunkRecords = 1024;
+
+  /// Chunk storage is allocated raw: SliceRecord's member initializers
+  /// would otherwise write every record before the copy does.
+  struct ChunkFree {
+    void operator()(SliceRecord* chunk) const;
+  };
+  using Chunk = std::unique_ptr<SliceRecord[], ChunkFree>;
+
+  struct Lane {
     mutable std::mutex mu;
-    RingBuffer<SliceRecord> store;
-    explicit Shard(size_t capacity) : store(capacity) {}
+    std::vector<Chunk> chunks;
+    size_t tail = 0;  ///< records in chunks.back()
+
+    /// Copy `run` to the end of the lane. Caller holds `mu`.
+    void append(std::span<const SliceRecord> run);
+    /// `fn` on each chunk's records, in order. Caller holds `mu`.
+    template <typename Fn>
+    void each_chunk(const Fn& fn) const;
   };
 
-  size_t shard_of(int32_t sensor_id) const;
+  static size_t lane_of(int32_t rank);
   /// The wire accounting ingest and forward share.
   void count_batch(size_t records);
 
-  CollectorConfig cfg_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Lane, kLanes> lanes_;
   std::vector<SensorInfo> sensors_;
   BatchSink* sink_ = nullptr;
   std::atomic<uint64_t> ingested_{0};

@@ -15,8 +15,10 @@ namespace {
 
 /// The one detection core behind every Detector entry point: fold each
 /// span `visit` passes on into a fresh StreamingDetector and finalize it,
-/// then visit the same spans again to flag their records against the
-/// final standards.
+/// then visit the same spans twice more against the final standards:
+/// once to count the records to flag, once to flag them into a list
+/// reserved to exactly that count (a doubling list would set the
+/// analysis's memory peak).
 template <typename Visit>
 AnalysisResult fold_and_flag(const DetectorConfig& cfg,
                              const std::vector<SensorInfo>& sensors, int ranks,
@@ -28,8 +30,14 @@ AnalysisResult fold_and_flag(const DetectorConfig& cfg,
     fold.on_batch(records);
   });
   AnalysisResult result = fold.finalize();
+  StreamingDetector::SlotHint hint;
+  size_t flagged = 0;
   visit([&](std::span<const SliceRecord> records) {
-    fold.flag_records(records, result.flagged);
+    flagged += fold.flag_records(records, hint);
+  });
+  result.flagged.reserve(flagged);
+  visit([&](std::span<const SliceRecord> records) {
+    fold.flag_records(records, hint, &result.flagged);
   });
   return result;
 }
@@ -214,7 +222,7 @@ std::vector<Detector::SeriesPoint> Detector::component_series(
   const auto& sensors = collector.sensors();
 
   // Per-(sensor, group) standard times, as in analyze_records. Two locked
-  // passes over the shards instead of one full copy of the record set.
+  // passes over the lanes instead of one full copy of the record set.
   std::map<std::pair<int, int>, double> standard;
   collector.visit_records([&](std::span<const SliceRecord> seg) {
     for (const auto& rec : seg) {

@@ -98,8 +98,9 @@ struct AnalysisResult {
 /// detection core. Every entry point folds its records into a fresh
 /// StreamingDetector (this config, the sensor table, `ranks` and the
 /// horizon), returns its finalize(), and then fills
-/// AnalysisResult::flagged in one more pass over the same records against
-/// the final standards. So an analysis equals the live fold's finalize()
+/// AnalysisResult::flagged against the final standards: one pass over the
+/// same records counts the flags, and a second fills a list reserved to
+/// exactly that count. So an analysis equals the live fold's finalize()
 /// bit for bit whenever each (sensor, rank) pair's records reach both in
 /// the same order. A record of an unknown sensor or of a rank outside
 /// [0, ranks) throws, degenerate or not, as it does in the fold.
@@ -110,8 +111,8 @@ class Detector {
   /// Full analysis of a finished run: builds per-type matrices, flags
   /// records against per-(sensor, group) standard times, and extracts
   /// variance events from the matrices. Folds the collector's records in
-  /// place, shard by shard, and visits them a second time for the flags,
-  /// so the collector must not ingest during the call.
+  /// place, lane by lane, and visits them twice more for the flags, so
+  /// the collector must not ingest during the call.
   AnalysisResult analyze(const Collector& collector, int ranks,
                          double run_time) const;
 

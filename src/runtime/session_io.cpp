@@ -182,7 +182,7 @@ void save_session_file(const std::string& path, const Collector& collector,
   const auto check = [&path](const io::IoResult& r) {
     if (!r.ok) throw Error("cannot write session file " + path + ": " + r.error);
   };
-  // Stream the records straight out of the collector's shards (locked
+  // Stream the records straight out of the collector's lanes (locked
   // view), one frame at a time, instead of copying the history first.
   std::string out;
   write_session(

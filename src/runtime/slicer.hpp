@@ -45,11 +45,11 @@ class BatchTransport;
 
 /// Per-rank staging buffer: completed slices batch locally and ship to the
 /// collector only when `capacity` records accumulated, so the rank takes a
-/// shard lock once per batch instead of once per record (§5.4). Records
+/// lane lock once per batch instead of once per record (§5.4). Records
 /// stage as plain SliceRecords and ship as one contiguous span — the form
 /// the transport, collector and streaming fold all take. One per rank
 /// thread; not thread-safe — cross-thread contention exists only inside
-/// the collector's shards.
+/// the collector.
 class BatchStage {
  public:
   /// `collector` may be null (records are then staged and discarded on

@@ -228,9 +228,12 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
   }
 }
 
-void StreamingDetector::flag_records(std::span<const SliceRecord> records,
-                                     std::vector<FlaggedRecord>& out) const {
+size_t StreamingDetector::flag_records(std::span<const SliceRecord> records,
+                                       SlotHint& hint,
+                                       std::vector<FlaggedRecord>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (hint.size() != sensors_.size()) hint.assign(sensors_.size(), {0, kNoSlot});
+  size_t flagged = 0;
   for (const auto& rec : records) {
     VS_CHECK_MSG(rec.sensor_id >= 0 &&
                      static_cast<size_t>(rec.sensor_id) < sensors_.size(),
@@ -240,14 +243,22 @@ void StreamingDetector::flag_records(std::span<const SliceRecord> records,
       continue;
     }
     const int g = group_of(rec.metric);
-    const Slot* slot = find_slot(rec.sensor_id, g);
-    if (slot == nullptr || !slot->has_standard) continue;
+    auto& last = hint[sensor];
+    if (last.second == kNoSlot || last.first != g) {
+      const Slot* slot = find_slot(rec.sensor_id, g);
+      if (slot == nullptr) continue;
+      last = {g, static_cast<uint32_t>(slot - st_.slots.data())};
+    }
+    const Slot& slot = st_.slots[last.second];
+    if (!slot.has_standard) continue;
     const double normalized =
-        std::max(slot->standard, kMinStandardTime) / rec.avg_duration;
+        std::max(slot.standard, kMinStandardTime) / rec.avg_duration;
     if (normalized < cfg_.variance_threshold) {
-      out.push_back({rec, normalized, g});
+      ++flagged;
+      if (out != nullptr) out->push_back({rec, normalized, g});
     }
   }
+  return flagged;
 }
 
 void StreamingDetector::mark_stale(int rank, double now) {

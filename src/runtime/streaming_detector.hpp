@@ -192,16 +192,24 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// the online flag counters replace the per-record list).
   AnalysisResult finalize() const;
 
+  /// Per sensor, the (group, slot) of a flag pass's last lookup. The flag
+  /// passes of one analysis share one, so a run of one sensor's records
+  /// finds its slot without a search, as the fold does. Starts empty;
+  /// share one only between passes over an unchanged state.
+  using SlotHint = std::vector<std::pair<int, uint32_t>>;
+
   /// The per-record list of an offline analysis (AnalysisResult::flagged):
-  /// append to `out`, in order, each record of `records` that is not
-  /// degenerate, whose sensor has at least min_records folded records, and
-  /// that scores max(standard, kMinStandardTime) / avg_duration below
+  /// a record of `records` is flagged when it is not degenerate, its
+  /// sensor has at least min_records folded records, and it scores
+  /// max(standard, kMinStandardTime) / avg_duration below
   /// variance_threshold against its (sensor, group)'s current standard.
-  /// Detector calls it after the last fold, so the standards are final.
-  /// A record of an unknown sensor throws; one whose (sensor, group) has
-  /// no standard is skipped. One lock for the whole pass.
-  void flag_records(std::span<const SliceRecord> records,
-                    std::vector<FlaggedRecord>& out) const;
+  /// Returns how many records are flagged and, given `out`, appends them
+  /// to it in order, so a counting pass can size the list a second pass
+  /// fills. Detector calls it after the last fold, so the standards are
+  /// final. A record of an unknown sensor throws; one whose (sensor,
+  /// group) has no standard is skipped. One lock for the whole pass.
+  size_t flag_records(std::span<const SliceRecord> records, SlotHint& hint,
+                      std::vector<FlaggedRecord>* out = nullptr) const;
 
   const DetectorConfig& config() const { return cfg_; }
   int ranks() const { return ranks_; }

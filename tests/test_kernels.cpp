@@ -28,6 +28,7 @@
 #include "runtime/server.hpp"
 #include "runtime/sharded_tier.hpp"
 #include "runtime/streaming_detector.hpp"
+#include "support/error.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
@@ -122,9 +123,9 @@ void expect_bit_identical(const AnalysisResult& a, const AnalysisResult& b) {
   EXPECT_EQ(a.stale_ranks, b.stale_ranks);
 }
 
-/// Canonical record order. The collector stores records shard-major in
+/// Canonical record order. The collector stores records lane-major in
 /// wall-clock arrival order, which thread scheduling is free to permute
-/// between runs; only the per-(rank, sensor) subsequences are
+/// between runs wherever ranks share a lane; only the per-(rank, sensor) subsequences are
 /// deterministic (FIFO delivery, virtual-time slicing). A stable sort by
 /// (rank, sensor) preserves exactly those subsequences, so two runs are
 /// byte-identical iff their canonical forms are.

@@ -12,6 +12,7 @@
 #include <cctype>
 #include <chrono>
 #include <latch>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -377,6 +378,46 @@ TEST(StageClock, ConcurrentThreadsShareThreadTime) {
   EXPECT_GT(one.monitoring_wall_fraction, 1.0);
 
   obs::StageClock::global().reset();
+}
+
+TEST(StageClock, ConcurrentAddsSumExactlyAcrossThreadSlots) {
+  // Each thread adds to its own slot; reads sum the slots. 16 threads add
+  // (thread + 1) x (stage + 1) ns to every stage 1,000 times, so each
+  // stage's total and count are known exactly.
+  constexpr int kThreads = 16;
+  constexpr uint64_t kAdds = 1000;
+  auto clock = std::make_unique<obs::StageClock>();
+  {
+    std::latch start(kThreads);
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&clock, &start, t] {
+        start.arrive_and_wait();
+        for (uint64_t k = 0; k < kAdds; ++k) {
+          for (size_t s = 0; s < obs::kStageCount; ++s) {
+            clock->add(static_cast<obs::Stage>(s),
+                       static_cast<uint64_t>(t + 1) * (s + 1));
+          }
+        }
+      });
+    }
+  }
+  constexpr uint64_t kThreadSum = kThreads * (kThreads + 1) / 2;
+  uint64_t total = 0;
+  for (size_t s = 0; s < obs::kStageCount; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    EXPECT_EQ(clock->nanos(stage), kAdds * kThreadSum * (s + 1)) << s;
+    EXPECT_EQ(clock->count(stage), kAdds * kThreads) << s;
+    total += clock->nanos(stage);
+  }
+  EXPECT_EQ(clock->total_nanos(), total);
+
+  clock->reset();
+  for (size_t s = 0; s < obs::kStageCount; ++s) {
+    EXPECT_EQ(clock->nanos(static_cast<obs::Stage>(s)), 0u) << s;
+    EXPECT_EQ(clock->count(static_cast<obs::Stage>(s)), 0u) << s;
+  }
+  EXPECT_EQ(clock->total_nanos(), 0u);
 }
 
 TEST(StageClock, DisabledScopesCostNothing) {

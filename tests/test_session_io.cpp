@@ -213,10 +213,10 @@ TEST(SessionIo, BatchFramesAreJournalFrames) {
 }
 
 TEST(SessionIo, EncodeSessionMatchesSavedFile) {
-  // Three collector shards hand the writer spans of about 2,800 records,
-  // so batch frames straddle spans.
+  // The collector's lanes hand the writer chunk spans of at most 1,024
+  // records, so batch frames straddle spans.
   Session s = make_session(2 * kFrameRecords + 100);
-  Collector collector(CollectorConfig{3, 1u << 20});
+  Collector collector;
   collector.set_sensors(s.sensors);
   collector.ingest(s.records);
   s.records = collector.records();  // the order the writer visits

@@ -4,7 +4,9 @@
 // online flag/statistics surface the batch path cannot provide.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "runtime/detector.hpp"
 #include "runtime/streaming_detector.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
 
@@ -302,6 +305,104 @@ TEST(StreamingDetector, RejectsUnknownRank) {
   EXPECT_NE(load.warning.find("shape"), std::string::npos) << load.warning;
   EXPECT_EQ(streaming.observed_records(), 1u);
   EXPECT_EQ(streaming.standard_time(0, 0.0F), 2e-6);
+}
+
+TEST(Detector, AnalyzeOfCollectorEqualsAnalyzeRecordsInRankOrder) {
+  // Four rank threads feed one collector with records of three sensors in
+  // two dynamic-rule groups. Its lanes hand the records over rank by rank,
+  // so analyze must equal analyze_records of the same records in per-rank
+  // order bit for bit, and both flag lists must be sized exactly.
+  constexpr int kRanks = 4;
+  constexpr double kRunTime = 10.0;
+  const std::vector<SensorInfo> sensors = {
+      {"compute", SensorType::Computation, "f.c", 1},
+      {"allreduce", SensorType::Network, "f.c", 2},
+      {"write", SensorType::IO, "f.c", 3}};
+  DetectorConfig cfg;
+  cfg.metric_bucket_width = 0.5;
+  std::vector<std::vector<SliceRecord>> per_rank(kRanks);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    Rng rng(100 + static_cast<uint64_t>(rank));
+    for (int i = 0; i < 600; ++i) {
+      const double t = i * (kRunTime / 600);
+      const bool slow = rank < 2 && t >= 3.0 && t < 5.0;
+      const double metric = i % 5 == 0 ? 0.9 : 0.1;
+      const double avg = (metric > 0.5 ? 300e-6 : 100e-6) *
+                         rng.uniform(1.0, 1.2) * (slow ? 2.5 : 1.0);
+      per_rank[static_cast<size_t>(rank)].push_back(
+          make_record(i % 3, rank, t, avg, metric, 1 + i % 4));
+    }
+  }
+  Collector collector;
+  collector.set_sensors(sensors);
+  std::vector<std::thread> threads;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    threads.emplace_back([&collector, &records = per_rank[static_cast<size_t>(rank)]] {
+      for (size_t i = 0; i < records.size(); i += 37) {
+        collector.ingest(std::span<const SliceRecord>(records).subspan(
+            i, std::min<size_t>(37, records.size() - i)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::vector<SliceRecord> ordered;
+  for (const auto& records : per_rank) {
+    ordered.insert(ordered.end(), records.begin(), records.end());
+  }
+
+  const Detector detector(cfg);
+  const auto live = detector.analyze(collector, kRanks, kRunTime);
+  const auto offline =
+      detector.analyze_records(ordered, sensors, kRanks, kRunTime);
+  for (int t = 0; t < kSensorTypeCount; ++t) {
+    const auto& a = live.matrices[static_cast<size_t>(t)];
+    const auto& b = offline.matrices[static_cast<size_t>(t)];
+    ASSERT_EQ(a.ranks(), b.ranks());
+    ASSERT_EQ(a.buckets(), b.buckets());
+    for (int r = 0; r < a.ranks(); ++r) {
+      for (int c = 0; c < a.buckets(); ++c) {
+        ASSERT_EQ(a.has(r, c), b.has(r, c)) << t << ":" << r << "," << c;
+        if (a.has(r, c)) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.at(r, c)),
+                    std::bit_cast<uint64_t>(b.at(r, c)))
+              << t << ":" << r << "," << c;
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(live.events.empty());
+  ASSERT_EQ(live.events.size(), offline.events.size());
+  for (size_t i = 0; i < live.events.size(); ++i) {
+    const auto& a = live.events[i];
+    const auto& b = offline.events[i];
+    EXPECT_EQ(a.type, b.type) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.t_begin), std::bit_cast<uint64_t>(b.t_begin)) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.t_end), std::bit_cast<uint64_t>(b.t_end)) << i;
+    EXPECT_EQ(a.rank_begin, b.rank_begin) << i;
+    EXPECT_EQ(a.rank_end, b.rank_end) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.severity), std::bit_cast<uint64_t>(b.severity)) << i;
+    EXPECT_EQ(a.cells, b.cells) << i;
+    EXPECT_EQ(a.likely_wait_on_slow_ranks, b.likely_wait_on_slow_ranks) << i;
+  }
+  // The lanes list the records in per-rank order, so the flag lists match
+  // record for record.
+  ASSERT_FALSE(live.flagged.empty());
+  ASSERT_EQ(live.flagged.size(), offline.flagged.size());
+  for (size_t i = 0; i < live.flagged.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&live.flagged[i].record, &offline.flagged[i].record,
+                          sizeof(SliceRecord)),
+              0)
+        << i;
+    EXPECT_EQ(live.flagged[i].normalized, offline.flagged[i].normalized) << i;
+    EXPECT_EQ(live.flagged[i].group, offline.flagged[i].group) << i;
+  }
+
+  const auto until = detector.analyze_until(collector, kRanks, 4.0);
+  ASSERT_FALSE(until.flagged.empty());
+  EXPECT_LT(until.flagged.size(), live.flagged.size());
+  for (const auto* result : {&live, &offline, &until}) {
+    EXPECT_EQ(result->flagged.capacity(), result->flagged.size());
+  }
 }
 
 TEST(Detector, RejectsRecordFromUnknownRank) {

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
 #include <vector>
 
 #include "support/histogram.hpp"
-#include "support/ring_buffer.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -138,54 +136,6 @@ TEST(Histogram, BoundaryGoesToUpperBucket) {
   auto h = make_sense_length_histogram();
   h.add(100e-6);  // exactly the bound: belongs to [100us, 10ms)
   EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(RingBuffer, KeepsNewest) {
-  RingBuffer<int> rb(3);
-  for (int i = 1; i <= 5; ++i) rb.push(i);
-  ASSERT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb[0], 3);
-  EXPECT_EQ(rb[1], 4);
-  EXPECT_EQ(rb[2], 5);
-  EXPECT_EQ(rb.newest(), 5);
-  EXPECT_TRUE(rb.full());
-}
-
-TEST(RingBuffer, ClearResets) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, SegmentsAreOldestFirst) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  auto [a, b] = rb.segments();  // not yet wrapped: one contiguous run
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a[0], 1);
-  EXPECT_TRUE(b.empty());
-
-  for (int i = 3; i <= 5; ++i) rb.push(i);
-  std::tie(a, b) = rb.segments();  // wrapped: [3] then [4, 5]
-  std::vector<int> seen(a.begin(), a.end());
-  seen.insert(seen.end(), b.begin(), b.end());
-  EXPECT_EQ(seen, (std::vector<int>{3, 4, 5}));
-}
-
-TEST(RingBuffer, AllocatesLazilyUpToCapacity) {
-  // A generous capacity must not cost memory up front: storage grows with
-  // the elements actually pushed (the collector relies on this for its
-  // large default shard bound).
-  RingBuffer<int> rb(1u << 20);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_FALSE(rb.full());
-  EXPECT_EQ(rb[0], 1);
-  EXPECT_EQ(rb.newest(), 2);
 }
 
 TEST(TextTable, AlignsAndCounts) {
