@@ -4,6 +4,7 @@
 // Paper: overhead below 4% for every program with up to 16,384 processes.
 #include <cstdio>
 
+#include "runtime/transport.hpp"
 #include "support/table.hpp"
 #include "workloads/scenarios.hpp"
 #include "workloads/workload.hpp"
@@ -48,9 +49,10 @@ int main() {
     rcfg.disable_after = 128;
     double overhead_total = 0.0;
     server.set_sensors({{"tiny", rt::SensorType::Computation, "x.c", 1}});
+    rt::BatchTransport transport(&server, cfg.ranks);
     const auto result = simmpi::run(cfg, [&](simmpi::Comm& comm) {
       rt::SensorRuntime sensors(
-          rcfg, comm.rank(), &server, [&comm] { return comm.now(); },
+          rcfg, comm.rank(), &transport, [&comm] { return comm.now(); },
           [&comm](double s) { comm.charge_overhead(s); });
       const int tiny = sensors.register_sensor(
           {"tiny", rt::SensorType::Computation, "x.c", 1});

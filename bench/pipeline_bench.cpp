@@ -96,7 +96,8 @@ void bench_stage_to_collector(BenchReporter& out) {
   out.measure("stage.collector", "records/s", Direction::kHigherIsBetter, 5,
               [&] {
                 Collector collector;
-                BatchStage stage(&collector, 64);
+                BatchTransport transport(&collector, 1);
+                BatchStage stage(&transport, /*rank=*/0, 64);
                 const double s = time_seconds([&] {
                   for (const auto& rec : records) stage.push(rec);
                   stage.flush();

@@ -11,6 +11,7 @@
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/sensor.hpp"
+#include "runtime/transport.hpp"
 #include "simmpi/comm.hpp"
 #include "workloads/scenarios.hpp"
 
@@ -23,17 +24,19 @@ int main() {
   cluster.ranks_per_node = 8;
   workloads::inject_bad_node(cluster, /*node=*/1, /*memory_speed=*/0.55);
 
-  // 2. The analysis server collecting slice records from every rank.
+  // 2. The analysis server collecting slice records from every rank, and
+  //    the transport that carries each rank's batches to it.
   rt::Collector server;
   server.set_sensors({
       {"stencil", rt::SensorType::Computation, "quickstart.cpp", __LINE__},
       {"halo_reduce", rt::SensorType::Network, "quickstart.cpp", __LINE__},
   });
+  rt::BatchTransport transport(&server, cluster.ranks);
 
   // 3. The application: a bulk-synchronous stencil with two sensors.
-  auto result = simmpi::run(cluster, [&server](simmpi::Comm& comm) {
+  auto result = simmpi::run(cluster, [&transport](simmpi::Comm& comm) {
     rt::SensorRuntime sensors(
-        {}, comm.rank(), &server, [&comm] { return comm.now(); },
+        {}, comm.rank(), &transport, [&comm] { return comm.now(); },
         [&comm](double s) { comm.charge_overhead(s); });
     const int stencil = sensors.register_sensor(
         {"stencil", rt::SensorType::Computation, "quickstart.cpp", 0});

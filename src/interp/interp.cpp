@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "interp/value.hpp"
+#include "runtime/transport.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -28,14 +30,14 @@ class RankInterpreter {
   RankInterpreter(const Program& program,
                   const instrument::InstrumentationPlan& plan,
                   const InterpConfig& cfg, simmpi::Comm& comm,
-                  rt::Collector* collector, std::vector<PmuSamples>& pmu,
+                  rt::BatchTransport* transport, std::vector<PmuSamples>& pmu,
                   std::string* output)
       : program_(program),
         cfg_(cfg),
         comm_(comm),
         pmu_(pmu),
         output_(output),
-        sensors_(cfg.runtime, comm.rank(), collector,
+        sensors_(cfg.runtime, comm.rank(), transport,
                  [this] { flush_units(); return comm_.now(); },
                  [this](double s) { comm_.charge_overhead(s); }) {
     globals_.resize(program.globals.size());
@@ -649,7 +651,14 @@ InterpResult run_program(const minic::Program& program,
                          const instrument::InstrumentationPlan& plan,
                          simmpi::Config sim_config, const InterpConfig& config,
                          rt::Collector* collector) {
-  if (collector != nullptr) collector->set_sensors(plan.sensor_table());
+  // Records reach the collector the way every run's do: through a
+  // transport, one channel per rank.
+  std::unique_ptr<rt::BatchTransport> transport;
+  if (collector != nullptr) {
+    collector->set_sensors(plan.sensor_table());
+    transport =
+        std::make_unique<rt::BatchTransport>(collector, sim_config.ranks);
+  }
 
   InterpResult result;
   result.pmu.assign(static_cast<size_t>(sim_config.ranks), {});
@@ -659,7 +668,7 @@ InterpResult run_program(const minic::Program& program,
 
   result.mpi = simmpi::run(std::move(sim_config), [&](simmpi::Comm& comm) {
     std::string local_output;
-    RankInterpreter interp(program, plan, config, comm, collector,
+    RankInterpreter interp(program, plan, config, comm, transport.get(),
                            result.pmu[static_cast<size_t>(comm.rank())],
                            comm.rank() == 0 ? &local_output : nullptr);
     interp.run_main();
@@ -670,6 +679,7 @@ InterpResult run_program(const minic::Program& program,
     }
   });
 
+  if (transport != nullptr) transport->drain();
   for (const auto& s : sense) result.sense.merge(s);
   result.rank0_output = std::move(rank0_output);
   return result;

@@ -63,7 +63,8 @@ struct InterpResult {
 
 /// Execute `program` (optionally instrumented) on a simulated MPI job.
 /// `plan` supplies the sensor table; pass an empty plan for uninstrumented
-/// runs. Slice records flow into `collector` when provided.
+/// runs. Slice records flow through a transport into `collector` when
+/// provided.
 InterpResult run_program(const minic::Program& program,
                          const instrument::InstrumentationPlan& plan,
                          simmpi::Config sim_config, const InterpConfig& config = {},

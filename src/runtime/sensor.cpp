@@ -46,25 +46,14 @@ struct SensorRuntime::State {
   }
 };
 
-SensorRuntime::SensorRuntime(RuntimeConfig cfg, int rank, Collector* collector,
-                             NowFn now, ChargeFn charge)
-    : cfg_(cfg),
-      rank_(rank),
-      now_(std::move(now)),
-      charge_(std::move(charge)),
-      stage_(collector, cfg.batch_records, cfg.stage_reserve_records) {
-  VS_CHECK_MSG(now_ != nullptr, "SensorRuntime needs a clock");
-  VS_CHECK_MSG(charge_ != nullptr, "SensorRuntime needs a charge function");
-}
-
 SensorRuntime::SensorRuntime(RuntimeConfig cfg, int rank,
-                             BatchTransport& transport, NowFn now,
+                             BatchTransport* transport, NowFn now,
                              ChargeFn charge)
     : cfg_(cfg),
       rank_(rank),
       now_(std::move(now)),
       charge_(std::move(charge)),
-      stage_(transport, rank, cfg.batch_records, cfg.stage_reserve_records) {
+      stage_(transport, rank, cfg.batch_records) {
   VS_CHECK_MSG(now_ != nullptr, "SensorRuntime needs a clock");
   VS_CHECK_MSG(charge_ != nullptr, "SensorRuntime needs a charge function");
 }

@@ -1,12 +1,12 @@
 // Per-rank sensor runtime: Tick/Tock probes, smoothing, auto-disable,
-// batched transfer, and sense-distribution statistics (paper §4-§5).
+// batched transfer through the rank's transport channel, and
+// sense-distribution statistics (paper §4-§5).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include "runtime/collector.hpp"
 #include "runtime/slicer.hpp"
 #include "runtime/types.hpp"
 #include "support/histogram.hpp"
@@ -39,12 +39,10 @@ class SensorRuntime {
   using NowFn = std::function<double()>;
   using ChargeFn = std::function<void(double)>;
 
-  SensorRuntime(RuntimeConfig cfg, int rank, Collector* collector, NowFn now,
-                ChargeFn charge);
-
-  /// Transport mode: completed slices ship through the resilient batch
-  /// transport as this rank's channel instead of straight into a collector.
-  SensorRuntime(RuntimeConfig cfg, int rank, BatchTransport& transport,
+  /// Completed slices ship through `transport` as this rank's channel. A
+  /// null transport stages them and drops each batch (probe-cost baselines
+  /// and benchmarks).
+  SensorRuntime(RuntimeConfig cfg, int rank, BatchTransport* transport,
                 NowFn now, ChargeFn charge);
 
   ~SensorRuntime();
@@ -73,7 +71,7 @@ class SensorRuntime {
   const SenseStats& sense_stats() const { return sense_stats_; }
   const std::vector<SensorInfo>& sensors() const { return infos_; }
   uint64_t records_emitted() const { return records_emitted_; }
-  /// Records the transport refused permanently (transport mode only).
+  /// Records the transport refused permanently.
   uint64_t records_lost() const { return stage_.lost_records(); }
 
   // --- intra-process on-line detection (§5.3) ---

@@ -58,27 +58,14 @@
 
 namespace vsensor::rt {
 
-struct ShardedTierConfig {
+/// Every shard's server configuration, plus the tier's own fields. The
+/// journal, checkpoint and flight paths are base paths: shard k writes
+/// "<path>.shard<k>" (an empty flight path derives "<journal_path>.flight"
+/// first). The vfs is shared by every shard's durable writes.
+struct ShardedTierConfig : ServerConfig {
   /// Number of analysis shards (rank % shards routes a delivery).
   int shards = 1;
-  /// Base paths; shard k writes "<path>.shard<k>".
-  std::string journal_path = "analysis.journal";
-  std::string checkpoint_path = "analysis.ckpt";
-  /// Per-shard checkpoint cadence (see ServerConfig).
-  uint64_t checkpoint_every_batches = 0;
-  JournalWriterConfig journal;
   DetectorConfig detector;
-  /// Flight recorder base path; shard k dumps "<base>.shard<k>" on crash
-  /// or torn-journal salvage ("" derives "<journal_path>.flight").
-  std::string flight_path;
-  size_t flight_capacity = 256;
-  /// Storage chaos seam shared by every shard's durable writes (see
-  /// ServerConfig::vfs). Null = real filesystem; non-owning.
-  io::Vfs* vfs = nullptr;
-  /// Per-shard degraded-mode policy (see ServerConfig).
-  uint64_t io_retry_attempts = 3;
-  double io_retry_backoff = 1e-4;
-  uint64_t rearm_every_appends = 4;
 };
 
 class ShardedAnalysisTier final : public DeliverySink,

@@ -62,23 +62,17 @@ namespace {
 // Cumulative over the process: records rescued by a BatchStage destructor
 // because flush() was never called. Monotonic; tests compare deltas.
 std::atomic<uint64_t> g_unflushed_records{0};
+
+// Upper bound on a stage's pre-allocated capacity: a stage with a huge
+// batch_records bound still starts small and grows on demand.
+constexpr size_t kStageReserveRecords = 4096;
 }  // namespace
 
-BatchStage::BatchStage(Collector* collector, size_t capacity, size_t reserve)
-    : collector_(collector), capacity_(capacity), reserve_(reserve) {
+BatchStage::BatchStage(BatchTransport* transport, int rank, size_t capacity)
+    : transport_(transport), rank_(rank), capacity_(capacity) {
   VS_CHECK_MSG(capacity > 0, "batch capacity must be positive");
-  VS_CHECK_MSG(reserve > 0, "stage reserve cap must be positive");
-  buf_.reserve(std::min<size_t>(capacity, reserve_));
-}
-
-BatchStage::BatchStage(BatchTransport& transport, int rank, size_t capacity,
-                       size_t reserve)
-    : collector_(nullptr), transport_(&transport), rank_(rank),
-      capacity_(capacity), reserve_(reserve) {
-  VS_CHECK_MSG(capacity > 0, "batch capacity must be positive");
-  VS_CHECK_MSG(reserve > 0, "stage reserve cap must be positive");
-  VS_CHECK_MSG(rank >= 0, "transport mode needs the owning rank");
-  buf_.reserve(std::min<size_t>(capacity, reserve_));
+  VS_CHECK_MSG(rank >= 0, "a stage ships as its owning rank's channel");
+  buf_.reserve(std::min(capacity, kStageReserveRecords));
 }
 
 BatchStage::~BatchStage() {
@@ -88,8 +82,8 @@ BatchStage::~BatchStage() {
     flush();
   } catch (...) {
     // Destructors must not throw. The records were already counted as
-    // unflushed above, and flush() detached them from the buffer before
-    // shipping, so nothing can double-ship on a later teardown path.
+    // unflushed above, and flush() cleared them from the buffer as the
+    // throw unwound, so nothing can double-ship on a later teardown path.
   }
 }
 
@@ -102,30 +96,25 @@ void BatchStage::push(const SliceRecord& rec) {
   if (buf_.size() >= capacity_) flush();
 }
 
-void BatchStage::ship(std::span<const SliceRecord> batch) {
-  VS_OBS_SCOPED_STAGE(obs::Stage::Staging);
-  if (transport_ != nullptr) {
-    // The batch ships when its newest record completes (clamped at 0);
-    // slices of different sensors need not complete in staging order.
-    double now = 0.0;
-    for (const auto& rec : batch) now = std::max(now, rec.t_end);
-    if (!transport_->ship(rank_, batch, now)) lost_records_ += batch.size();
-    ++shipped_batches_;
-  } else if (collector_ != nullptr) {
-    collector_->ingest(batch);
-    ++shipped_batches_;
-  }
-}
-
 void BatchStage::flush() {
   if (buf_.empty()) return;
-  // Detach the staged records before shipping: if ship() throws mid-way,
-  // a second flush() (or the destructor's) must not ship them again —
-  // flushing is idempotent per record, never at-least-once.
-  std::vector<SliceRecord> batch;
-  std::swap(batch, buf_);
-  buf_.reserve(std::min<size_t>(capacity_, reserve_));
-  ship(batch);
+  VS_OBS_SCOPED_STAGE(obs::Stage::Staging);
+  // Ship the buffer in place, then clear it, also when ship() throws: a
+  // second flush() (or the destructor's) must not ship the same records
+  // again — flushing is idempotent per record, never at-least-once. The
+  // transport copies only a batch it holds, so nothing points into the
+  // buffer once ship() returns, and the buffer keeps its capacity.
+  struct Clear {
+    std::vector<SliceRecord>& buf;
+    ~Clear() { buf.clear(); }
+  } clear{buf_};
+  if (transport_ == nullptr) return;
+  // The batch ships when its newest record completes (clamped at 0);
+  // slices of different sensors need not complete in staging order.
+  double now = 0.0;
+  for (const auto& rec : buf_) now = std::max(now, rec.t_end);
+  if (!transport_->ship(rank_, buf_, now)) lost_records_ += buf_.size();
+  ++shipped_batches_;
 }
 
 }  // namespace vsensor::rt

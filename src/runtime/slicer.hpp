@@ -5,10 +5,8 @@
 
 #include <limits>
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "runtime/collector.hpp"
 #include "runtime/types.hpp"
 
 namespace vsensor::rt {
@@ -43,34 +41,26 @@ class SliceAccumulator {
 
 class BatchTransport;
 
-/// Per-rank staging buffer: completed slices batch locally and ship to the
-/// collector only when `capacity` records accumulated, so the rank takes a
-/// lane lock once per batch instead of once per record (§5.4). Records
-/// stage as plain SliceRecords and ship as one contiguous span — the form
-/// the transport, collector and streaming fold all take. One per rank
-/// thread; not thread-safe — cross-thread contention exists only inside
-/// the collector.
+/// Per-rank staging buffer: completed slices batch locally and ship through
+/// the transport as the rank's channel (sequenced, deduplicated, retried —
+/// see runtime/transport.hpp) only when `capacity` records accumulated, so
+/// the rank reaches the analysis side once per batch instead of once per
+/// record (§5.4). Records stage as plain SliceRecords and ship in place,
+/// as one contiguous span of the staging buffer — the form the transport,
+/// its sinks and the streaming fold all take. One per rank thread; not
+/// thread-safe — cross-thread contention exists only past the transport.
 class BatchStage {
  public:
-  /// `collector` may be null (records are then staged and discarded on
-  /// ship, useful for uninstrumented baselines and benchmarks). `reserve`
-  /// caps the staging buffer's pre-allocation
-  /// (RuntimeConfig::stage_reserve_records).
-  BatchStage(Collector* collector, size_t capacity,
-             size_t reserve = RuntimeConfig{}.stage_reserve_records);
-
-  /// Transport mode: batches ship through the resilient transport as
-  /// `rank`'s channel (sequenced, deduplicated, retried — see
-  /// runtime/transport.hpp) instead of straight into a collector.
-  BatchStage(BatchTransport& transport, int rank, size_t capacity,
-             size_t reserve = RuntimeConfig{}.stage_reserve_records);
+  /// `transport` may be null: records are then staged and discarded on
+  /// ship, for uninstrumented baselines and benchmarks.
+  BatchStage(BatchTransport* transport, int rank, size_t capacity);
 
   /// Flushes: records staged at teardown are shipped, not dropped. The
   /// count of records rescued this way is surfaced process-wide through
   /// unflushed_records(), so a missing explicit flush() stays observable.
-  /// Never throws, and never double-ships: flush() detaches the staged
-  /// records before shipping, so a ship failure can't leave them queued
-  /// for a second send.
+  /// Never throws, and never double-ships: flush() clears the staged
+  /// records even when shipping throws, so a ship failure can't leave them
+  /// queued for a second send.
   ~BatchStage();
 
   /// Stage one record; ships the batch when the capacity is reached.
@@ -80,10 +70,9 @@ class BatchStage {
   void flush();
 
   size_t staged() const { return buf_.size(); }
-  size_t reserve_cap() const { return reserve_; }
   uint64_t shipped_batches() const { return shipped_batches_; }
   /// Records the transport refused permanently (retries exhausted or the
-  /// rank's transport was killed). Always 0 in direct-collector mode.
+  /// rank's transport was killed). Always 0 without a transport.
   uint64_t lost_records() const { return lost_records_; }
 
   /// Process-wide count of records that reached a BatchStage destructor
@@ -92,13 +81,9 @@ class BatchStage {
   static uint64_t unflushed_records();
 
  private:
-  void ship(std::span<const SliceRecord> batch);
-
-  Collector* collector_;
-  BatchTransport* transport_ = nullptr;
-  int rank_ = -1;
+  BatchTransport* transport_;
+  int rank_;
   size_t capacity_;
-  size_t reserve_;
   std::vector<SliceRecord> buf_;
   uint64_t shipped_batches_ = 0;
   uint64_t lost_records_ = 0;

@@ -43,20 +43,20 @@ BatchTransport::BatchTransport(DeliverySink* sink, int ranks,
 
 BatchTransport::~BatchTransport() { drain(); }
 
-void BatchTransport::deliver(const DelayedBatch& rb) {
+void BatchTransport::deliver(const Arrival& a) {
   // The health sampler rides the delivery clock: every unique arrival is a
   // chance for virtual time to cross the next sampling boundary. Called
   // here — never under mu_ — because sampling re-enters sample_health().
-  if (sampler_ != nullptr) sampler_->maybe_sample(rb.now);
+  if (sampler_ != nullptr) sampler_->maybe_sample(a.now);
   // One delivery per rank at a time, whichever thread carries it (a
   // delayed batch rides the thread whose arrival released it), so every
   // sink sees one order for a rank's batches. Only this lock is held and
   // no sink calls back into the transport, so no lock order can cycle.
-  std::lock_guard<std::mutex> lock(*rb.delivering);
-  sink_->on_delivery(rb.rank, rb.seq, rb.records, rb.now);
+  std::lock_guard<std::mutex> lock(*a.delivering);
+  sink_->on_delivery(a.rank, a.seq, a.records, a.now);
 }
 
-void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
+void BatchTransport::accept(Arrival ev, std::vector<Arrival>& ready) {
   Channel& ch = channels_[static_cast<size_t>(ev.rank)];
   ch.stats.wire_bytes += ev.records.size() * kRecordWireBytes;
   if (!ch.seen.insert(ev.seq)) {
@@ -67,30 +67,32 @@ void BatchTransport::accept(DelayedBatch ev, std::vector<DelayedBatch>& ready) {
   ch.stats.records_delivered += ev.records.size();
   ch.stats.last_delivery_time = std::max(ch.stats.last_delivery_time, ev.now);
   ev.delivering = ch.delivering.get();
-  ready.push_back(std::move(ev));
+  ready.push_back(ev);
 }
 
-void BatchTransport::arrive(int rank, uint64_t seq,
-                            std::span<const SliceRecord> batch, double now,
-                            std::vector<DelayedBatch>& ready) {
+void BatchTransport::arrive(Arrival ev, std::vector<Arrival>& ready,
+                            std::vector<DelayedBatch>& released) {
   // One physical delivery reaching the server. Each arrival releases held
   // (delayed) batches whose countdown expires, and a released batch is an
-  // arrival itself, so process a queue of arrival events.
-  std::vector<DelayedBatch> queue;
-  queue.push_back(
-      DelayedBatch{rank, seq, now, 0, {batch.begin(), batch.end()}});
-  while (!queue.empty()) {
-    DelayedBatch ev = std::move(queue.back());
-    queue.pop_back();
-    accept(std::move(ev), ready);
+  // arrival itself, so process a stack of arrival events, newest release
+  // first. The stack allocates only once something is released. A
+  // released batch moves into `released`; moving a vector keeps its
+  // buffer, so the views on `pending` and `ready` stay valid.
+  std::vector<Arrival> pending;
+  for (;;) {
+    accept(ev, ready);
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (--(it->remaining) <= 0) {
-        queue.push_back(std::move(*it));
+        released.push_back(std::move(*it));
+        pending.push_back(released.back().arrival());
         it = delayed_.erase(it);
       } else {
         ++it;
       }
     }
+    if (pending.empty()) return;
+    ev = pending.back();
+    pending.pop_back();
   }
 }
 
@@ -129,24 +131,29 @@ bool BatchTransport::ship(int rank, std::span<const SliceRecord> batch,
       continue;
     }
 
-    std::vector<DelayedBatch> ready;
+    // Views of the caller's batch and of released batches, and the
+    // released batches' owners, which must outlive the deliveries.
+    std::vector<Arrival> ready;
+    std::vector<DelayedBatch> released;
     {
       std::lock_guard<std::mutex> lock(mu_);
       Channel& ch = channels_[static_cast<size_t>(rank)];
+      const Arrival arrival{rank, seq, t, batch};
       if (d.delay_batches > 0) {
+        // Held past this call, so it is the one batch that is copied.
         ch.stats.delayed_batches += 1;
         delayed_.push_back(DelayedBatch{rank, seq, t, d.delay_batches,
                                         {batch.begin(), batch.end()}});
       } else {
-        arrive(rank, seq, batch, t, ready);
+        arrive(arrival, ready, released);
       }
       // A duplicated delivery arrives as its own event; receive-side
       // sequence tracking suppresses whichever copy lands second.
-      if (d.duplicate) arrive(rank, seq, batch, t, ready);
+      if (d.duplicate) arrive(arrival, ready, released);
     }
-    // Store outside the transport lock: the collector has its own sharded
+    // Store outside the transport lock: the collector has its own lane
     // locking and the attached sink its own mutex.
-    for (const auto& rb : ready) deliver(rb);
+    for (const auto& a : ready) deliver(a);
     return true;
   }
 
@@ -174,14 +181,16 @@ void BatchTransport::drain() {
     std::atomic<bool>& flag;
     ~Release() { flag.store(false); }
   } release{draining_};
-  std::vector<DelayedBatch> ready;
+  // `held` owns the swapped-out batches until `ready`'s views of them are
+  // delivered.
+  std::vector<Arrival> ready;
+  std::vector<DelayedBatch> held;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<DelayedBatch> held;
     held.swap(delayed_);
-    for (auto& ev : held) accept(std::move(ev), ready);
+    for (const auto& h : held) accept(h.arrival(), ready);
   }
-  for (const auto& rb : ready) deliver(rb);
+  for (const auto& a : ready) deliver(a);
 }
 
 bool BatchTransport::stale_locked(const Channel& ch, int rank,

@@ -18,6 +18,11 @@
 //    transport the fault model killed) is reported stale, letting the
 //    detectors exclude it instead of mistaking absence for speed.
 //
+// It is the one way a rank's batches reach the analysis side: every
+// BatchStage (and so every SensorRuntime) ships through it. The sink is
+// handed the shipped span itself; the only batch the transport copies is
+// one the fault model delays, since it outlives its ship().
+//
 // Faults are injected through the TransportFaultModel interface; the
 // deterministic simulator-side implementation lives in simmpi/faults.hpp so
 // this layer stays independent of the simulation harness.
@@ -140,8 +145,8 @@ class BatchTransport : public obs::HealthSource {
   /// (rank, seq, arrival time) intact: a Collector ingests it, the
   /// crash-tolerant analysis server journals it before folding. `faults`
   /// (optional, not owned) injects failures. With no fault model the
-  /// transport is a transparent sequenced pass-through: same batches, same
-  /// order, same collector counters as calling Collector::ingest directly.
+  /// transport is a transparent sequenced pass-through: the sink sees the
+  /// caller's own batches, uncopied, in the order they were shipped.
   BatchTransport(DeliverySink* sink, int ranks, TransportConfig cfg = {},
                  const TransportFaultModel* faults = nullptr);
 
@@ -152,16 +157,19 @@ class BatchTransport : public obs::HealthSource {
   /// Ship one batch from `rank` at virtual time `now`: stamps the next
   /// sequence number, walks the retry loop inline, and returns true if the
   /// batch was delivered (possibly deferred behind later deliveries when
-  /// the fault model delays it). Thread-safe across ranks, but each rank's
-  /// ship() calls must come from one thread (the rank thread): the
-  /// delivery itself runs outside the transport lock, so two threads
-  /// shipping for one rank could deliver its batches out of order, and
-  /// the fold's per-rank state (matrix cell sums, last slice, intra
-  /// flags) is reproducible only when each rank's batches arrive in the
-  /// order they were shipped (docs/pipeline.md §6e). A delayed batch is
-  /// delivered by the thread whose arrival released it, under its own
-  /// rank's delivery lock, so two batches of one rank never reach the sink
-  /// at once.
+  /// the fault model delays it). The sink is handed `batch` itself; only a
+  /// batch the fault model delays is copied, since it outlives this call,
+  /// so `batch` may be reused as soon as ship() returns.
+  ///
+  /// Thread-safe across ranks, but each rank's ship() calls must come from
+  /// one thread (the rank thread): the delivery itself runs outside the
+  /// transport lock, so two threads shipping for one rank could deliver
+  /// its batches out of order, and the fold's per-rank state (matrix cell
+  /// sums, last slice, intra flags) is reproducible only when each rank's
+  /// batches arrive in the order they were shipped (docs/pipeline.md
+  /// §6e). A delayed batch is delivered by the thread whose arrival
+  /// released it, under its own rank's delivery lock, so two batches of
+  /// one rank never reach the sink at once.
   bool ship(int rank, std::span<const SliceRecord> batch, double now);
 
   /// Same, from struct-of-arrays columns: gathers to the AoS wire form
@@ -230,14 +238,28 @@ class BatchTransport : public obs::HealthSource {
   void sample_health(double now, obs::HealthRecorder& rec) const override;
 
  private:
+  /// One physical delivery reaching the server: a view of the caller's
+  /// batch, or of a released DelayedBatch that the ship (or drain) keeps
+  /// alive until it has delivered it.
+  struct Arrival {
+    int rank = -1;
+    uint64_t seq = 0;
+    double now = 0.0;
+    std::span<const SliceRecord> records;
+    /// The rank's delivery lock, set when the arrival is accepted.
+    std::mutex* delivering = nullptr;
+  };
+
+  /// A batch the fault model delays: the one copy the transport makes,
+  /// since the caller's buffer does not outlive its ship().
   struct DelayedBatch {
     int rank = -1;
     uint64_t seq = 0;
     double now = 0.0;
     int remaining = 0;  ///< deliveries left before this one releases
     std::vector<SliceRecord> records;
-    /// The rank's delivery lock, set when the batch is accepted.
-    std::mutex* delivering = nullptr;
+
+    Arrival arrival() const { return {rank, seq, now, records}; }
   };
 
   struct Channel {
@@ -258,19 +280,20 @@ class BatchTransport : public obs::HealthSource {
   };
 
   /// One delivery arriving at the server: accept it, then release held
-  /// batches whose countdown expires, each one an arrival itself.
-  /// Caller holds mu_.
-  void arrive(int rank, uint64_t seq, std::span<const SliceRecord> batch,
-              double now, std::vector<DelayedBatch>& ready);
+  /// batches whose countdown expires, each one an arrival itself. Released
+  /// batches move into `released`, which the caller keeps alive until the
+  /// views on `ready` are delivered. Caller holds mu_.
+  void arrive(Arrival ev, std::vector<Arrival>& ready,
+              std::vector<DelayedBatch>& released);
   /// The receive side of one physical arrival, shared by arrive() and
-  /// drain(): wire bytes, dedup, counters, and a first copy onto `ready`.
-  /// Caller holds mu_.
-  void accept(DelayedBatch ev, std::vector<DelayedBatch>& ready);
+  /// drain(): wire bytes, dedup, counters, and a unique arrival onto
+  /// `ready`. Caller holds mu_.
+  void accept(Arrival ev, std::vector<Arrival>& ready);
   bool stale_locked(const Channel& ch, int rank, double now) const;
 
   /// Hand one deduplicated batch to the sink under its rank's delivery
   /// lock. Caller must NOT hold mu_.
-  void deliver(const DelayedBatch& rb);
+  void deliver(const Arrival& a);
 
   DeliverySink* sink_;
   TransportConfig cfg_;

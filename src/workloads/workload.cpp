@@ -143,17 +143,10 @@ WorkloadRun run_workload(const Workload& workload, simmpi::Config sim_config,
     run.pmu[r].assign(sensor_table.size(), PmuSamples{});
 
     if (options.instrumented) {
-      if (transport != nullptr) {
-        runtimes[r] = std::make_unique<rt::SensorRuntime>(
-            options.runtime, comm.rank(), *transport,
-            [&comm] { return comm.now(); },
-            [&comm](double s) { comm.charge_overhead(s); });
-      } else {
-        runtimes[r] = std::make_unique<rt::SensorRuntime>(
-            options.runtime, comm.rank(), nullptr,
-            [&comm] { return comm.now(); },
-            [&comm](double s) { comm.charge_overhead(s); });
-      }
+      runtimes[r] = std::make_unique<rt::SensorRuntime>(
+          options.runtime, comm.rank(), transport.get(),
+          [&comm] { return comm.now(); },
+          [&comm](double s) { comm.charge_overhead(s); });
       for (const auto& info : sensor_table) runtimes[r]->register_sensor(info);
     }
     RankContext ctx(comm, runtimes[r].get(), &run.pmu[r], options.pmu_jitter,

@@ -313,17 +313,17 @@ TEST(StageClock, ExclusiveTimeAttribution) {
   EXPECT_EQ(clock.count(obs::Stage::Slicing), 1u);
   const double tock_s = static_cast<double>(clock.nanos(obs::Stage::ProbeTock)) * 1e-9;
   const double slice_s = static_cast<double>(clock.nanos(obs::Stage::Slicing)) * 1e-9;
-  // The child's time is subtracted from the parent: exclusive times sum to
-  // the wall time of the whole nest (within scheduling slack), and the
-  // inner stage dominates.
-  EXPECT_GE(slice_s, 1200e-6);
-  EXPECT_GE(tock_s, 300e-6);
-  EXPECT_LT(tock_s, slice_s);
-  EXPECT_LE(tock_s + slice_s, elapsed * 1.05 + 1e-4);
+  // The child's time is subtracted from the parent: each scope keeps at
+  // least its own spin, and the exclusive times sum to the outer scope's
+  // span, which lies inside the measured nest on the same steady clock.
+  // Which stage is larger depends on the scheduler, so it is not asserted.
+  EXPECT_GE(slice_s, 1500e-6);
+  EXPECT_GE(tock_s, 500e-6);
+  EXPECT_LE(tock_s + slice_s, elapsed + 1e-9);
 
   auto report = obs::attribution(elapsed);
   ASSERT_EQ(report.stages.size(), 2u);
-  EXPECT_EQ(report.stages[0].stage, obs::Stage::Slicing);  // largest first
+  EXPECT_GE(report.stages[0].seconds, report.stages[1].seconds);  // largest first
   double share_sum = 0.0;
   for (const auto& s : report.stages) share_sum += s.share_of_monitoring;
   EXPECT_NEAR(share_sum, 1.0, 1e-9);

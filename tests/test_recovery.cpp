@@ -1997,11 +1997,11 @@ TEST(BatchStage, FlushDetachesRecordsSoFailuresCannotDoubleShip) {
   collector.set_sensors(two_sensors());
   BatchTransport transport(&collector, /*ranks=*/1);
   {
-    BatchStage stage(transport, /*rank=*/5, /*capacity=*/16);
+    BatchStage stage(&transport, /*rank=*/5, /*capacity=*/16);
     stage.push(make_record(0, 0, 0.1, 1e-4));
     EXPECT_EQ(stage.staged(), 1u);
     EXPECT_THROW(stage.flush(), Error);
-    EXPECT_EQ(stage.staged(), 0u);  // detached before the throw
+    EXPECT_EQ(stage.staged(), 0u);  // cleared as the throw unwound
     EXPECT_NO_THROW(stage.flush());  // idempotent: nothing left to ship
     stage.push(make_record(0, 0, 0.2, 1e-4));
     // Destructor: counts the record as unflushed, tries to ship, swallows

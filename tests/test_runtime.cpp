@@ -7,6 +7,7 @@
 #include "runtime/matrix.hpp"
 #include "runtime/sensor.hpp"
 #include "runtime/slicer.hpp"
+#include "runtime/transport.hpp"
 #include "support/error.hpp"
 
 namespace vsensor::rt {
@@ -82,7 +83,8 @@ TEST(SensorRuntime, TickTockProducesRecords) {
   RuntimeConfig cfg;
   cfg.slice_seconds = 1e-3;
   cfg.batch_records = 1;  // flush every record
-  SensorRuntime rt(cfg, 0, &collector, clock.now(), clock.charge());
+  BatchTransport transport(&collector, 1);
+  SensorRuntime rt(cfg, 0, &transport, clock.now(), clock.charge());
   const int id = rt.register_sensor({"s", SensorType::Computation, "f.c", 1});
   for (int i = 0; i < 20; ++i) {
     rt.tick(id);
@@ -104,7 +106,8 @@ TEST(SensorRuntime, ProbeOverheadCharged) {
   FakeClock clock;
   RuntimeConfig cfg;
   cfg.probe_cost = 100e-9;
-  SensorRuntime rt(cfg, 0, &collector, clock.now(), clock.charge());
+  BatchTransport transport(&collector, 1);
+  SensorRuntime rt(cfg, 0, &transport, clock.now(), clock.charge());
   const int id = rt.register_sensor({"s", SensorType::Computation, "f.c", 1});
   for (int i = 0; i < 10; ++i) {
     rt.tick(id);
@@ -120,7 +123,8 @@ TEST(SensorRuntime, AutoDisableShortSensors) {
   RuntimeConfig cfg;
   cfg.min_avg_duration = 10e-6;
   cfg.disable_after = 8;
-  SensorRuntime rt(cfg, 0, &collector, clock.now(), clock.charge());
+  BatchTransport transport(&collector, 1);
+  SensorRuntime rt(cfg, 0, &transport, clock.now(), clock.charge());
   const int fast = rt.register_sensor({"fast", SensorType::Computation, "f.c", 1});
   const int slow = rt.register_sensor({"slow", SensorType::Computation, "f.c", 2});
   for (int i = 0; i < 50; ++i) {

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/collector.hpp"
@@ -302,6 +303,90 @@ TEST(Transport, DelayedBatchIsOvertakenThenReleased) {
   EXPECT_EQ(stats.delayed_batches, 1u);
   EXPECT_EQ(stats.batches_delivered, 3u);
   expect_conserved(stats);
+}
+
+/// Keeps what each delivery handed the sink: where the batch lived and a
+/// copy of its records.
+class RecordingSink final : public DeliverySink {
+ public:
+  struct Seen {
+    uint64_t seq = 0;
+    const SliceRecord* data = nullptr;
+    std::vector<SliceRecord> records;
+  };
+  void on_delivery(int, uint64_t seq, std::span<const SliceRecord> batch,
+                   double) override {
+    seen.push_back({seq, batch.data(), {batch.begin(), batch.end()}});
+  }
+  std::vector<Seen> seen;
+};
+
+TEST(Transport, UnheldBatchReachesTheSinkUncopied) {
+  // Nothing holds these batches past their ship(), so the sink reads the
+  // caller's own records, duplicated deliveries included.
+  ScriptedFaults faults([](int, uint64_t seq, uint32_t) {
+    TransportFaultModel::Decision d;
+    d.duplicate = seq == 1;
+    return d;
+  });
+  RecordingSink sink;
+  BatchTransport transport(&sink, 1, {}, &faults);
+  const std::vector<SliceRecord> first{make_record(0, 0, 0.0, 2.0),
+                                       make_record(0, 0, 5e-4, 3.0)};
+  const std::vector<SliceRecord> second{make_record(0, 0, 1e-3, 4.0)};
+
+  ASSERT_TRUE(transport.ship(0, first, 1e-3));
+  ASSERT_TRUE(transport.ship(0, second, 2e-3));
+  ASSERT_EQ(sink.seen.size(), 2u);
+  EXPECT_EQ(sink.seen[0].data, first.data());
+  EXPECT_EQ(sink.seen[0].records.size(), 2u);
+  EXPECT_EQ(sink.seen[1].data, second.data());
+  EXPECT_EQ(transport.rank_stats(0).duplicates_suppressed, 1u);
+}
+
+TEST(Transport, HeldBatchOwnsItsRecords) {
+  // One buffer, reused for every batch. Batch 0 waits behind one delivery
+  // and batch 2 outlasts the run, so each is overwritten before its
+  // release: the sink must see the records as they were shipped.
+  ScriptedFaults faults([](int, uint64_t seq, uint32_t) {
+    TransportFaultModel::Decision d;
+    if (seq == 0) d.delay_batches = 1;
+    if (seq == 2) d.delay_batches = 5;
+    return d;
+  });
+  RecordingSink sink;
+  BatchTransport transport(&sink, 1, {}, &faults);
+  std::vector<SliceRecord> buf(2);
+  const auto fill = [&buf](double avg) {
+    for (size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = make_record(0, 0, 1e-3 * static_cast<double>(i), avg);
+    }
+  };
+
+  fill(2.0);
+  ASSERT_TRUE(transport.ship(0, buf, 1e-3));
+  EXPECT_TRUE(sink.seen.empty());  // held
+  fill(3.0);
+  ASSERT_TRUE(transport.ship(0, buf, 2e-3));  // delivers 1, releases 0
+  fill(4.0);
+  ASSERT_TRUE(transport.ship(0, buf, 3e-3));  // held
+  fill(5.0);
+  transport.drain();
+
+  ASSERT_EQ(sink.seen.size(), 3u);
+  const std::vector<std::pair<uint64_t, double>> want{
+      {1, 3.0}, {0, 2.0}, {2, 4.0}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    const auto& seen = sink.seen[i];
+    EXPECT_EQ(seen.seq, want[i].first) << i;
+    ASSERT_EQ(seen.records.size(), buf.size()) << i;
+    for (const auto& rec : seen.records) {
+      EXPECT_DOUBLE_EQ(rec.avg_duration, want[i].second) << i;
+    }
+  }
+  EXPECT_NE(sink.seen[1].data, buf.data());
+  EXPECT_NE(sink.seen[2].data, buf.data());
+  EXPECT_EQ(transport.rank_stats(0).delayed_batches, 2u);
 }
 
 /// Logs rank 0's deliveries. Its batch 0 blocks until rank 0's next
@@ -637,7 +722,7 @@ TEST(Transport, BatchStageShipsThroughTransportAndCountsLosses) {
   cfg.max_attempts = 1;
   BatchTransport transport(&collector, 1, cfg, &faults);
 
-  BatchStage stage(transport, /*rank=*/0, /*capacity=*/2);
+  BatchStage stage(&transport, /*rank=*/0, /*capacity=*/2);
   for (int i = 0; i < 6; ++i) {
     stage.push(make_record(0, 0, 1e-3 * i, 2.0));
   }
@@ -649,9 +734,10 @@ TEST(Transport, BatchStageShipsThroughTransportAndCountsLosses) {
 
 TEST(Transport, BatchStageDestructorFlushesStagedRecords) {
   Collector collector;
+  BatchTransport transport(&collector, 1);
   const uint64_t before = BatchStage::unflushed_records();
   {
-    BatchStage stage(&collector, /*capacity=*/16);
+    BatchStage stage(&transport, /*rank=*/0, /*capacity=*/16);
     stage.push(make_record(0, 0, 0.0, 2.0));
     stage.push(make_record(0, 0, 5e-4, 3.0));
     // No flush(): teardown must rescue the staged records.
@@ -661,7 +747,7 @@ TEST(Transport, BatchStageDestructorFlushesStagedRecords) {
 
   // An explicitly flushed stage leaves the counter untouched.
   {
-    BatchStage stage(&collector, /*capacity=*/16);
+    BatchStage stage(&transport, /*rank=*/0, /*capacity=*/16);
     stage.push(make_record(0, 0, 1e-3, 2.0));
     stage.flush();
   }
