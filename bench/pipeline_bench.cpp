@@ -3,8 +3,9 @@
 // Measures the per-record costs of the code every run executes: the
 // frame CRC (against the scalar reference CRC, so the speedup is a
 // first-class ratio metric), staging, transport, journal appends, the
-// detector and the sharded tier's fan-in. CI runs this binary and
-// tools/bench_compare.py gates the trajectory against bench/baseline/.
+// detector, a delta checkpoint and the sharded tier's fan-in. CI runs this
+// binary and tools/bench_compare.py gates the trajectory against
+// bench/baseline/.
 //
 // Everything here is single-threaded on purpose: CI runners (and this
 // container) pin to one or two cores, where thread-scaling numbers are
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/collector.hpp"
 #include "runtime/detector.hpp"
 #include "runtime/journal.hpp"
@@ -192,6 +194,49 @@ void bench_detector(BenchReporter& out) {
   });
 }
 
+void bench_checkpoint(BenchReporter& out) {
+  // The server's periodic delta checkpoint: a 1,024-rank, 12-sensor,
+  // 50-bucket detector folds 64-record batches in time order, with one base
+  // after the first 1/24 of the stream and a delta after each later 1/24.
+  // A delta costs what the fold changed since the previous frame.
+  constexpr size_t kFrames = 24;
+  constexpr size_t kPerFrame = 4096;
+  constexpr size_t kRecords = kFrames * kPerFrame;
+  constexpr size_t kPerBatch = 64;
+  constexpr int kRanks = 1024;
+  constexpr int kSensors = 12;
+  constexpr double kRunTime = 10.0;
+  const auto records = synth_records(kRecords, kSensors, kRanks, kRunTime, 37);
+  std::vector<SensorInfo> sensors;
+  for (int s = 0; s < kSensors; ++s) {
+    sensors.push_back(SensorInfo{"bench_s" + std::to_string(s),
+                                 SensorType::Computation, "bench.c", s + 1});
+  }
+  DetectorConfig cfg;
+  cfg.matrix_resolution = kRunTime / 50.0;
+  const std::vector<SeqTracker> watermarks(kRanks);
+  std::string frame;
+
+  out.measure("checkpoint.delta", "us", Direction::kLowerIsBetter, 7, [&] {
+    StreamingDetector detector(cfg, sensors, kRanks, kRunTime);
+    double seconds = 0.0;
+    for (size_t f = 0; f < kFrames; ++f) {
+      for (size_t at = f * kPerFrame; at < (f + 1) * kPerFrame;
+           at += kPerBatch) {
+        detector.on_batch(
+            std::span<const SliceRecord>(records.data() + at, kPerBatch));
+      }
+      const auto kind = f == 0 ? CheckpointFrame::Base : CheckpointFrame::Delta;
+      const double s = time_seconds([&] {
+        encode_live_checkpoint(frame, kind, {}, watermarks, detector);
+      });
+      if (f > 0) seconds += s;
+    }
+    keep(frame.size());
+    return seconds / static_cast<double>(kFrames - 1) * 1e6;
+  });
+}
+
 void bench_fanin(BenchReporter& out) {
   // Sharded analysis tier fan-in: records/s through ShardedAnalysisTier at
   // 1/2/4/8 shards, per-rank batched deliveries with journaling on. One
@@ -269,6 +314,7 @@ int main(int argc, char** argv) {
   bench_transport(out);
   bench_journal(out);
   bench_detector(out);
+  bench_checkpoint(out);
   bench_fanin(out);
 
   out.write(out_path);

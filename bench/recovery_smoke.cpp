@@ -5,8 +5,11 @@
 // uninterrupted one's. Also reports what durability costs: journal bytes
 // written, checkpoint cadence, and per-recovery replay latency, and fails
 // unless some recovery went through checkpoint deltas. CI runs this binary
-// and archives the journal and checkpoint it leaves behind.
+// and archives the journal and checkpoint it leaves behind, and a copy of
+// the crashed run's checkpoint taken before its final base, which must hold
+// deltas, so the offline inspector also reads a delta chain.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -28,6 +31,8 @@ namespace {
 using namespace vsensor;
 
 constexpr int kRanks = 16;
+/// The crashed run's checkpoint file as it stood before its final base.
+constexpr const char* kDeltasCopy = "recovery_smoke_crashed.deltas.ckpt";
 
 workloads::RunOptions options() {
   workloads::RunOptions opts;
@@ -57,9 +62,12 @@ struct RunOutput {
   std::string flight_path;
 };
 
+/// Given `deltas_copy`, copies the checkpoint file there before the final
+/// explicit checkpoint replaces it with a base.
 RunOutput run_once(const workloads::Workload& workload, double makespan,
                    const std::string& tag, std::vector<double> crash_times,
-                   obs::EventLog* events = nullptr) {
+                   obs::EventLog* events = nullptr,
+                   const char* deltas_copy = nullptr) {
   simmpi::FaultConfig fcfg;
   fcfg.drop_prob = 0.05;
   fcfg.duplicate_prob = 0.05;
@@ -91,6 +99,11 @@ RunOutput run_once(const workloads::Workload& workload, double makespan,
   }
 
   workloads::run_workload(workload, cfg, options(), &server);
+  if (deltas_copy != nullptr) {
+    std::error_code ec;  // a missing file fails the load check in main()
+    std::filesystem::remove(deltas_copy, ec);
+    std::filesystem::copy_file(scfg.checkpoint_path, deltas_copy, ec);
+  }
   server.checkpoint();  // final durable state for the artifact upload
 
   RunOutput out{streaming.finalize(),
@@ -120,7 +133,8 @@ int main() {
   obs::EventLog events;
   const auto crashed = run_once(
       *cg, makespan, "crashed",
-      {makespan * 0.25, makespan * 0.55, makespan * 0.85}, &events);
+      {makespan * 0.25, makespan * 0.55, makespan * 0.85}, &events,
+      kDeltasCopy);
 
   std::printf(
       "crash-recovery smoke: CG x%d ranks, transport faults on, server "
@@ -175,6 +189,16 @@ int main() {
   // prove that chain bit-exact on a faulted run.
   VS_CHECK_MSG(deltas_applied > 0,
                "no recovery applied a checkpoint delta");
+  // The copy taken before the final base is a base and its delta chain,
+  // whole, for the offline inspector.
+  const auto chain = rt::load_checkpoint(kDeltasCopy);
+  std::printf("\n%s: %s, base + %llu deltas, %llu torn bytes\n", kDeltasCopy,
+              chain.ok ? "loaded" : "rejected",
+              static_cast<unsigned long long>(chain.deltas),
+              static_cast<unsigned long long>(chain.torn_bytes));
+  VS_CHECK_MSG(chain.ok && chain.deltas > 0 && chain.torn_bytes == 0,
+               "the crashed run's checkpoint held no whole delta chain "
+               "before its final base");
   // The health plane saw every crash: structured events with virtual-time
   // context, and a flight dump left by the (simulated) dying server.
   VS_CHECK_MSG(events.count(obs::EventKind::Crash) == 3,

@@ -38,12 +38,13 @@
 //
 // The first frame is the base: the whole state. Each later frame is a
 // delta: every standard, the rows the fold changed since the previous
-// frame (each with its rank standard and its cells from the lowest changed
-// bucket up), the last slices of those rows' (sensor, rank) pairs, and
-// every other section whole. Decoding a delta assigns its entries over the
-// state so far and replaces the whole sections. That is exact because
-// between two frames a fold only adds or changes entries; the stale set
-// can shrink, which is why it is written whole.
+// frame (each with its rank standard and its cells from the lowest to the
+// highest bucket the fold changed), the last slices of those rows'
+// (sensor, rank) pairs, and every other section whole. Decoding a delta
+// assigns its entries over the state so far and replaces the whole
+// sections. That is exact because between two frames a fold only adds or
+// changes entries; the stale set can shrink, which is why it is written
+// whole.
 //
 // The server publishes a base atomically: `<path>.tmp`, then a rename over
 // the target, which drops the deltas of the previous base in the same

@@ -1,6 +1,7 @@
 #include "runtime/streaming_detector.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -18,6 +19,24 @@ namespace {
 // sizes its output by them and the decoder checks counts against them.
 constexpr size_t kSlotBytes = 24, kRowBytes = 16, kCellBytes = 20,
                  kStatsBytes = 24, kLastBytes = 32;
+
+// Words of a bitmap of `ranks` bits, and the bit of rank `r` in one.
+size_t bitmap_words(int ranks) {
+  return (static_cast<size_t>(ranks) + 63) / 64;
+}
+void set_bit(std::vector<uint64_t>& bits, size_t r) {
+  bits[r / 64] |= uint64_t{1} << (r % 64);
+}
+
+// Calls f(i) for each set bit i of `bits`, ascending.
+template <typename F>
+void for_each_bit(std::span<const uint64_t> bits, F&& f) {
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      f(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+    }
+  }
+}
 
 // One online variance flag as a structured event: virtual time, rank,
 // sensor, group, and the score vs. the standard it lost against.
@@ -108,6 +127,7 @@ uint32_t StreamingDetector::slot_of(State& st, int sensor, int group,
   slot.sensor = sensor;
   slot.group = group;
   slot.rows.resize(static_cast<size_t>(ranks));
+  slot.dirty.assign(bitmap_words(ranks), 0);
   const auto index = static_cast<uint32_t>(st.slots.size());
   st.slots.push_back(std::move(slot));
   st.order.insert(at, index);
@@ -127,6 +147,7 @@ StreamingDetector::CellSums* StreamingDetector::add_row(Row& row,
   row.cells.reset(new CellSums[static_cast<size_t>(buckets)]);
   std::fill_n(row.cells.get(), buckets, CellSums{0.0, kEmptyCell});
   row.mark = static_cast<uint32_t>(buckets);
+  row.high = 0;
   return row.cells.get();
 }
 
@@ -134,6 +155,7 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
   VS_OBS_SCOPED_STAGE(obs::Stage::DetectStreaming);
   std::lock_guard<std::mutex> lock(mu_);
   State& st = st_;
+  const auto clean = static_cast<uint32_t>(buckets_);
   for (const auto& rec : batch) {
     VS_CHECK_MSG(rec.sensor_id >= 0 &&
                      static_cast<size_t>(rec.sensor_id) < sensors_.size(),
@@ -209,14 +231,20 @@ void StreamingDetector::on_batch(std::span<const SliceRecord> batch) {
     stats.mean += delta / static_cast<double>(stats.count);
     stats.m2 += delta * (inter_norm - stats.mean);
 
-    // The last slice changes with the row, so the row's mark also tells the
+    // The last slice changes with the row, so the row's bit also tells the
     // next delta checkpoint to write it.
     st.last[sensor * static_cast<size_t>(ranks_) + rank] =
         LastSlice{rec.t_end, avg, inter_norm};
 
+    // Widen the row's window for the next delta checkpoint, storing only
+    // what changes; the record that opens the window sets the row's bit.
     const auto bucket =
         static_cast<uint32_t>(bucket_of(0.5 * (rec.t_begin + rec.t_end)));
-    row.mark = std::min(row.mark, bucket);
+    if (bucket < row.mark) {
+      if (row.mark == clean) set_bit(slot.dirty, rank);
+      row.mark = bucket;
+    }
+    if (bucket > row.high) row.high = bucket;
     CellSums& cell = cells[bucket];
     if (cell.weight == kEmptyCell) {
       cell = CellSums{};
@@ -480,28 +508,42 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
   const auto clean = static_cast<uint32_t>(buckets_);
   const auto ranks = static_cast<size_t>(ranks_);
   const uint64_t sensors = sensors_.size();
-  CheckpointCounts n = st_.sizes();
-  // A delta writes only the marked rows, each from its mark up, and the
-  // last slices of their (sensor, rank) pairs (`moved`); count those first.
-  std::vector<uint8_t> moved;
+  const size_t words = bitmap_words(ranks_);
+  // A delta writes only the rows whose bit is set, each over its window,
+  // and the last slices of their (sensor, rank) pairs: per sensor, the OR
+  // of its slots' bitmaps (`moved`). It counts them from the bits alone.
+  std::vector<uint64_t> moved;
+  const auto moved_of = [&](size_t sensor) {
+    return std::span<const uint64_t>(moved).subspan(sensor * words, words);
+  };
+  CheckpointCounts n;
   if (delta) {
-    n.rows = n.last = n.cells = 0;
-    moved.assign(st_.last.size(), 0);
+    moved.assign(sensors * words, 0);
     for (const Slot& slot : st_.slots) {
       if (!slot.has_standard) continue;
-      for (size_t r = 0; r < ranks; ++r) {
+      ++n.standards;
+      for_each_bit(slot.dirty, [&](size_t r) {
         const Row& row = slot.rows[r];
-        if (row.cells == nullptr || row.mark >= clean) continue;
         ++n.rows;
-        for (uint32_t b = row.mark; b < clean; ++b) {
+        for (uint32_t b = row.mark; b <= row.high; ++b) {
           n.cells += row.cells[b].weight != kEmptyCell ? 1 : 0;
         }
-        moved[static_cast<size_t>(slot.sensor) * ranks + r] = 1;
+      });
+      // Only a slot of a known sensor has bits set.
+      for (size_t w = 0; w < words; ++w) {
+        if (slot.dirty[w] != 0) {
+          moved[static_cast<size_t>(slot.sensor) * words + w] |= slot.dirty[w];
+        }
       }
     }
-    for (size_t i = 0; i < moved.size(); ++i) {
-      n.last += moved[i] != 0 && st_.last[i] ? 1 : 0;
+    for (size_t s = 0; s < sensors; ++s) {
+      for_each_bit(moved_of(s), [&](size_t r) {
+        n.last += st_.last[s * ranks + r] ? 1 : 0;
+      });
     }
+    for (const uint8_t flag : st_.stale) n.stale_ranks += flag;
+  } else {
+    n = st_.sizes();
   }
   // Section layout (runtime/checkpoint.hpp): slots with their rows and
   // cells in ascending key order, then the u64-counted fixed-width
@@ -525,19 +567,17 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
     char* const rows_at = w.p;
     w.put(uint64_t{0});
     uint64_t rows = 0;
-    for (size_t r = 0; r < ranks; ++r) {
+    // Writes row `r` with its non-empty cells in [first, last], then
+    // closes its window: the next delta starts from here.
+    const auto put_row = [&](size_t r, uint32_t first, uint32_t last) {
       Row& row = slot.rows[r];
-      // Every encode clears the marks: the next delta starts from here.
-      const uint32_t first = delta ? row.mark : 0;
-      row.mark = clean;
-      if (row.cells == nullptr || first >= clean) continue;
       ++rows;
       w.put(static_cast<int32_t>(r));
       w.put(row.standard);
       char* const cells_at = w.p;
       w.put(uint32_t{0});
       uint32_t written = 0;
-      for (uint32_t b = first; b < clean; ++b) {
+      for (uint32_t b = first; b <= last; ++b) {
         const CellSums& cell = row.cells[b];
         if (cell.weight == kEmptyCell) continue;
         ++written;
@@ -546,7 +586,19 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
         w.put(cell.weight);
       }
       std::memcpy(cells_at, &written, sizeof written);
+      row.mark = clean;
+      row.high = 0;
+    };
+    if (delta) {
+      for_each_bit(slot.dirty, [&](size_t r) {
+        put_row(r, slot.rows[r].mark, slot.rows[r].high);
+      });
+    } else {
+      for (size_t r = 0; r < ranks; ++r) {
+        if (slot.rows[r].cells != nullptr) put_row(r, 0, clean - 1);
+      }
     }
+    std::fill(slot.dirty.begin(), slot.dirty.end(), 0);
     std::memcpy(rows_at, &rows, sizeof rows);
   }
   w.put(sensors);
@@ -558,14 +610,21 @@ void StreamingDetector::encode_checkpoint_state(std::string& out,
   w.put(sensors);
   for (const uint64_t count : st_.sensor_records) w.put(count);
   w.put(n.last);
-  for (size_t i = 0; i < st_.last.size(); ++i) {
-    const auto& slice = st_.last[i];
-    if (!slice || (delta && moved[i] == 0)) continue;
-    w.put(static_cast<int32_t>(i / ranks));
-    w.put(static_cast<int32_t>(i % ranks));
+  const auto put_last = [&](size_t s, size_t r) {
+    const auto& slice = st_.last[s * ranks + r];
+    if (!slice) return;
+    w.put(static_cast<int32_t>(s));
+    w.put(static_cast<int32_t>(r));
     w.put(slice->t_end);
     w.put(slice->avg_duration);
     w.put(slice->normalized);
+  };
+  for (size_t s = 0; s < sensors; ++s) {
+    if (delta) {
+      for_each_bit(moved_of(s), [&](size_t r) { put_last(s, r); });
+    } else {
+      for (size_t r = 0; r < ranks; ++r) put_last(s, r);
+    }
   }
   w.put(n.stale_ranks);
   for (int r = 0; r < ranks_; ++r) {
@@ -788,6 +847,8 @@ void StreamingDetector::merge_from(const StreamingDetector& other) {
       dst.standard = row.standard;
       // New to this detector: the next delta checkpoint writes it whole.
       dst.mark = 0;
+      dst.high = static_cast<uint32_t>(buckets_ - 1);
+      set_bit(to.dirty, r);
     }
   }
   st_.cells += from.cells;

@@ -23,15 +23,16 @@
 // State layout. The running state is dense, so a record folds by index
 // arithmetic rather than tree lookups:
 //  * one slot per (sensor, dynamic-rule group) seen, holding the group's
-//    standard and one row per rank: the rank's standard, its bucket cells
-//    and its checkpoint mark. A row's cells are allocated the first time a
-//    record of its rank folds into the slot, so a tier shard pays only for
-//    the ranks routed to it;
+//    standard, one row per rank (the rank's standard, its bucket cells and
+//    its checkpoint window) and one bit per rank, set while that window is
+//    open. A row's cells are allocated the first time a record of its rank
+//    folds into the slot, so a tier shard pays only for the ranks routed
+//    to it;
 //  * a sensors x ranks array of last slices and a per-rank stale flag.
 // Memory is bounded by slots x touched-rank rows x buckets cells (16 bytes
-// each) plus slots x ranks x 24 bytes of rows, plus sensors x ranks last
-// slices (32 bytes each). Records must name a known sensor and a rank in
-// [0, ranks); anything else throws.
+// each) plus slots x ranks x 24 bytes of rows and 1 bit of bitmap, plus
+// sensors x ranks last slices (32 bytes each). Records must name a known
+// sensor and a rank in [0, ranks); anything else throws.
 //
 // The dense state has one serialized form, the detector section of a
 // checkpoint frame (runtime/checkpoint.hpp), and this class alone knows
@@ -40,11 +41,15 @@
 // slot is written once, each written row once under it, and each
 // non-empty cell as its bucket and two sums (20 bytes). A base frame holds
 // the whole state. A delta frame holds what the fold changed since the
-// previous frame. For that, each row keeps the lowest bucket folded into
-// it since the last encode (its mark), one min-store per folded record.
-// Between two encodes a fold or a merge only adds or changes entries,
-// never removes one, so the marked rows from their mark up, with the last
-// slices of their (sensor, rank), carry every change. Only reset() and a
+// previous frame. For that, each row keeps the window of buckets folded
+// into it since the last encode, from the lowest (its mark) to the
+// highest, and its slot's bitmap has the rank's bit set while the window
+// is open. The fold stores each only when it changes, so a record inside
+// its row's window stores nothing for it. Between two encodes a fold or a
+// merge only adds or changes entries, never removes one, so the rows whose
+// bit is set, each over its window, with the last slices of their
+// (sensor, rank), carry every change. A delta reads the bits, not the
+// whole state, so it costs what the fold changed. Only reset() and a
 // decoded base remove entries, and the server writes a base after both.
 // A checkpoint also records buckets(), so recovery refuses one taken at
 // another matrix resolution.
@@ -277,10 +282,12 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   /// Append this detector's section of a `vsensor-checkpoint 4` frame
   /// payload to `out`, straight from the dense rows under the detector
   /// lock. A base holds the whole state. A delta lists every standard,
-  /// only the rows marked since the previous encode, each from its mark up,
-  /// and only the last slices of the (sensor, rank) pairs of those rows;
-  /// its other sections are whole. Either kind clears the marks. `out`
-  /// grows once, by the section's exact size.
+  /// only the rows whose bit is set, each with its non-empty cells from the
+  /// lowest to the highest bucket folded since the previous encode, and
+  /// only the last slices of the (sensor, rank) pairs of those rows; its
+  /// other sections are whole. A delta walks the set bits, never every
+  /// row. Either kind closes the windows and clears the bits. `out` grows
+  /// once, by the section's exact size.
   void encode_checkpoint_state(std::string& out, CheckpointFrame frame);
 
   /// The shape a checkpoint section must fit.
@@ -329,10 +336,13 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
     std::unique_ptr<CellSums[]> cells;
     /// The rank's fastest slice; meaningful once cells exist.
     double standard = 0.0;
-    /// Lowest bucket folded into the row since the last checkpoint encode;
-    /// buckets() when none was.
+    /// The window of buckets folded into the row since the last checkpoint
+    /// encode: the lowest (buckets() when none was) and the highest (0 when
+    /// none was).
     uint32_t mark = 0;
+    uint32_t high = 0;
   };
+  static_assert(sizeof(Row) == 24, "the window fits in the row's padding");
 
   /// Dense state of one (sensor, dynamic-rule group).
   struct Slot {
@@ -343,6 +353,9 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
     /// Queued for publication (enable_standard_publication).
     bool queued = false;
     std::vector<Row> rows;  ///< per rank
+    /// One bit per rank, set while its row's window is open: the rows the
+    /// next delta checkpoint writes.
+    std::vector<uint64_t> dirty;
   };
 
   /// The complete running state; reset() and a decoded base replace it
@@ -376,7 +389,7 @@ class StreamingDetector final : public BatchSink, public obs::HealthSource {
   int group_of(float metric) const;
   int bucket_of(double time) const;
   /// Slot of (sensor, group) in `st`, created (standard unset, `ranks`
-  /// empty rows) if absent.
+  /// empty rows, no bit set) if absent.
   static uint32_t slot_of(State& st, int sensor, int group, int ranks);
   const Slot* find_slot(int sensor, int group) const;
   /// Allocate `buckets` cells for `row`, all empty, and leave it clean.

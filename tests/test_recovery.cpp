@@ -1727,6 +1727,90 @@ TEST(Checkpoint, DamagedFrameNeverHalfApplies) {
   EXPECT_GT(rejected, 1000u) << "too little damage was detectable";
 }
 
+TEST(Checkpoint, DeltaWritesOnlyTheChangedWindow) {
+  // A delta writes a changed row over the buckets folded since the
+  // previous frame, not from the lowest of them to the row's end: rank 0's
+  // cell 8 predates the base, so a fold into its cell 5 makes a delta of
+  // one row, one cell and one last slice.
+  const std::vector<SensorInfo> sensor{
+      {"comp", SensorType::Computation, "f.c", 1}};
+  const double T = 10e-3;
+  StreamingDetector live(ServerRig::make_cfg(), sensor, /*ranks=*/2, T);
+  ASSERT_EQ(live.buckets(), 10);
+  // make_record's slice is 1e-3 long, so its middle lies in `bucket`.
+  const auto at = [](int rank, int bucket) {
+    return make_record(0, rank, (bucket + 0.2) * 1e-3, 1e-4);
+  };
+  live.observe(std::vector{at(0, 2), at(0, 8), at(1, 3)});
+  std::string base, delta;
+  live.encode_checkpoint_state(base, CheckpointFrame::Base);
+  live.observe(std::vector{at(0, 5)});
+  live.encode_checkpoint_state(delta, CheckpointFrame::Delta);
+
+  StreamingDetector::CheckpointCounts counts;
+  ASSERT_TRUE(StreamingDetector::check_checkpoint_state(
+      delta, {sensor.size(), 2, 10}, &counts));
+  EXPECT_EQ(counts.rows, 1u);
+  EXPECT_EQ(counts.cells, 1u);
+  EXPECT_EQ(counts.last, 1u);
+
+  // The base and the delta still decode to the live state.
+  StreamingDetector decoded(ServerRig::make_cfg(), sensor, 2, T);
+  ASSERT_TRUE(decoded.decode_checkpoint_state(base, CheckpointFrame::Base));
+  ASSERT_TRUE(decoded.decode_checkpoint_state(delta, CheckpointFrame::Delta));
+  std::string want, got;
+  live.encode_checkpoint_state(want, CheckpointFrame::Base);
+  decoded.encode_checkpoint_state(got, CheckpointFrame::Base);
+  EXPECT_TRUE(got == want)
+      << "the base and the delta differ from the live state";
+}
+
+TEST(Checkpoint, MergedRowsReachTheNextDelta) {
+  // Rows that merge_from brings in were never in this detector's frames,
+  // so its next delta must list them whole, with their last slices.
+  const int ranks = 4;
+  const double T = 10e-3;
+  StreamingDetector a(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  StreamingDetector b(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  for (const auto& d : make_stream(/*seed=*/8, ranks, T)) {
+    (d.rank < 2 ? a : b).observe(d.records);
+  }
+  std::string base, delta;
+  a.encode_checkpoint_state(base, CheckpointFrame::Base);
+  const auto merged = b.snapshot();
+  ASSERT_FALSE(merged.rank_standard.empty());
+  a.merge_from(b);
+  a.encode_checkpoint_state(delta, CheckpointFrame::Delta);
+
+  StreamingDetector::CheckpointCounts counts;
+  ASSERT_TRUE(StreamingDetector::check_checkpoint_state(
+      delta, {two_sensors().size(), ranks, static_cast<uint32_t>(a.buckets())},
+      &counts));
+  EXPECT_EQ(counts.rows, merged.rank_standard.size());
+  EXPECT_EQ(counts.cells, merged.cells.size());
+  EXPECT_EQ(counts.last, merged.last.size());
+  // Alone, the delta holds exactly b's rows and last slices.
+  StreamingDetector rows_only(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  ASSERT_TRUE(rows_only.decode_checkpoint_state(delta, CheckpointFrame::Delta));
+  const auto listed = rows_only.snapshot();
+  EXPECT_EQ(listed.rank_standard, merged.rank_standard);
+  EXPECT_EQ(listed.cells.size(), merged.cells.size());
+  EXPECT_EQ(listed.last.size(), merged.last.size());
+  for (const auto& [key, slice] : merged.last) {
+    ASSERT_EQ(listed.last.count(key), 1u);
+    EXPECT_EQ(listed.last.at(key).t_end, slice.t_end);
+  }
+
+  StreamingDetector decoded(ServerRig::make_cfg(), two_sensors(), ranks, T);
+  ASSERT_TRUE(decoded.decode_checkpoint_state(base, CheckpointFrame::Base));
+  ASSERT_TRUE(decoded.decode_checkpoint_state(delta, CheckpointFrame::Delta));
+  std::string want, got;
+  a.encode_checkpoint_state(want, CheckpointFrame::Base);
+  decoded.encode_checkpoint_state(got, CheckpointFrame::Base);
+  EXPECT_TRUE(got == want)
+      << "the base and the delta differ from the live state";
+}
+
 /// Routes every operation to `target`, which a test may swap mid-run.
 struct SwitchFs final : io::Vfs {
   io::Vfs* target = &io::real_fs();
